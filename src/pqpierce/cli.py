@@ -8,8 +8,7 @@ maps outcomes onto four exit codes:
     2  malformed input or usage error
     3  a resource cap was exhausted (LP budget, search limit, escape cap)
 
-Identical argv, seed, and input files produce byte-identical output at
-any parallelism level.
+Identical argv, seed, and input files produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -56,19 +55,16 @@ from .pipelines import (
     verify_counterexample,
     verify_projection_equivalence,
 )
-from .rational import point, point_json, rat
+from .rational import point_json, rat
 from .sets import (
     Family,
+    _json_points,
     common_recession_direction,
     family_from_json,
     family_to_json,
     project_drop_last,
     set_from_json,
 )
-
-
-def _parse_rat(text: str) -> Fraction:
-    return rat(text)
 
 
 def _parse_rat_list(text: str) -> list[Fraction]:
@@ -103,10 +99,7 @@ def _load_points(path: str) -> list[tuple]:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "points" not in obj:
         raise MalformedInputError("point file needs a 'points' key")
-    pts = obj["points"]
-    if not isinstance(pts, list):
-        raise MalformedInputError("'points' must be a list")
-    return [point(p) for p in pts]
+    return list(_json_points(obj["points"], "'points'"))
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -166,6 +159,29 @@ def _budget_context(args):
     return lp_budget(budget)
 
 
+def _add_spec_args(parser: argparse.ArgumentParser) -> None:
+    """The flags read by _spec: the fields of CounterexampleSpec."""
+    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--n-max", type=int, required=True)
+    parser.add_argument("--n-bounded", type=int, required=True)
+    parser.add_argument("--margin", default="0")
+
+
+def _spec(args) -> CounterexampleSpec:
+    return CounterexampleSpec(args.d, args.n_max, args.n_bounded, rat(args.margin))
+
+
+def _fractions_in_unit(max_den: int) -> int:
+    """Reduced fractions in (0,1) with denominator <= max_den: the sum
+    of Euler's totient over 2..max_den, by sieve."""
+    phi = list(range(max_den + 1))
+    for k in range(2, max_den + 1):
+        if phi[k] == k:  # k is prime
+            for m in range(k, max_den + 1, k):
+                phi[m] -= phi[m] // k
+    return sum(phi[2:])
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, output_text)
 
@@ -179,6 +195,14 @@ def _cmd_construct(args) -> tuple[int, str]:
         else:
             if args.count < 1:
                 raise MalformedInputError("need --count >= 1")
+            if args.max_den < 2:
+                raise MalformedInputError("need --max-den >= 2")
+            # the max_den - 1 fractions 1/n always exist; count the rest only if needed
+            if args.count >= args.max_den and args.count > _fractions_in_unit(args.max_den):
+                raise MalformedInputError(
+                    f"--count {args.count} exceeds the number of distinct alphas"
+                    f" with denominator <= {args.max_den}"
+                )
             rng = random.Random(args.seed)
             chosen: set[Fraction] = set()
             while len(chosen) < args.count:
@@ -190,17 +214,11 @@ def _cmd_construct(args) -> tuple[int, str]:
         fam = Family(args.d, tuple(sets))
         return 0, _json_text({**family_to_json(fam), **extra})
     if args.what == "counterexample":
-        spec = CounterexampleSpec(
-            d=args.d,
-            n_max=args.n_max,
-            n_bounded=args.n_bounded,
-            bounded_margin=_parse_rat(args.margin),
-        )
-        return 0, _json_text(family_to_json(counterexample_family(spec)))
+        return 0, _json_text(family_to_json(counterexample_family(_spec(args))))
     if args.what == "gruenbaum":
         fam = gruenbaum_line(args.n_max, args.copies)
         return 0, _json_text(family_to_json(fam))
-    fam = free_flats_family(args.d, args.k, args.count, _parse_rat(args.radius), args.seed)
+    fam = free_flats_family(args.d, args.k, args.count, rat(args.radius), args.seed)
     return 0, _json_text({**family_to_json(fam), "seed": args.seed})
 
 
@@ -241,12 +259,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
 
 
 def _cmd_escape(args) -> tuple[int, str]:
-    spec = CounterexampleSpec(
-        d=args.d,
-        n_max=args.n_max,
-        n_bounded=args.n_bounded,
-        bounded_margin=_parse_rat(args.margin),
-    )
+    spec = _spec(args)
     pts = _load_points(args.points)
     with _budget_context(args):
         w = escape_witness(spec, pts, args.n_cap)
@@ -278,18 +291,12 @@ def _cmd_pipeline(args) -> tuple[int, str]:
                 args.p, args.q,
             )
         elif args.what == "counterexample":
-            spec = CounterexampleSpec(
-                d=args.d,
-                n_max=args.n_max,
-                n_bounded=args.n_bounded,
-                bounded_margin=_parse_rat(args.margin),
-            )
+            spec = _spec(args)
             candidates = None
             if args.points is not None:
                 candidates = [_load_points(args.points)]
             report = verify_counterexample(
-                spec, args.k_max, candidate_point_sets=candidates,
-                n_cap=args.n_cap, jobs=args.jobs,
+                spec, args.k_max, candidate_point_sets=candidates, n_cap=args.n_cap
             )
         else:
             fam = _load_family(args.input)
@@ -332,10 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-den", type=int, default=1000)
     add_output(p)
     p = csub.add_parser("counterexample")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--n-bounded", type=int, required=True)
-    p.add_argument("--margin", default="0")
+    _add_spec_args(p)
     add_output(p)
     p = csub.add_parser("gruenbaum")
     p.add_argument("--n-max", type=int, required=True)
@@ -380,10 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
         add_output(p)
 
     p = top.add_parser("escape", help="smallest member avoiding a point set")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--n-bounded", type=int, required=True)
-    p.add_argument("--margin", default="0")
+    _add_spec_args(p)
     p.add_argument("--points", required=True, help="point-list JSON file")
     p.add_argument("--n-cap", type=int, default=1000)
     add_budget(p)
@@ -427,14 +428,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p)
     add_output(p)
     p = psub.add_parser("counterexample")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--n-bounded", type=int, required=True)
-    p.add_argument("--margin", default="0")
+    _add_spec_args(p)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--points", default=None, help="candidate point-list JSON file")
     p.add_argument("--n-cap", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
     add_budget(p)
     add_format(p)
     add_output(p)

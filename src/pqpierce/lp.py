@@ -339,52 +339,6 @@ def lp_minimize(
 # ---------------------------------------------------------------------------
 # exact dense linear algebra
 
-def solve_linear(mat: Sequence[Sequence[RatLike]], rhs: Sequence[RatLike]) -> Optional[Point]:
-    """Solve mat @ x = rhs exactly by Gaussian elimination.
-
-    Returns one solution (free variables pinned to 0, first-nonzero
-    pivoting, deterministic) or None when the system is inconsistent.
-    """
-    rows = [list(map(rat, r)) for r in mat]
-    bvec = [rat(v) for v in rhs]
-    if len(rows) != len(bvec):
-        raise MalformedInputError("matrix/rhs length mismatch")
-    n = len(rows[0]) if rows else 0
-    if any(len(r) != n for r in rows):
-        raise MalformedInputError("ragged matrix")
-
-    aug = [row + [bv] for row, bv in zip(rows, bvec)]
-    m = len(aug)
-    pivots: list[tuple[int, int]] = []
-    prow = 0
-    for col in range(n):
-        sel = -1
-        for i in range(prow, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        pv = aug[prow][col]
-        aug[prow] = [a / pv for a in aug[prow]]
-        for i in range(m):
-            if i != prow and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * c for a, c in zip(aug[i], aug[prow])]
-        pivots.append((prow, col))
-        prow += 1
-        if prow == m:
-            break
-    for i in range(prow, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, col in pivots:
-        x[col] = aug[i][n]
-    return tuple(x)
-
-
 def invert_matrix(mat: Matrix) -> Matrix:
     """Exact inverse of a square rational matrix (Gauss-Jordan)."""
     n = len(mat)

@@ -200,15 +200,19 @@ def _verify_solution(fam: Family, sol: PiercingSolution) -> None:
             )
 
 
+def _require_members_nonempty(fam: Family) -> None:
+    for s in fam.sets:
+        if isinstance(s.rep, HRep) and is_empty(s):
+            raise EmptySetError(f"cannot pierce empty set {s.label!r}")
+
+
 def piercing_number(fam: Family, limit: Optional[int] = None) -> PiercingSolution:
     """Exact piercing number as a minimum intersecting partition.
 
     With `limit` set and the true number above it, falls back to a
     greedy first-fit partition and marks the result non-optimal.
     """
-    for s in fam.sets:
-        if isinstance(s.rep, HRep) and is_empty(s):
-            raise EmptySetError(f"cannot pierce empty set {s.label!r}")
+    _require_members_nonempty(fam)
     oracle = IntersectionOracle(fam)
     n = len(fam)
     cap = n if limit is None else min(limit, n)

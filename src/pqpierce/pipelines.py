@@ -13,7 +13,6 @@ realizes the same conclusions with computable certificates.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -26,12 +25,14 @@ from .constructions import (
     escape_witness,
     simplex_common_point,
 )
-from .errors import BudgetExhaustedError, EmptySetError, MalformedInputError
+from .errors import BudgetExhaustedError, MalformedInputError
 from .hypergraph import transversal_number
 from .lp import completed_basis_matrix, invert_matrix
 from .piercing import (
     IntersectionOracle,
     PiercingSolution,
+    _require_members_nonempty,
+    _verify_solution,
     build_GF,
     has_pq_property,
     is_m_free,
@@ -44,8 +45,7 @@ from .rational import Point, mat_vec, point_json, rat_str
 from .sets import (
     ConvexSet,
     Family,
-    HRep,
-    VRep,
+    _require_compact_box,
     change_coordinates,
     common_recession_direction,
     contains_point,
@@ -53,7 +53,6 @@ from .sets import (
     direction_in_recession_cone,
     intersect_nonempty,
     is_bounded,
-    is_empty,
     lifted_projection_witness,
     min_height_in_box,
     some_point,
@@ -111,12 +110,6 @@ def report_to_json(r: PipelineReport) -> dict:
     }
 
 
-def _require_members_nonempty(fam: Family) -> None:
-    for s in fam.sets:
-        if isinstance(s.rep, HRep) and is_empty(s):
-            raise EmptySetError(f"member {s.label!r} is empty")
-
-
 def _failed(name, inputs, checks, conclusion_prefix="hypothesis failed") -> PipelineReport:
     bad = next(c.description for c in checks if not c.passed)
     return PipelineReport(
@@ -126,6 +119,54 @@ def _failed(name, inputs, checks, conclusion_prefix="hypothesis failed") -> Pipe
 
 def _labels(fam: Family, indices: Iterable[int]) -> list[str]:
     return [fam.sets[i].label for i in indices]
+
+
+def _pq_check(fam: Family, p: int, q: int, oracle: IntersectionOracle) -> HypothesisCheck:
+    prop = has_pq_property(fam, p, q, oracle)
+    return HypothesisCheck(
+        f"({p},{q})-property",
+        prop.holds,
+        None if prop.holds else {"violating": _labels(fam, prop.violating_tuple)},
+    )
+
+
+def _finish(
+    name: str,
+    fam: Family,
+    inputs: dict,
+    checks: list[HypothesisCheck],
+    points: list[Point],
+    assignment: dict[int, int],
+    bound_claim: tuple[str, Optional[int]],
+    within: str,
+    selection: Sequence[int] = (),
+    limit: int = 0,
+) -> PipelineReport:
+    """Shared tail of the piercing routes: report the first failed row,
+    or pierce the selection (if any) exactly with at most `limit` points
+    placed after the given ones, re-check every point and report."""
+    if not all(c.passed for c in checks):
+        return _failed(name, inputs, checks)
+    if selection:
+        sel = piercing_number(fam.subfamily(selection))
+        checks.append(
+            HypothesisCheck(
+                f"selection pierced by at most {limit} points",
+                len(sel.points) <= limit,
+                {"used": len(sel.points)},
+            )
+        )
+        if not checks[-1].passed:
+            return _failed(name, inputs, checks)
+        offset = len(points)
+        points.extend(sel.points)
+        for local, i in enumerate(selection):
+            assignment[i] = offset + sel.assignment[local]
+    sol = PiercingSolution(tuple(points), assignment, optimal=False)
+    _verify_solution(fam, sol)
+    return PipelineReport(
+        name, inputs, checks, sol, bound_claim, f"pierced by {len(points)} points{within}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +196,7 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
             {"bounded": _labels(fam, bounded)},
         )
     )
-    prop = has_pq_property(fam, p, p - t, oracle)
-    checks.append(
-        HypothesisCheck(
-            f"({p},{p - t})-property",
-            prop.holds,
-            None if prop.holds else {"violating": _labels(fam, prop.violating_tuple)},
-        )
-    )
+    checks.append(_pq_check(fam, p, p - t, oracle))
     gf = build_GF(fam, d, oracle)
     beta, cover = transversal_number(gf)
     checks.append(
@@ -176,7 +210,8 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
         return _failed("s1", inputs, checks)
 
     rest = [i for i in range(len(fam)) if i not in set(cover)]
-    helly_point: Optional[Point] = None
+    points: list[Point] = []
+    assignment: dict[int, int] = {}
     if rest:
         if len(rest) >= d + 1:
             sub_prop = has_pq_property(fam.subfamily(rest), d + 1, d + 1)
@@ -196,37 +231,17 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
                 None if not ok else {"point": point_json(helly_point)},
             )
         )
-    if not all(c.passed for c in checks):
-        return _failed("s1", inputs, checks)
-
-    points: list[Point] = []
-    assignment: dict[int, int] = {}
-    if rest:
+        if not all(c.passed for c in checks):
+            return _failed("s1", inputs, checks)
         points.append(helly_point)
-        for i in rest:
-            assignment[i] = 0
+        assignment.update((i, 0) for i in rest)
     for i in cover:
         points.append(some_point(fam.sets[i]))
         assignment[i] = len(points) - 1
-    sol = PiercingSolution(tuple(points), assignment, optimal=False)
-    _verify_pipeline_points(fam, sol)
-    bound = t + 1
-    return PipelineReport(
-        "s1",
-        inputs,
-        checks,
-        sol,
-        (f"{t} + 1", bound),
-        f"pierced by {len(points)} points, within the guaranteed bound {bound}",
+    return _finish(
+        "s1", fam, inputs, checks, points, assignment,
+        (f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}",
     )
-
-
-def _verify_pipeline_points(fam: Family, sol: PiercingSolution) -> None:
-    for i, pi in sol.assignment.items():
-        if not contains_point(fam.sets[i], sol.points[pi]):
-            raise AssertionError(
-                f"{fam.sets[i].label} does not contain its assigned piercing point"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +281,7 @@ def pierce_via_free_family(
             )
             witness = {"intersecting": _labels(fam, bad)}
     checks.append(HypothesisCheck(f"selection is {m}-free", free, witness))
-    prop = has_pq_property(fam, p, q, oracle)
-    checks.append(
-        HypothesisCheck(
-            f"({p},{q})-property",
-            prop.holds,
-            None if prop.holds else {"violating": _labels(fam, prop.violating_tuple)},
-        )
-    )
+    checks.append(_pq_check(fam, p, q, oracle))
     if not all(c.passed for c in checks):
         return _failed("s2", inputs, checks)
 
@@ -299,35 +307,13 @@ def pierce_via_free_family(
             points.append(w)
             for i in members:
                 assignment[i] = j
-    if not all(c.passed for c in checks):
-        return _failed("s2", inputs, checks)
-
-    b_sol = piercing_number(fam.subfamily(b))
-    checks.append(
-        HypothesisCheck(
-            f"selection pierced by at most {p - q + 1} points",
-            len(b_sol.points) <= p - q + 1,
-            {"used": len(b_sol.points)},
-        )
-    )
-    if not all(c.passed for c in checks):
-        return _failed("s2", inputs, checks)
-    offset = len(points)
-    points.extend(b_sol.points)
-    for local, i in enumerate(b):
-        assignment[i] = offset + b_sol.assignment[local]
-    sol = PiercingSolution(tuple(points), assignment, optimal=False)
-    _verify_pipeline_points(fam, sol)
     entry = catalog_lookup("xi", (p, q, d))
     numeric = None if entry is None else entry.value + p - q + 1
-    return PipelineReport(
-        "s2",
-        inputs,
-        checks,
-        sol,
+    return _finish(
+        "s2", fam, inputs, checks, points, assignment,
         (f"xi({p},{q},{d}) + {p - q + 1}", numeric),
-        f"pierced by {len(points)} points"
-        + (f", within the bound {numeric}" if numeric is not None else ""),
+        "" if numeric is None else f", within the bound {numeric}",
+        selection=b, limit=p - q + 1,
     )
 
 
@@ -396,14 +382,7 @@ def pierce_via_projection(
             None if not unbounded else {"unbounded": _labels(fam, unbounded)},
         )
     )
-    prop = has_pq_property(fam, p, q, oracle)
-    checks.append(
-        HypothesisCheck(
-            f"({p},{q})-property",
-            prop.holds,
-            None if prop.holds else {"violating": _labels(fam, prop.violating_tuple)},
-        )
-    )
+    checks.append(_pq_check(fam, p, q, oracle))
     if not all(c.passed for c in checks):
         return _failed("main", inputs, checks)
 
@@ -433,37 +412,15 @@ def pierce_via_projection(
                 points.append(w)
                 for i in members:
                     assignment[i] = j
-    if not all(c.passed for c in checks):
-        return _failed("main", inputs, checks)
-
-    c_sol = piercing_number(fam.subfamily(comp))
-    checks.append(
-        HypothesisCheck(
-            f"selection pierced by at most {p - q + 1} points",
-            len(c_sol.points) <= p - q + 1,
-            {"used": len(c_sol.points)},
-        )
-    )
-    if not all(c.passed for c in checks):
-        return _failed("main", inputs, checks)
-    offset = len(points)
-    points.extend(c_sol.points)
-    for local, i in enumerate(comp):
-        assignment[i] = offset + c_sol.assignment[local]
-    sol = PiercingSolution(tuple(points), assignment, optimal=False)
-    _verify_pipeline_points(fam, sol)
     inner = catalog_lookup("xi", (q - 1, d, d - 1))
     outer = catalog_lookup("xi", (p, q, d))
     numeric = None
     if inner is not None and outer is not None:
         numeric = inner.value * outer.value + p - q + 1
-    return PipelineReport(
-        "main",
-        inputs,
-        checks,
-        sol,
-        (f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric),
-        f"pierced by {len(points)} points",
+    return _finish(
+        "main", fam, inputs, checks, points, assignment,
+        (f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "",
+        selection=comp, limit=p - q + 1,
     )
 
 
@@ -479,8 +436,7 @@ def pierce_unbounded_part(
     d = fam.dim
     if d < 2:
         raise MalformedInputError("need ambient dimension >= 2")
-    if not isinstance(box.rep, VRep) or box.rep.rays:
-        raise MalformedInputError("box must be a compact V-representation")
+    _require_compact_box(box)
     part = sorted(set(part_indices))
     members = fam.select(part)
     checks: list[HypothesisCheck] = []
@@ -612,7 +568,6 @@ def verify_counterexample(
     k_max: int,
     candidate_point_sets: Optional[Sequence[Sequence[Sequence]]] = None,
     n_cap: int = 1000,
-    jobs: int = 1,
 ) -> PipelineReport:
     """Exhaustively verify the escaping family's properties at desk
     scale: the (d+1+2k, d+1+k)-property for k = 0..k_max, the
@@ -620,8 +575,6 @@ def verify_counterexample(
     the candidate piercing sets."""
     if k_max < 0:
         raise MalformedInputError("need k_max >= 0")
-    if jobs < 1:
-        raise MalformedInputError("need jobs >= 1")
     fam = counterexample_family(spec)
     d = spec.d
     n_unbounded = spec.n_max - 1
@@ -654,9 +607,7 @@ def verify_counterexample(
                     else {"violating": _labels(fam, prop.violating_tuple)},
                 )
             )
-            counts, first_bad = _classification_sweep(
-                fam, p, d, k, n_unbounded, jobs
-            )
+            counts, first_bad = _classification_sweep(fam, p, d, k, n_unbounded)
             for c, v in counts.items():
                 case_totals[c] += v
             checks.append(
@@ -713,38 +664,18 @@ def verify_counterexample(
 
 
 def _classification_sweep(
-    fam: Family, p: int, d: int, k: int, n_unbounded: int, jobs: int
+    fam: Family, p: int, d: int, k: int, n_unbounded: int
 ) -> tuple[dict[str, int], Optional[tuple[int, ...]]]:
-    tuples = list(combinations(range(len(fam)), p))
-
-    def run_chunk(chunk):
-        # thread-local caches: points repeat heavily within a chunk
-        counts = {"1": 0, "2": 0, "3": 0}
-        first_bad = None
-        scp_cache: dict = {}
-        member_cache: dict = {}
-        for tup in chunk:
-            case, ok = _case_prediction(
-                fam, tup, n_unbounded, d, k, scp_cache, member_cache
-            )
-            counts[str(case)] += 1
-            if not ok and first_bad is None:
-                first_bad = tup
-        return counts, first_bad
-
-    if jobs == 1 or len(tuples) < 64:
-        return run_chunk(tuples)
-    size = (len(tuples) + jobs - 1) // jobs
-    chunks = [tuples[i : i + size] for i in range(0, len(tuples), size)]
-    totals = {"1": 0, "2": 0, "3": 0}
+    counts = {"1": 0, "2": 0, "3": 0}
     first_bad = None
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for counts, bad in pool.map(run_chunk, chunks):
-            for c, v in counts.items():
-                totals[c] += v
-            if bad is not None and (first_bad is None or bad < first_bad):
-                first_bad = bad
-    return totals, first_bad
+    scp_cache: dict = {}  # points repeat heavily across the tuples of one k
+    member_cache: dict = {}
+    for tup in combinations(range(len(fam)), p):
+        case, ok = _case_prediction(fam, tup, n_unbounded, d, k, scp_cache, member_cache)
+        counts[str(case)] += 1
+        if not ok and first_bad is None:
+            first_bad = tup
+    return counts, first_bad
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +692,7 @@ def verify_projection_equivalence(
         raise MalformedInputError("need ambient dimension >= 2")
     if max_subset < 1:
         raise MalformedInputError("need max_subset >= 1")
-    if not isinstance(box.rep, VRep) or box.rep.rays:
-        raise MalformedInputError("box must be a compact V-representation")
+    _require_compact_box(box)
     if box.dim != d:
         raise MalformedInputError("box dimension mismatch")
     inputs = {"dim": d, "size": len(fam), "max_subset": max_subset, "box": box.label}

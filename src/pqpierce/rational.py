@@ -61,16 +61,6 @@ def point_json(p: Point) -> list:
     return [rat_str(c) for c in p]
 
 
-def zeros(dim: int) -> Point:
-    return (Fraction(0),) * dim
-
-
-def unit(dim: int, axis: int) -> Point:
-    if not 0 <= axis < dim:
-        raise MalformedInputError(f"axis {axis} out of range for dim {dim}")
-    return tuple(Fraction(1 if i == axis else 0) for i in range(dim))
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise MalformedInputError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -80,31 +70,8 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def vadd(u: Point, v: Point) -> Point:
-    if len(u) != len(v):
-        raise MalformedInputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Point, v: Point) -> Point:
-    if len(u) != len(v):
-        raise MalformedInputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Point) -> Point:
-    return tuple(c * a for a in u)
-
-
 def is_zero(u: Point) -> bool:
     return all(a == 0 for a in u)
-
-
-def matrix(rows: Iterable[Iterable[RatLike]]) -> Matrix:
-    out = tuple(point(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise MalformedInputError("ragged matrix")
-    return out
 
 
 def mat_vec(m: Matrix, x: Point) -> Point:
@@ -121,9 +88,3 @@ def vec_mat(x: Point, m: Matrix) -> Point:
         sum((x[i] * m[i][j] for i in range(len(x))), Fraction(0))
         for j in range(cols)
     )
-
-
-def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return ()
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))

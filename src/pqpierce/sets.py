@@ -12,7 +12,7 @@ minimal heights) is a single LP assembled from coefficient blocks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -95,10 +95,6 @@ class ConvexSet:
                     raise MalformedInputError(
                         f"{self.label}: halfspace arity != dim {self.dim}"
                     )
-
-    @property
-    def is_vrep(self) -> bool:
-        return isinstance(self.rep, VRep)
 
 
 def vrep_set(
@@ -350,10 +346,7 @@ def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
     if isinstance(s.rep, HRep):
         return all(dot(h.normal, vp) <= 0 for h in s.rep.halfspaces)
     b = _SysBuilder()
-    mu = b.vars(len(s.rep.rays), nonneg=True)
-    for i in range(s.dim):
-        terms = {mu[k]: r[i] for k, r in enumerate(s.rep.rays) if r[i]}
-        b.add(EQ, terms, vp[i])
+    _cone_member_rows(b, s, [(None, c) for c in vp])
     ok, _ = lp_feasible(b.system())
     return ok
 
@@ -379,18 +372,15 @@ def _cone_member_rows(b: _SysBuilder, s: ConvexSet, vcoords: Sequence[Coord]) ->
         b.add(EQ, terms, const)
 
 
-def common_recession_direction(fam: Family) -> Optional[Point]:
-    """Some nonzero v in every member's recession cone, or None.
-
-    Probes the 2*dim signed coordinate functionals in ascending
-    coordinate order, positive sign first; each probe is one LP, so the
-    answer and the returned v are deterministic.
-    """
-    for axis in range(fam.dim):
+def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
+    """Probe the 2*dim signed coordinate functionals in ascending
+    coordinate order, positive sign first, for a nonzero v in every
+    member's recession cone; each probe is one LP."""
+    for axis in range(dim):
         for sign in (1, -1):
             b = _SysBuilder()
-            vs, vcoords = _free_coords(b, fam.dim)
-            for s in fam.sets:
+            vs, vcoords = _free_coords(b, dim)
+            for s in members:
                 _cone_member_rows(b, s, vcoords)
             b.add(EQ, {vs[axis]: Fraction(1)}, Fraction(sign))
             ok, sol = lp_feasible(b.system())
@@ -399,21 +389,18 @@ def common_recession_direction(fam: Family) -> Optional[Point]:
     return None
 
 
+def common_recession_direction(fam: Family) -> Optional[Point]:
+    """Some nonzero v in every member's recession cone, or None; the
+    probe order makes the answer and the returned v deterministic."""
+    return _recession_probe(fam.dim, fam.sets)
+
+
 def is_bounded(s: ConvexSet) -> bool:
     """True iff the set's recession cone is {0}. H-rep callers must pass
     a nonempty set (the cone probes are meaningless otherwise)."""
     if isinstance(s.rep, VRep):
         return not s.rep.rays
-    for axis in range(s.dim):
-        for sign in (1, -1):
-            b = _SysBuilder()
-            vs, vcoords = _free_coords(b, s.dim)
-            _cone_member_rows(b, s, vcoords)
-            b.add(EQ, {vs[axis]: Fraction(1)}, Fraction(sign))
-            ok, _ = lp_feasible(b.system())
-            if ok:
-                return False
-    return True
+    return _recession_probe(s.dim, (s,)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +539,6 @@ def lifted_projection_witness(
     return True, tuple(sol[j] for j in xs)
 
 
-def lifted_projection_intersect(
-    fam: Family, indices: Iterable[int], box: ConvexSet
-) -> bool:
-    ok, _ = lifted_projection_witness(fam.select(list(indices)), box)
-    return ok
-
-
 def min_height_in_box(
     s: ConvexSet, box: ConvexSet, x: Sequence[RatLike]
 ) -> Optional[Fraction]:
@@ -633,6 +613,17 @@ def set_to_json(s: ConvexSet) -> dict:
     return out
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInputError(f"{what} must be a list")
+    return value
+
+
+def _json_points(value, what: str) -> tuple[Point, ...]:
+    """A JSON list of coordinate lists (points, rays)."""
+    return tuple(point(_json_list(p, f"each of the {what}")) for p in _json_list(value, what))
+
+
 def set_from_json(obj) -> ConvexSet:
     if not isinstance(obj, dict):
         raise MalformedInputError("set must be a JSON object")
@@ -651,14 +642,15 @@ def set_from_json(obj) -> ConvexSet:
         v = obj["vrep"]
         if not isinstance(v, dict) or "points" not in v:
             raise MalformedInputError("vrep needs a points list")
-        pts = [point(p) for p in v["points"]]
-        rays = [point(r) for r in v.get("rays", [])]
-        return ConvexSet(label, dim, VRep(tuple(pts), tuple(rays)))
+        pts = _json_points(v["points"], "vrep points")
+        rays = _json_points(v.get("rays", []), "vrep rays")
+        return ConvexSet(label, dim, VRep(pts, rays))
     hs = []
-    for h in obj["hrep"]:
+    for h in _json_list(obj["hrep"], "hrep"):
         if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
             raise MalformedInputError("halfspace needs normal and offset")
-        hs.append(Halfspace(point(h["normal"]), rat(h["offset"])))
+        normal = point(_json_list(h["normal"], "halfspace normal"))
+        hs.append(Halfspace(normal, rat(h["offset"])))
     return ConvexSet(label, dim, HRep(tuple(hs)))
 
 
@@ -672,5 +664,7 @@ def family_from_json(obj) -> Family:
     dim = obj["dimension"]
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise MalformedInputError("dimension must be an integer")
-    sets = tuple(set_from_json(s) for s in obj["sets"])
+    sets = tuple(set_from_json(s) for s in _json_list(obj["sets"], "sets"))
+    if not sets:
+        raise MalformedInputError("empty family")
     return Family(dim, sets)

@@ -76,6 +76,27 @@ class TestConstruct:
         assert data["seed"] == 7
         assert len(data["sets"]) == 3
 
+    def test_simplex_count_up_to_distinct_alphas(self, capsys):
+        # denominators <= 3 give exactly the alphas 1/3, 1/2, 2/3
+        code, out = run(
+            ["construct", "simplex", "--d", "1", "--count", "3", "--max-den", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert [s["label"] for s in json.loads(out)["sets"]] == ["S(1/3)", "S(1/2)", "S(2/3)"]
+
+    @pytest.mark.parametrize(
+        "count, max_den", [(1, 1), (1, 0), (2, 2), (5, 2), (4, 3), (12, 6)]
+    )
+    def test_simplex_sampling_rejected_up_front(self, capsys, count, max_den):
+        code, out = run(
+            ["construct", "simplex", "--d", "2", "--count", str(count),
+             "--max-den", str(max_den)],
+            capsys,
+        )
+        assert code == 2
+        assert set(json.loads(out)) == {"error"}
+
     def test_simplex_needs_exactly_one_source(self, capsys):
         code, _ = run(["construct", "simplex", "--d", "2"], capsys)
         assert code == 2
@@ -264,13 +285,17 @@ class TestPipelines:
         validate(data, "pipeline_report.json")
         assert data["exhaustive"] is True
 
-    def test_counterexample_jobs_byte_identical(self, capsys):
-        base = ["pipeline", "counterexample", "--d", "1", "--n-max", "7",
+    def test_counterexample_byte_identical_across_runs(self, capsys):
+        argv = ["pipeline", "counterexample", "--d", "1", "--n-max", "7",
                 "--n-bounded", "3", "--k-max", "1"]
-        _, out1 = run(base + ["--jobs", "1"], capsys)
-        _, out2 = run(base + ["--jobs", "2"], capsys)
-        _, out3 = run(base + ["--jobs", "1"], capsys)
-        assert out1 == out2 == out3
+        _, out1 = run(argv, capsys)
+        _, out2 = run(argv, capsys)
+        assert out1 == out2
+
+    def test_jobs_is_an_unknown_flag(self, capsys):
+        argv = ["pipeline", "counterexample", "--d", "1", "--n-max", "6",
+                "--n-bounded", "3", "--k-max", "0", "--jobs", "2"]
+        assert cmd_dispatch(argv) == 2
 
     def test_counterexample_csv_rows(self, capsys):
         argv = ["pipeline", "counterexample", "--d", "1", "--n-max", "6",
@@ -372,11 +397,31 @@ class TestPlumbing:
         assert "error" in json.loads(out)
 
     def test_malformed_family_exit_two(self, tmp_path, capsys):
+        families = [
+            {"dimension": 1.5, "sets": []},
+            {"dimension": 1, "sets": [{"label": "H", "dim": 1, "hrep": 5}]},
+            {"dimension": 1, "sets": [{"label": "H", "dim": 1, "hrep": [{"normal": 1, "offset": 0}]}]},
+            {"dimension": 1, "sets": [{"label": "V", "dim": 1, "vrep": {"points": [[0]], "rays": 3}}]},
+            {"dimension": 1, "sets": [{"label": "V", "dim": 1, "vrep": {"points": 0}}]},
+            {"dimension": 1, "sets": [{"label": "V", "dim": 1, "vrep": {"points": [0]}}]},
+            {"dimension": 1, "sets": [{"label": "V", "dim": 1, "vrep": {"points": ["12"]}}]},
+            {"dimension": 2, "sets": []},
+            {"dimension": 2, "sets": {"label": "V"}},
+        ]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"dimension": 1.5, "sets": []}))
-        code, _ = run(["check", "pq", "--p", "2", "--q", "2", "--input", str(path)],
-                      capsys)
+        for fam in families:
+            path.write_text(json.dumps(fam))
+            for command in (["check", "pq", "--p", "1", "--q", "1"], ["solve", "pierce"]):
+                code, out = run(command + ["--input", str(path)], capsys)
+                assert (code, set(json.loads(out))) == (2, {"error"}), (fam, command)
+
+    def test_malformed_point_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": [3]}))
+        code, out = run(["escape", "--d", "1", "--n-max", "4", "--n-bounded", "1",
+                         "--points", str(path)], capsys)
         assert code == 2
+        assert set(json.loads(out)) == {"error"}
 
     def test_construct_determinism(self, capsys):
         argv = ["construct", "free-flats", "--d", "2", "--k", "2", "--count", "4",

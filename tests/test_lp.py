@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqpierce.errors import BudgetExhaustedError, MalformedInputError
+from pqpierce.errors import BudgetExhaustedError
 from pqpierce.lp import (
     LinearSystem,
     completed_basis_matrix,
@@ -18,7 +18,6 @@ from pqpierce.lp import (
     lp_budget,
     lp_feasible,
     lp_minimize,
-    solve_linear,
 )
 from pqpierce.rational import mat_vec, rat
 
@@ -112,25 +111,6 @@ def test_budget_exhaustion_raises():
     # budget gone after the with-block
     ok, _ = lp_feasible(sys)
     assert ok
-
-
-def test_solve_linear_frozen_case():
-    x = solve_linear([[2, 0], [1, 1]], [1, 1])
-    assert x == (F(1, 2), F(1, 2))
-
-
-def test_solve_linear_inconsistent():
-    assert solve_linear([[1, 1], [1, 1]], [1, 2]) is None
-
-
-def test_solve_linear_underdetermined_pins_free_vars():
-    x = solve_linear([[1, 1]], [1])
-    assert x == (F(1), F(0))
-
-
-def test_solve_linear_shape_mismatch():
-    with pytest.raises(MalformedInputError):
-        solve_linear([[1, 2]], [1, 2])
 
 
 def test_invert_matrix_roundtrip():

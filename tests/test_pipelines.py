@@ -110,11 +110,17 @@ class TestTransversalPipeline:
             pierce_via_transversal(fam, t=1, p=99)
 
     def test_empty_member_rejected(self):
+        # one shared check serves every route, before any hypothesis row
         bad = hrep_set("void", [((1,), -1), ((-1,), 0)])
         pt = vrep_set("pt", [(0,)])
         seg = vrep_set("seg", [(0,), (1,)])
+        fam = family([bad, pt, seg])
         with pytest.raises(EmptySetError):
-            pierce_via_transversal(family([bad, pt, seg]), t=1, p=3)
+            pierce_via_transversal(fam, t=1, p=3)
+        with pytest.raises(EmptySetError):
+            pierce_via_free_family(fam, [1], p=2, q=2)
+        with pytest.raises(EmptySetError):
+            pierce_via_projection(fam, [1], p=2, q=2)
 
 
 class TestFreeFamilyPipeline:
@@ -278,12 +284,6 @@ class TestCounterexampleVerifier:
             report = verify_counterexample(spec, k_max=1)
         assert not report.exhaustive
         assert "partial" in report.conclusion
-
-    def test_jobs_agree(self):
-        spec = CounterexampleSpec(d=1, n_max=7, n_bounded=3)
-        a = report_to_json(verify_counterexample(spec, k_max=1, jobs=1))
-        b = report_to_json(verify_counterexample(spec, k_max=1, jobs=3))
-        assert a == b
 
     def test_k_too_large_rejected(self):
         spec = CounterexampleSpec(d=1, n_max=3, n_bounded=1)

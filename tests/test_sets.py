@@ -25,7 +25,6 @@ from pqpierce.sets import (
     intersect_nonempty,
     is_bounded,
     is_empty,
-    lifted_projection_intersect,
     lifted_projection_witness,
     min_height_in_box,
     project_drop_last,
@@ -237,7 +236,7 @@ def test_lifted_projection_of_skew_segments():
     box = box2("box", 0, 1, -5, 5)
     fam = family([a, b])
     assert not intersect_nonempty(fam, [0, 1])[0]
-    assert lifted_projection_intersect(fam, [0, 1], box)
+    assert lifted_projection_witness([a, b], box)[0]
     ok, x = lifted_projection_witness([a, b], box)
     assert ok and len(x) == 1 and 0 <= x[0] <= 1
 
@@ -247,8 +246,7 @@ def test_lifted_projection_respects_box():
     a = vrep_set("A", [(0, 0), (1, 0)])
     b = vrep_set("B", [(2, 0), (3, 0)])
     box = box2("box", 0, 3, -1, 1)
-    fam = family([a, b])
-    assert not lifted_projection_intersect(fam, [0, 1], box)
+    assert not lifted_projection_witness([a, b], box)[0]
 
 
 def test_lifted_projection_requires_compact_box():
