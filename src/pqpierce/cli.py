@@ -269,8 +269,12 @@ def _cmd_escape(args) -> tuple[int, str]:
 
 def _cmd_bounds(args) -> tuple[int, str]:
     if args.what == "eta":
+        if args.lam < 1 or args.k < 1:
+            raise MalformedInputError("need lam >= 1 and k >= 1")
         entry = catalog_lookup("eta", (args.lam, args.k))
     else:
+        if not 1 <= args.q <= args.p or args.d < 1:
+            raise MalformedInputError("need p >= q >= 1 and d >= 1")
         entry = catalog_lookup("xi", (args.p, args.q, args.d))
     data = {"entry": None if entry is None else entry_to_json(entry)}
     return (0 if entry is not None else 1), _json_text(data)

@@ -74,6 +74,8 @@ def transversal_number(
     Returns (beta, cover). With `limit` set, raises SearchLimitError
     instead of searching past covers of that size.
     """
+    if limit is not None and limit < 0:
+        raise MalformedInputError("need limit >= 0")
     if not h.edges:
         return 0, ()
     cap = h.n if limit is None else min(limit, h.n)

@@ -26,6 +26,11 @@ class IntersectionOracle:
     set certifies all its subsets, an empty one condemns all supersets.
     Only LP-computed results seed those closures, so the scan stays
     short. Thread-safe; LP calls run outside the lock.
+
+    A query that joins a fixed set to members (a truncating box, the
+    hull of a selection) goes to an oracle whose family has that set as
+    its last member, with the last index in every key; the closures
+    stay sound because joining the fixed set is monotone in the rest.
     """
 
     def __init__(self, fam: Family):
@@ -212,6 +217,8 @@ def piercing_number(fam: Family, limit: Optional[int] = None) -> PiercingSolutio
     With `limit` set and the true number above it, falls back to a
     greedy first-fit partition and marks the result non-optimal.
     """
+    if limit is not None and limit < 1:
+        raise MalformedInputError("need limit >= 1")
     _require_members_nonempty(fam)
     oracle = IntersectionOracle(fam)
     n = len(fam)

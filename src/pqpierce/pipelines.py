@@ -35,7 +35,6 @@ from .piercing import (
     _verify_solution,
     build_GF,
     has_pq_property,
-    is_m_free,
     min_partition,
     piercing_number,
     piercing_to_json,
@@ -51,7 +50,6 @@ from .sets import (
     contains_point,
     convex_hull_union,
     direction_in_recession_cone,
-    intersect_nonempty,
     is_bounded,
     lifted_projection_witness,
     min_height_in_box,
@@ -214,21 +212,23 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
     assignment: dict[int, int] = {}
     if rest:
         if len(rest) >= d + 1:
-            sub_prop = has_pq_property(fam.subfamily(rest), d + 1, d + 1)
+            holds, violating, _ = pq_property_scan(
+                len(rest), d + 1, d + 1,
+                lambda sub: oracle.intersecting(rest[i] for i in sub),
+            )
             checks.append(
                 HypothesisCheck(
                     f"remaining members satisfy the ({d + 1},{d + 1})-property",
-                    sub_prop.holds,
-                    None if sub_prop.holds
-                    else {"violating": _labels(fam, [rest[i] for i in sub_prop.violating_tuple])},
+                    holds,
+                    None if holds else {"violating": _labels(fam, [rest[i] for i in violating])},
                 )
             )
-        ok, helly_point = intersect_nonempty(fam, rest)
+        helly_point = oracle.witness(rest)
         checks.append(
             HypothesisCheck(
                 "remaining members share a common point",
-                ok,
-                None if not ok else {"point": point_json(helly_point)},
+                helly_point is not None,
+                None if helly_point is None else {"point": point_json(helly_point)},
             )
         )
         if not all(c.passed for c in checks):
@@ -269,24 +269,18 @@ def pierce_via_free_family(
     checks: list[HypothesisCheck] = []
 
     m = q - d
-    free = is_m_free(fam, b, m, oracle)
-    witness = None
-    if not free:
-        unbounded = [i for i in b if not is_bounded(fam.sets[i])]
-        if unbounded:
-            witness = {"unbounded": _labels(fam, unbounded)}
-        else:
-            bad = next(
-                sub for sub in combinations(b, m + 1) if oracle.intersecting(sub)
-            )
-            witness = {"intersecting": _labels(fam, bad)}
-    checks.append(HypothesisCheck(f"selection is {m}-free", free, witness))
+    unbounded = [i for i in b if not is_bounded(fam.sets[i])]
+    witness = {"unbounded": _labels(fam, unbounded)} if unbounded else None
+    if not unbounded:
+        bad = next((sub for sub in combinations(b, m + 1) if oracle.intersecting(sub)), None)
+        witness = None if bad is None else {"intersecting": _labels(fam, bad)}
+    checks.append(HypothesisCheck(f"selection is {m}-free", witness is None, witness))
     checks.append(_pq_check(fam, p, q, oracle))
     if not all(c.passed for c in checks):
         return _failed("s2", inputs, checks)
 
     rest = [i for i in range(len(fam)) if i not in set(b)]
-    hull = convex_hull_union(fam, b)
+    joined = IntersectionOracle(Family(d, fam.sets + (convex_hull_union(fam, b),)))
     parts = min_partition(
         len(rest), lambda cls: oracle.intersecting(frozenset(rest[i] for i in cls))
     )
@@ -294,16 +288,15 @@ def pierce_via_free_family(
     assignment: dict[int, int] = {}
     for j, cls in enumerate(parts):
         members = [rest[i] for i in cls]
-        adhoc = Family(d, fam.select(members) + (hull,))
-        ok, w = intersect_nonempty(adhoc, range(len(adhoc)))
+        w = joined.witness(members + [len(fam)])
         checks.append(
             HypothesisCheck(
                 f"part {j} and the joined selection have a common point",
-                ok,
+                w is not None,
                 {"part": _labels(fam, members), "point": None if w is None else point_json(w)},
             )
         )
-        if ok:
+        if w is not None:
             points.append(w)
             for i in members:
                 assignment[i] = j
@@ -321,36 +314,23 @@ def pierce_via_free_family(
 # projection route: compact selection plus recession-direction parts
 
 def _truncated_scan_row(
-    fam_dim: int,
-    part_sets: Sequence[ConvexSet],
-    box: ConvexSet,
-    q: int,
-    label: str,
+    boxed: IntersectionOracle, members: Sequence[int], q: int, label: str
 ) -> HypothesisCheck:
-    """Among any q-1 box-truncated members, some dim of them intersect."""
-    d = fam_dim
-    if len(part_sets) < q - 1:
-        return HypothesisCheck(
-            f"{label}: truncated members satisfy the ({q - 1},{d})-property",
-            True,
-            {"tuples": 0},
-        )
-    cache: dict[frozenset, bool] = {}
-
-    def query(sub: tuple[int, ...]) -> bool:
-        key = frozenset(sub)
-        if key not in cache:
-            adhoc = Family(d, tuple(part_sets[i] for i in sub) + (box,))
-            cache[key] = intersect_nonempty(adhoc, range(len(adhoc)))[0]
-        return cache[key]
-
-    holds, violating, checked = pq_property_scan(len(part_sets), q - 1, d, query)
+    """Among any q-1 box-truncated members, some dim of them intersect.
+    The box is the last member of the oracle's family."""
+    d = boxed.fam.dim
+    box = len(boxed.fam) - 1
+    description = f"{label}: truncated members satisfy the ({q - 1},{d})-property"
+    if len(members) < q - 1:
+        return HypothesisCheck(description, True, {"tuples": 0})
+    holds, violating, checked = pq_property_scan(
+        len(members), q - 1, d,
+        lambda sub: boxed.intersecting([members[i] for i in sub] + [box]),
+    )
     witness = {"tuples": checked}
     if not holds:
-        witness["violating"] = [part_sets[i].label for i in violating]
-    return HypothesisCheck(
-        f"{label}: truncated members satisfy the ({q - 1},{d})-property", holds, witness
-    )
+        witness["violating"] = _labels(boxed.fam, [members[i] for i in violating])
+    return HypothesisCheck(description, holds, witness)
 
 
 def pierce_via_projection(
@@ -386,7 +366,7 @@ def pierce_via_projection(
     if not all(c.passed for c in checks):
         return _failed("main", inputs, checks)
 
-    box = convex_hull_union(fam, comp)
+    boxed = IntersectionOracle(Family(d, fam.sets + (convex_hull_union(fam, comp),)))
     rest = [i for i in range(len(fam)) if i not in set(comp)]
     points: list[Point] = []
     assignment: dict[int, int] = {}
@@ -405,9 +385,7 @@ def pierce_via_projection(
                      "point": None if w is None else point_json(w)},
                 )
             )
-            checks.append(
-                _truncated_scan_row(d, fam.select(members), box, q, f"part {j}")
-            )
+            checks.append(_truncated_scan_row(boxed, members, q, f"part {j}"))
             if w is not None:
                 points.append(w)
                 for i in members:
@@ -464,11 +442,8 @@ def pierce_unbounded_part(
             None,
         )
     )
-    missing = [
-        s.label
-        for s in rot
-        if not intersect_nonempty(Family(d, (s, box_rot)), [0, 1])[0]
-    ]
+    boxed = IntersectionOracle(Family(d, tuple(rot) + (box_rot,)))
+    missing = [s.label for i, s in enumerate(rot) if not boxed.intersecting([i, len(rot)])]
     checks.append(
         HypothesisCheck(
             "every member meets the box",
@@ -476,7 +451,7 @@ def pierce_unbounded_part(
             None if not missing else {"disjoint": missing},
         )
     )
-    checks.append(_truncated_scan_row(d, rot, box_rot, q, "part"))
+    checks.append(_truncated_scan_row(boxed, range(len(rot)), q, "part"))
     if not all(c.passed for c in checks):
         return [], checks, {}
 
@@ -709,6 +684,7 @@ def verify_projection_equivalence(
     if bad:
         return _failed("corollary52", inputs, checks)
 
+    boxed = IntersectionOracle(Family(d, fam.sets + (box,)))
     total = 0
     for size in range(1, min(max_subset, len(fam)) + 1):
         agree = True
@@ -716,8 +692,7 @@ def verify_projection_equivalence(
         count = 0
         for sub in combinations(range(len(fam)), size):
             count += 1
-            adhoc = Family(d, fam.select(sub) + (box,))
-            direct = intersect_nonempty(adhoc, range(len(adhoc)))[0]
+            direct = boxed.intersecting(sub + (len(fam),))
             shadow = lifted_projection_witness(fam.select(sub), box)[0]
             if direct != shadow:
                 agree = False

@@ -54,6 +54,8 @@ def rat_str(value: Fraction) -> Union[int, str]:
 
 
 def point(values: Iterable[RatLike]) -> Point:
+    if isinstance(values, str):  # iterating would read "12" as (1, 2)
+        raise MalformedInputError(f"not a coordinate sequence: {values!r}")
     return tuple(rat(v) for v in values)
 
 

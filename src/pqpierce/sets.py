@@ -76,7 +76,6 @@ class ConvexSet:
     label: str
     dim: int
     rep: Rep
-    cone: bool = False  # marks recession cones returned by recession_cone()
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
@@ -101,27 +100,25 @@ def vrep_set(
     label: str,
     points: Iterable[Iterable[RatLike]],
     rays: Iterable[Iterable[RatLike]] = (),
-    cone: bool = False,
 ) -> ConvexSet:
     pts = tuple(point(p) for p in points)
     rds = tuple(point(r) for r in rays)
     if not pts:
         raise MalformedInputError("V-representation needs at least one point")
-    return ConvexSet(label, len(pts[0]), VRep(pts, rds), cone)
+    return ConvexSet(label, len(pts[0]), VRep(pts, rds))
 
 
 def hrep_set(
     label: str,
     halfspaces: Iterable[tuple[Iterable[RatLike], RatLike]],
     dim: Optional[int] = None,
-    cone: bool = False,
 ) -> ConvexSet:
     hs = tuple(Halfspace(point(n), rat(b)) for n, b in halfspaces)
     if dim is None:
         if not hs:
             raise MalformedInputError("dimension required for empty H-rep")
         dim = len(hs[0].normal)
-    return ConvexSet(label, dim, HRep(hs), cone)
+    return ConvexSet(label, dim, HRep(hs))
 
 
 @dataclass(frozen=True)
@@ -318,14 +315,14 @@ def intersect_nonempty(
 
 
 def recession_cone(s: ConvexSet) -> ConvexSet:
-    """The set's recession cone, marked cone=True.
+    """The set's recession cone.
 
     H-rep: same normals with offsets zeroed (requires nonemptiness,
     checked by LP). V-rep: the cone generated by the rays.
     """
     if isinstance(s.rep, VRep):
         origin = (Fraction(0),) * s.dim
-        return ConvexSet(f"rc({s.label})", s.dim, VRep((origin,), s.rep.rays), True)
+        return ConvexSet(f"rc({s.label})", s.dim, VRep((origin,), s.rep.rays))
     if is_empty(s):
         raise EmptySetError(f"recession cone of empty set {s.label!r}")
     hs = tuple(
@@ -333,7 +330,7 @@ def recession_cone(s: ConvexSet) -> ConvexSet:
         for h in s.rep.halfspaces
         if not is_zero(h.normal)
     )
-    return ConvexSet(f"rc({s.label})", s.dim, HRep(hs), True)
+    return ConvexSet(f"rc({s.label})", s.dim, HRep(hs))
 
 
 def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
@@ -357,7 +354,7 @@ def _cone_member_rows(b: _SysBuilder, s: ConvexSet, vcoords: Sequence[Coord]) ->
         cone = ConvexSet(s.label, s.dim, HRep(tuple(
             Halfspace(h.normal, Fraction(0))
             for h in s.rep.halfspaces if not is_zero(h.normal)
-        )), True)
+        )))
         _member_rows(b, cone, vcoords)
         return
     mu = b.vars(len(s.rep.rays), nonneg=True)
@@ -443,7 +440,7 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
             q = r[: d - 1]
             if not is_zero(q) and q not in rays:
                 rays.append(q)
-        return ConvexSet(label, d - 1, VRep(tuple(pts), tuple(rays)), s.cone)
+        return ConvexSet(label, d - 1, VRep(tuple(pts), tuple(rays)))
 
     keep: list[tuple[tuple[Fraction, ...], Fraction]] = []
     pos: list[tuple[tuple[Fraction, ...], Fraction, Fraction]] = []
@@ -469,12 +466,12 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
         canon = _canonical_row(coeffs, off)
         if canon is None:
             if off < 0:  # 0 <= negative: the projection is empty
-                return ConvexSet(label, d - 1, _empty_hrep(d - 1), s.cone)
+                return ConvexSet(label, d - 1, _empty_hrep(d - 1))
             continue
         if canon not in seen:
             seen.add(canon)
             rows.append(Halfspace(*canon))
-    return ConvexSet(label, d - 1, HRep(tuple(rows)), s.cone)
+    return ConvexSet(label, d - 1, HRep(tuple(rows)))
 
 
 def convex_hull_union(fam: Family, indices: Iterable[int]) -> ConvexSet:
@@ -586,7 +583,7 @@ def change_coordinates(s: ConvexSet, forward: Matrix, inverse: Matrix) -> Convex
             Halfspace(vec_mat(h.normal, inverse), h.offset)
             for h in s.rep.halfspaces
         ))
-    return ConvexSet(s.label, s.dim, rep, s.cone)
+    return ConvexSet(s.label, s.dim, rep)
 
 
 def change_coordinates_family(fam: Family, forward: Matrix, inverse: Matrix) -> Family:

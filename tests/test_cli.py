@@ -165,6 +165,12 @@ class TestCheckAndSolve:
         data = json.loads(out)
         validate(data, "piercing.json")
         assert len(data["points"]) == 2 and data["optimal"] is True
+        for limit in ("0", "-1"):  # no partition has fewer than one part
+            code, out = run(
+                ["solve", "pierce", "--input", str(path), "--limit", limit], capsys
+            )
+            assert code == 2
+            assert "error" in json.loads(out)
 
     def test_solve_transversal(self, tmp_path, capsys):
         h = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
@@ -180,11 +186,13 @@ class TestCheckAndSolve:
         h = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
         path = tmp_path / "tri.json"
         path.write_text(json.dumps(h))
-        code, out = run(
-            ["solve", "transversal", "--input", str(path), "--limit", "1"], capsys
-        )
-        assert code == 3
-        assert "error" in json.loads(out)
+        # limit 0 admits only the empty cover; a negative limit is malformed
+        for limit, expected in (("1", 3), ("0", 3), ("-1", 2)):
+            code, out = run(
+                ["solve", "transversal", "--input", str(path), "--limit", limit], capsys
+            )
+            assert code == expected
+            assert "error" in json.loads(out)
 
     def test_budget_exhaustion_exit_three(self, counterexample_path, capsys):
         code, out = run(
@@ -268,11 +276,19 @@ class TestEscapeAndBounds:
         validate(data, "bounds.json")
         assert data["entry"]["value"] == 6
         assert data["entry"]["kind"] == "exact"
+        code, out = run(["bounds", "eta", "--lam", "1", "--k", "0"], capsys)
+        assert code == 2
+        assert "error" in json.loads(out)
 
     def test_bounds_xi_miss_exit_one(self, capsys):
         code, out = run(["bounds", "xi", "--p", "7", "--q", "7", "--d", "3"], capsys)
         assert code == 1
         validate(json.loads(out), "bounds.json")
+        # arguments outside p >= q >= 1, d >= 1 are malformed, not misses
+        for p, q, d in (("1", "5", "1"), ("5", "0", "1"), ("2", "2", "0")):
+            code, out = run(["bounds", "xi", "--p", p, "--q", q, "--d", d], capsys)
+            assert code == 2
+            assert "error" in json.loads(out)
 
 
 class TestPipelines:

@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module,
+and joint-intersection LPs are asked only through the oracle.
 
 `__init__.py` re-exports by importing, and `from __future__` imports
-are directives, so both are exempt.
+are directives, so both are exempt from the import check.
 """
 import ast
 from pathlib import Path
@@ -34,3 +35,32 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def joint_lp_references(source: str) -> list[int]:
+    """Lines that name `intersect_nonempty` other than by defining or
+    importing it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "intersect_nonempty")
+        or (isinstance(node, ast.Attribute) and node.attr == "intersect_nonempty")
+    )
+
+
+def test_detector_flags_a_joint_lp_call():
+    source = (
+        "from .sets import intersect_nonempty\n"
+        "def intersect_nonempty(fam, idx): ...\n"
+        "ok = intersect_nonempty(fam, [0, 1])[0]\n"
+        "also = sets.intersect_nonempty\n"
+    )
+    assert joint_lp_references(source) == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "piercing.py"], ids=lambda p: p.name
+)
+def test_joint_intersection_only_through_the_oracle(path):
+    # IntersectionOracle in piercing.py is the one caller of the joint LP
+    assert joint_lp_references(path.read_text(encoding="utf-8")) == []

@@ -360,3 +360,28 @@ class TestReportJson:
         assert not report.all_passed
         data = report_to_json(report)
         assert data["piercing"] is None
+
+
+def test_no_joint_query_twice(monkeypatch):
+    # every joint-intersection question of one pipeline run, box- and
+    # hull-joined ones included, reaches the LP at most once
+    import pqpierce.piercing
+
+    real = pqpierce.piercing.intersect_nonempty
+    asked: list[frozenset] = []
+
+    def recording(fam, indices):
+        indices = list(indices)
+        asked.append(frozenset(fam.sets[i].label for i in indices))
+        return real(fam, indices)
+
+    monkeypatch.setattr(pqpierce.piercing, "intersect_nonempty", recording)
+    rot_fam, rot_box = TestProjectionEquivalence().rotated_truncation()
+    runs = (
+        lambda: pierce_via_transversal(plane_instance_with_outlier(), t=1, p=4),
+        lambda: verify_projection_equivalence(rot_fam, rot_box, max_subset=5),
+    )
+    for run in runs:
+        asked.clear()
+        assert run().all_passed
+        assert asked and len(set(asked)) == len(asked)

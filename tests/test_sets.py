@@ -101,7 +101,7 @@ def test_is_empty():
 def test_recession_cone_vrep():
     a2 = vrep_set("A_2", [(0, "1/2"), (2, 0)], rays=[(1, 0)])
     rc = recession_cone(a2)
-    assert rc.cone and rc.label == "rc(A_2)"
+    assert rc.label == "rc(A_2)"
     assert contains_point(rc, (7, 0))
     assert not contains_point(rc, (0, 1))
 
@@ -109,7 +109,6 @@ def test_recession_cone_vrep():
 def test_recession_cone_hrep_and_empty_error():
     wedge = hrep_set("W", [((0, -1), 0), ((1, -1), 3)])
     rc = recession_cone(wedge)
-    assert rc.cone
     assert contains_point(rc, (1, 1))
     assert contains_point(rc, (1, 2))
     assert not contains_point(rc, (1, 0))
@@ -310,6 +309,8 @@ def test_rep_invariants():
         vrep_set("Z", [(0, 0)], rays=[(0, 0)])
     with pytest.raises(MalformedInputError):
         vrep_set("Z", [])
+    with pytest.raises(MalformedInputError):
+        vrep_set("Z", ["12"])  # a string is not a coordinate sequence
     with pytest.raises(MalformedInputError):
         halfspace((0, 0), -1)
     assert halfspace((0, 0), 0).offset == 0  # vacuous rows are fine
