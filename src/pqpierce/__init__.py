@@ -50,7 +50,6 @@ from .piercing import (
 from .pipelines import (
     HypothesisCheck,
     PipelineReport,
-    pierce_unbounded_part,
     pierce_via_free_family,
     pierce_via_projection,
     pierce_via_transversal,

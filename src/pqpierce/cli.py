@@ -87,7 +87,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, non-UTF-8 bytes, an int too long to parse
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -469,14 +469,19 @@ def cmd_dispatch(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         code, text = _HANDLERS[args.command](args)
-        _emit(text, getattr(args, "output", None))
-        return code
     except (MalformedInputError, EmptySetError, CatalogError) as exc:
-        _emit(_json_text({"error": str(exc)}), getattr(args, "output", None))
-        return 2
+        code, text = 2, _json_text({"error": str(exc)})
     except (BudgetExhaustedError, SearchLimitError) as exc:
-        _emit(_json_text({"error": str(exc)}), getattr(args, "output", None))
-        return 3
+        code, text = 3, _json_text({"error": str(exc)})
+    output = getattr(args, "output", None)
+    try:
+        _emit(text, output)
+    except OSError as exc:
+        if output is None:
+            raise
+        _emit(_json_text({"error": f"cannot write {output}: {exc}"}), None)
+        return 2
+    return code
 
 
 def main() -> None:

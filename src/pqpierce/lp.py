@@ -1,9 +1,8 @@
 """Exact linear programming and linear algebra over the rationals.
 
-Feasibility (and, where internally needed, minimization) of systems of
-linear equations and inequalities with optional per-variable
-nonnegativity. The engine is a dense two-phase primal simplex with
-Bland's rule in both phases, so it never cycles and is fully
+Feasibility of systems of linear equations and inequalities with
+optional per-variable nonnegativity. The engine is the first phase of a
+dense primal simplex with Bland's rule, so it never cycles and is fully
 deterministic. All arithmetic is exact; the public surface speaks
 Fraction.
 
@@ -17,7 +16,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import BudgetExhaustedError, MalformedInputError
 from .rational import Matrix, Point, RatLike, rat
@@ -126,14 +125,14 @@ def _to_fraction(x) -> Fraction:
     return Fraction(int(x.numerator), int(x.denominator))
 
 
-def _simplex(system: LinearSystem, objective: Optional[Sequence[Fraction]]):
-    """Two-phase simplex. Returns (status, point, value).
+def _simplex(system: LinearSystem) -> Optional[Point]:
+    """Phase-1 simplex: a feasible point of the system, or None.
 
-    status is "optimal" | "infeasible" | "unbounded". With objective
-    None the call is a pure feasibility test and value is None. Bland's
-    rule (lowest eligible column enters; among minimum-ratio rows the
-    one whose basic variable has the lowest index leaves) guarantees
-    termination on degenerate systems.
+    Minimizes the sum of the artificial variables; the system is
+    feasible exactly when that minimum is zero. Bland's rule (lowest
+    eligible column enters; among minimum-ratio rows the one whose basic
+    variable has the lowest index leaves) guarantees termination on
+    degenerate systems.
     """
     _charge_budget()
     d = system.dim
@@ -150,7 +149,6 @@ def _simplex(system: LinearSystem, objective: Optional[Sequence[Fraction]]):
         else:
             col_neg.append(ncol)
             ncol += 1
-    nstruct = ncol
 
     m = len(system.constraints)
     slack_col: dict[int, int] = {}
@@ -193,15 +191,44 @@ def _simplex(system: LinearSystem, objective: Optional[Sequence[Fraction]]):
             art_rows.append(i)
     nart = len(art_rows)
     total_cols = base_cols + nart
-    if nart:
-        for i in range(m):
-            T[i].extend([_Q0] * nart)
-        for k, i in enumerate(art_rows):
-            col = base_cols + k
-            T[i][col] = _Q1
-            basis[i] = col
+    for i in range(m):
+        T[i].extend([_Q0] * nart)
+    for k, i in enumerate(art_rows):
+        col = base_cols + k
+        T[i][col] = _Q1
+        basis[i] = col
 
-    def pivot_once(r: list, obj, leave: int, enter: int):
+    # reduced costs of the sum of artificials, and its current value
+    r = [_Q0] * total_cols
+    for k in range(nart):
+        r[base_cols + k] = _Q1
+    obj = _Q0
+    for i in art_rows:
+        r = [a - c for a, c in zip(r, T[i])]
+        obj = obj + b[i]
+
+    while True:
+        enter = -1
+        for j in range(total_cols):
+            if r[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = b[i] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        # the phase-1 objective is bounded below by 0, so some row leaves
         piv = T[leave][enter]
         if piv != 1:
             inv = _Q1 / piv
@@ -216,124 +243,28 @@ def _simplex(system: LinearSystem, objective: Optional[Sequence[Fraction]]):
                     T[k] = [a - f * c for a, c in zip(T[k], rowp)]
                     b[k] = b[k] - f * bp
         f = r[enter]
-        if f:
-            r[:] = [a - f * c for a, c in zip(r, rowp)]
-            obj = obj + f * bp
+        r = [a - f * c for a, c in zip(r, rowp)]
+        obj = obj + f * bp
         basis[leave] = enter
-        return obj
+    if obj != 0:
+        return None
 
-    def run(r: list, obj, allowed: range):
-        while True:
-            enter = -1
-            for j in allowed:
-                if r[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal", obj
-            leave = -1
-            best = None
-            for i in range(m):
-                a = T[i][enter]
-                if a > 0:
-                    ratio = b[i] / a
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leave])
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded", obj
-            obj = pivot_once(r, obj, leave, enter)
-
-    if nart:
-        # phase 1: minimize the sum of artificials
-        r = [_Q0] * total_cols
-        for k in range(nart):
-            r[base_cols + k] = _Q1
-        obj = _Q0
-        for i in art_rows:
-            r = [a - c for a, c in zip(r, T[i])]
-            obj = obj + b[i]
-        status, obj = run(r, obj, range(total_cols))
-        if obj != 0:
-            return "infeasible", None, None
-        # drive leftover artificials out of the basis
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] >= base_cols:
-                enter = -1
-                for j in range(base_cols):
-                    if T[i][j] != 0:
-                        enter = j
-                        break
-                if enter < 0:
-                    drop.append(i)  # identically zero row
-                else:
-                    obj = pivot_once(r, obj, i, enter)
-        for i in reversed(drop):
-            del T[i], b[i], basis[i]
-        m = len(T)
-
-    def extract() -> Point:
-        val = {}
-        for i in range(m):
-            val[basis[i]] = b[i]
-        out = []
-        for j in range(d):
-            x = val.get(col_pos[j], _Q0)
-            jn = col_neg[j]
-            if jn is not None:
-                x = x - val.get(jn, _Q0)
-            out.append(_to_fraction(x))
-        return tuple(out)
-
-    if objective is None:
-        return "optimal", extract(), None
-
-    if len(objective) != d:
-        raise MalformedInputError("objective arity mismatch")
-    c2 = [_Q0] * total_cols
-    for j, a in enumerate(objective):
-        if a:
-            qa = _to_q(rat(a))
-            c2[col_pos[j]] = c2[col_pos[j]] + qa
-            jn = col_neg[j]
-            if jn is not None:
-                c2[jn] = c2[jn] - qa
-    r = list(c2)
-    obj = _Q0
-    for i in range(m):
-        cb = c2[basis[i]]
-        if cb:
-            r = [a - cb * t for a, t in zip(r, T[i])]
-            obj = obj + cb * b[i]
-    status, obj = run(r, obj, range(base_cols))
-    if status == "unbounded":
-        return "unbounded", None, None
-    return "optimal", extract(), _to_fraction(obj)
+    # artificials still basic sit at value 0; the point reads off the rest
+    val = {basis[i]: b[i] for i in range(m)}
+    out = []
+    for j in range(d):
+        x = val.get(col_pos[j], _Q0)
+        jn = col_neg[j]
+        if jn is not None:
+            x = x - val.get(jn, _Q0)
+        out.append(_to_fraction(x))
+    return tuple(out)
 
 
 def lp_feasible(system: LinearSystem) -> tuple[bool, Optional[Point]]:
     """Exact feasibility test. Returns (feasible, witness point or None)."""
-    status, x, _ = _simplex(system, None)
-    if status == "infeasible":
-        return False, None
-    return True, x
-
-
-def lp_minimize(
-    system: LinearSystem, objective: Sequence[RatLike]
-) -> tuple[str, Optional[Point], Optional[Fraction]]:
-    """Minimize objective . x over the system.
-
-    Returns (status, argmin point, value); status is one of "optimal",
-    "infeasible", "unbounded". Used internally for recession-direction
-    and minimal-height searches; feasibility callers want lp_feasible.
-    """
-    return _simplex(system, tuple(rat(a) for a in objective))
+    x = _simplex(system)
+    return x is not None, x
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .constructions import (
 )
 from .errors import BudgetExhaustedError, MalformedInputError
 from .hypergraph import transversal_number
-from .lp import completed_basis_matrix, invert_matrix
 from .piercing import (
     IntersectionOracle,
     PiercingSolution,
@@ -40,19 +39,16 @@ from .piercing import (
     piercing_to_json,
     pq_property_scan,
 )
-from .rational import Point, mat_vec, point_json, rat_str
+from .rational import Point, point_json, rat_str
 from .sets import (
     ConvexSet,
     Family,
     _require_compact_box,
-    change_coordinates,
-    common_recession_direction,
     contains_point,
     convex_hull_union,
     direction_in_recession_cone,
     is_bounded,
     lifted_projection_witness,
-    min_height_in_box,
     some_point,
 )
 
@@ -400,91 +396,6 @@ def pierce_via_projection(
         (f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "",
         selection=comp, limit=p - q + 1,
     )
-
-
-def pierce_unbounded_part(
-    fam: Family, part_indices: Sequence[int], box: ConvexSet, q: int
-) -> tuple[list[Point], list[HypothesisCheck], dict[int, int]]:
-    """Pierce one part whose members share a recession direction,
-    through the shadow argument: rotate the direction onto the last
-    axis, truncate by the box, pierce the shadows exactly one dimension
-    down, and lift each shadow point to the maximum of the per-member
-    minimal heights. Returns (points, checks, assignment); points is
-    empty when a hypothesis fails."""
-    d = fam.dim
-    if d < 2:
-        raise MalformedInputError("need ambient dimension >= 2")
-    _require_compact_box(box)
-    part = sorted(set(part_indices))
-    members = fam.select(part)
-    checks: list[HypothesisCheck] = []
-
-    v = common_recession_direction(fam.subfamily(part))
-    checks.append(
-        HypothesisCheck(
-            "part has a common recession direction",
-            v is not None,
-            None if v is None else {"direction": point_json(v)},
-        )
-    )
-    if v is None:
-        return [], checks, {}
-
-    back = completed_basis_matrix(v)  # maps the last axis onto v
-    forward = invert_matrix(back)
-    rot = [change_coordinates(s, forward, back) for s in members]
-    box_rot = change_coordinates(box, forward, back)
-    e_last = tuple(Fraction(1 if i == d - 1 else 0) for i in range(d))
-    checks.append(
-        HypothesisCheck(
-            "rotated members recede along the last axis",
-            all(direction_in_recession_cone(s, e_last) for s in rot),
-            None,
-        )
-    )
-    boxed = IntersectionOracle(Family(d, tuple(rot) + (box_rot,)))
-    missing = [s.label for i, s in enumerate(rot) if not boxed.intersecting([i, len(rot)])]
-    checks.append(
-        HypothesisCheck(
-            "every member meets the box",
-            not missing,
-            None if not missing else {"disjoint": missing},
-        )
-    )
-    checks.append(_truncated_scan_row(boxed, range(len(rot)), q, "part"))
-    if not all(c.passed for c in checks):
-        return [], checks, {}
-
-    def shadows_intersect(cls: frozenset) -> bool:
-        return lifted_projection_witness([rot[i] for i in cls], box_rot)[0]
-
-    shadow_parts = min_partition(len(rot), shadows_intersect)
-    points: list[Point] = []
-    assignment: dict[int, int] = {}
-    for j, cls in enumerate(shadow_parts):
-        ok, x = lifted_projection_witness([rot[i] for i in cls], box_rot)
-        if not ok:
-            raise AssertionError("shadow class lost its witness")
-        heights = [min_height_in_box(rot[i], box_rot, x) for i in cls]
-        if any(h is None for h in heights):
-            raise AssertionError("shadow witness escaped a member slice")
-        lift = x + (max(heights),)
-        original = mat_vec(back, lift)
-        for i in cls:
-            if not contains_point(rot[i], lift) or not contains_point(
-                members[i], original
-            ):
-                raise AssertionError("lifted point escaped a member")
-            assignment[part[i]] = j
-        points.append(original)
-    checks.append(
-        HypothesisCheck(
-            f"shadow piercing lifted back with {len(points)} points",
-            True,
-            {"points": [point_json(pt) for pt in points]},
-        )
-    )
-    return points, checks, assignment
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ V-representation: conv(points) + cone(rays); always closed and, since
 points must be nonempty, always a nonempty set.
 
 Intersections of V-represented members are never materialized: every
-query about them (membership, joint intersection, projected shadows,
-minimal heights) is a single LP assembled from coefficient blocks.
+query about them (membership, joint intersection, projected shadows)
+is a single LP assembled from coefficient blocks.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import EmptySetError, MalformedInputError
-from .lp import LE, EQ, Constraint, LinearSystem, lp_feasible, lp_minimize
+from .lp import LE, EQ, Constraint, LinearSystem, lp_feasible
 from .rational import (
     Matrix,
     Point,
@@ -176,7 +176,7 @@ def family(sets: Sequence[ConvexSet]) -> Family:
 # Coordinates passed to _member_rows are (var_index, constant) pairs: the
 # i-th ambient coordinate equals x[var] + constant, with var possibly None
 # for a fully pinned coordinate. This one helper covers membership, joint
-# intersection, lifted projections, and minimal-height queries.
+# intersection, lifted projections and recession-cone probes.
 
 Coord = tuple[Optional[int], Fraction]
 
@@ -325,12 +325,16 @@ def recession_cone(s: ConvexSet) -> ConvexSet:
         return ConvexSet(f"rc({s.label})", s.dim, VRep((origin,), s.rep.rays))
     if is_empty(s):
         raise EmptySetError(f"recession cone of empty set {s.label!r}")
-    hs = tuple(
+    return _zero_offset_cone(s, f"rc({s.label})")
+
+
+def _zero_offset_cone(s: ConvexSet, label: str) -> ConvexSet:
+    """The H-rep set's nonzero normals with offsets zeroed: its
+    recession cone whenever the set is nonempty."""
+    return ConvexSet(label, s.dim, HRep(tuple(
         Halfspace(h.normal, Fraction(0))
-        for h in s.rep.halfspaces
-        if not is_zero(h.normal)
-    )
-    return ConvexSet(f"rc({s.label})", s.dim, HRep(hs))
+        for h in s.rep.halfspaces if not is_zero(h.normal)
+    )))
 
 
 def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
@@ -351,11 +355,7 @@ def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
 def _cone_member_rows(b: _SysBuilder, s: ConvexSet, vcoords: Sequence[Coord]) -> None:
     """Constrain the vcoords vector to lie in s's recession cone."""
     if isinstance(s.rep, HRep):
-        cone = ConvexSet(s.label, s.dim, HRep(tuple(
-            Halfspace(h.normal, Fraction(0))
-            for h in s.rep.halfspaces if not is_zero(h.normal)
-        )))
-        _member_rows(b, cone, vcoords)
+        _member_rows(b, _zero_offset_cone(s, s.label), vcoords)
         return
     mu = b.vars(len(s.rep.rays), nonneg=True)
     for i in range(s.dim):
@@ -388,7 +388,11 @@ def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
 
 def common_recession_direction(fam: Family) -> Optional[Point]:
     """Some nonzero v in every member's recession cone, or None; the
-    probe order makes the answer and the returned v deterministic."""
+    probe order makes the answer and the returned v deterministic.
+    Raises EmptySetError for an empty member, which has no cone."""
+    for s in fam.sets:
+        if is_empty(s):
+            raise EmptySetError(f"recession cone of empty set {s.label!r}")
     return _recession_probe(fam.dim, fam.sets)
 
 
@@ -534,34 +538,6 @@ def lifted_projection_witness(
     if not ok:
         return False, None
     return True, tuple(sol[j] for j in xs)
-
-
-def min_height_in_box(
-    s: ConvexSet, box: ConvexSet, x: Sequence[RatLike]
-) -> Optional[Fraction]:
-    """Least t with (x, t) in s ∩ box, or None when that slice is empty.
-
-    The box is compact, so the minimum exists whenever the slice is
-    nonempty; one small LP with t as the only interesting variable.
-    """
-    _require_compact_box(box)
-    xp = point(x)
-    if len(xp) != s.dim - 1:
-        raise MalformedInputError("base point arity must be dim-1")
-    b = _SysBuilder()
-    t = b.var()
-    coords: list[Coord] = [(None, c) for c in xp]
-    coords.append((t, Fraction(0)))
-    _member_rows(b, s, coords)
-    _member_rows(b, box, coords)
-    objective = [Fraction(0)] * b.nvars
-    objective[t] = Fraction(1)
-    status, _, val = lp_minimize(b.system(), objective)
-    if status == "infeasible":
-        return None
-    if status == "unbounded":  # impossible with a compact box
-        raise AssertionError("unbounded height inside a compact box")
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, schema conformance, and
 byte-identical determinism."""
+import io
 import json
+from contextlib import redirect_stdout
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqpierce.cli import cmd_dispatch
 
@@ -228,6 +232,12 @@ class TestAnalyze:
         assert code == 0
         # +x is probed before +y and lies in both recession cones
         assert json.loads(out)["direction"] == [1, 0]
+        # {x >= 1, x <= 0} is empty and has no recession cone
+        fam["sets"].append({"label": "empty", "dim": 2, "hrep": [
+            {"normal": [-1, 0], "offset": -1}, {"normal": [1, 0], "offset": 0}]})
+        path.write_text(json.dumps(fam))
+        code, out = run(["analyze", "recession", "--input", str(path)], capsys)
+        assert (code, set(json.loads(out))) == (2, {"error"})
 
     def test_project(self, counterexample_path, capsys):
         code, out = run(["analyze", "project", "--input", counterexample_path], capsys)
@@ -424,12 +434,15 @@ class TestPlumbing:
             {"dimension": 2, "sets": []},
             {"dimension": 2, "sets": {"label": "V"}},
         ]
+        contents = [json.dumps(fam).encode() for fam in families]
+        contents.append(b"\xff\xfe{bad")  # not UTF-8
+        contents.append(b'{"dimension": ' + b"1" * 5000 + b', "sets": []}')  # int too long
         path = tmp_path / "bad.json"
-        for fam in families:
-            path.write_text(json.dumps(fam))
+        for content in contents:
+            path.write_bytes(content)
             for command in (["check", "pq", "--p", "1", "--q", "1"], ["solve", "pierce"]):
                 code, out = run(command + ["--input", str(path)], capsys)
-                assert (code, set(json.loads(out))) == (2, {"error"}), (fam, command)
+                assert (code, set(json.loads(out))) == (2, {"error"}), (content, command)
 
     def test_malformed_point_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "pts.json"
@@ -446,6 +459,11 @@ class TestPlumbing:
         _, out2 = run(argv, capsys)
         assert out1 == out2
 
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        for target in (tmp_path / "missing" / "out.json", tmp_path):
+            code, out = run(["bounds", "eta", "--lam", "3", "--k", "2", "-o", str(target)], capsys)
+            assert (code, set(json.loads(out))) == (2, {"error"}), target
+
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         argv = ["construct", "gruenbaum", "--n-max", "3"]
         _, out = run(argv, capsys)
@@ -459,3 +477,54 @@ class TestPlumbing:
         code = cmd_dispatch(["solve", "pierce", "--input", "x.json",
                              "--format", "csv"])
         assert code == 2
+
+
+# --- every input file gets an exit code and JSON -----------------------------
+
+_KEYS = st.sampled_from(["dimension", "sets", "label", "dim", "hrep", "vrep",
+                         "normal", "offset", "points", "rays"]) | st.text(max_size=3)
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats()
+    | st.sampled_from(["1/2", "-2/3", "1/0", "x", ""]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+_RAT = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3"])
+
+
+@st.composite
+def _family_like(draw):
+    """Family files that load more often than not: a shared dimension,
+    vectors of that arity, possibly repeated labels and zero rays."""
+    d = draw(st.integers(1, 3))
+    vectors = st.lists(st.lists(_RAT, min_size=d, max_size=d), max_size=3)
+    sets = []
+    for label in draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=4)):
+        if draw(st.booleans()):
+            rep = {"hrep": [{"normal": n, "offset": draw(_RAT)} for n in draw(vectors)]}
+        else:
+            rep = {"vrep": {"points": draw(vectors), "rays": draw(vectors)}}
+        sets.append({"label": label, "dim": d, **rep})
+    return {"dimension": d, "sets": sets}
+
+
+@pytest.fixture(scope="module")
+def family_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "family.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    content=st.one_of(_family_like(), _JSON_LIKE).map(lambda obj: json.dumps(obj).encode())
+    | st.binary(max_size=40),
+    pq=st.sampled_from([("1", "1"), ("2", "2"), ("3", "2")]),
+)
+def test_every_family_file_gets_exit_code_and_json(family_file, content, pq):
+    family_file.write_bytes(content)
+    for command in (["check", "pq", "--p", pq[0], "--q", pq[1]], ["solve", "pierce"],
+                    ["analyze", "recession"], ["analyze", "project"], ["analyze", "gf"]):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cmd_dispatch(command + ["--input", str(family_file)])
+        assert code in (0, 1, 2, 3), (command, content)
+        json.loads(out.getvalue())

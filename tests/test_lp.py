@@ -17,7 +17,6 @@ from pqpierce.lp import (
     le,
     lp_budget,
     lp_feasible,
-    lp_minimize,
 )
 from pqpierce.rational import mat_vec, rat
 
@@ -71,34 +70,6 @@ def test_degenerate_redundant_rows_terminate():
     )
     ok, x = lp_feasible(LinearSystem(2, cons))
     assert ok and x[0] == 0
-
-
-def test_minimize_simple():
-    # min x subject to x >= 3
-    status, x, val = lp_minimize(LinearSystem(1, (le([-1], -3),)), [1])
-    assert status == "optimal" and x == (F(3),) and val == F(3)
-
-
-def test_minimize_unbounded():
-    status, x, val = lp_minimize(LinearSystem(1, ()), [1])
-    assert status == "unbounded" and x is None and val is None
-
-
-def test_minimize_infeasible():
-    status, _, _ = lp_minimize(
-        LinearSystem(1, (le([1], 0), le([-1], -1))), [1]
-    )
-    assert status == "infeasible"
-
-
-def test_minimize_over_polytope_hits_vertex():
-    # min x+y over the square [1/3, 2]^2
-    sys = LinearSystem(
-        2,
-        (le([1, 0], 2), le([-1, 0], F(-1, 3)), le([0, 1], 2), le([0, -1], F(-1, 3))),
-    )
-    status, x, val = lp_minimize(sys, [1, 1])
-    assert status == "optimal" and x == (F(1, 3), F(1, 3)) and val == F(2, 3)
 
 
 def test_budget_exhaustion_raises():

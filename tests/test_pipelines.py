@@ -14,7 +14,6 @@ from pqpierce.errors import EmptySetError, MalformedInputError
 from pqpierce.lp import completed_basis_matrix, invert_matrix, lp_budget
 from pqpierce.piercing import piercing_number
 from pqpierce.pipelines import (
-    pierce_unbounded_part,
     pierce_via_free_family,
     pierce_via_projection,
     pierce_via_transversal,
@@ -203,44 +202,6 @@ class TestProjectionPipeline:
             pierce_via_projection(fam, [0], p=5, q=4)
         with pytest.raises(MalformedInputError):
             pierce_via_projection(fam, [0, 1], p=5, q=3)  # q too small
-
-
-class TestUnboundedPart:
-    def slabs(self):
-        sets = []
-        for i in (1, 2, 3):
-            sets.append(
-                hrep_set(f"slab{i}", [((-1, 0), -i), ((1, 0), i + F(3, 2))])
-            )
-        return family(sets)
-
-    def test_shadow_piercing(self):
-        fam = self.slabs()
-        box = box2("window", 0, 5, 0, 10)
-        points, checks, assignment = pierce_unbounded_part(fam, [0, 1, 2], box, q=4)
-        assert all(c.passed for c in checks)
-        assert len(points) == 2
-        assert assignment == {0: 0, 1: 0, 2: 1}
-        for i, j in assignment.items():
-            assert contains_point(fam.sets[i], points[j])
-        assert checks[0].witness == {"direction": [0, 1]}
-
-    def test_no_common_direction(self):
-        sets = [
-            hrep_set("vert", [((-1, 0), -1), ((1, 0), 2)]),
-            hrep_set("horiz", [((0, -1), 0), ((0, 1), 1)]),
-        ]
-        fam = family(sets)
-        box = box2("window", 0, 5, 0, 5)
-        points, checks, assignment = pierce_unbounded_part(fam, [0, 1], box, q=3)
-        assert points == [] and assignment == {}
-        assert not checks[0].passed
-
-    def test_box_must_be_compact(self):
-        fam = self.slabs()
-        ray = hrep_set("half", [((0, -1), 0)])
-        with pytest.raises(MalformedInputError):
-            pierce_unbounded_part(fam, [0, 1], ray, q=3)
 
 
 class TestCounterexampleVerifier:

@@ -1,6 +1,5 @@
 """Geometric primitives: membership, joint intersection, recession,
 projection, hulls, lifted projections, coordinate changes, JSON."""
-from fractions import Fraction
 
 import pytest
 
@@ -26,7 +25,6 @@ from pqpierce.sets import (
     is_bounded,
     is_empty,
     lifted_projection_witness,
-    min_height_in_box,
     project_drop_last,
     recession_cone,
     set_from_json,
@@ -134,6 +132,9 @@ def test_common_recession_direction_probe():
     v = common_recession_direction(fam)
     assert v is not None
     assert v[1] >= v[0] and v[1] >= 0 and any(c != 0 for c in v)
+    empty = hrep_set("E", [((-1, 0), -1), ((1, 0), 0)])  # x >= 1 and x <= 0
+    with pytest.raises(EmptySetError):
+        common_recession_direction(family([s, empty]))
 
 
 def test_common_recession_direction_none_for_bounded_member():
@@ -255,17 +256,6 @@ def test_lifted_projection_requires_compact_box():
         lifted_projection_witness([a], ray_box)
     with pytest.raises(MalformedInputError):
         lifted_projection_witness([a], hrep_set("hb", [((1, 0), 1)]))
-
-
-def test_min_height_in_box():
-    above = hrep_set("L", [((1, -1), 0)])  # y >= x
-    box = box2("box", 0, 2, 0, 2)
-    assert min_height_in_box(above, box, (1,)) == 1
-    assert min_height_in_box(above, box, ("1/2",)) == Fraction(1, 2)
-    assert min_height_in_box(above, box, (3,)) is None
-    seg = vrep_set("V", [(1, 0), (1, 5)])
-    assert min_height_in_box(seg, box, (1,)) == 0
-    assert min_height_in_box(seg, box, (0,)) is None
 
 
 def test_change_coordinates_swap_axes():
