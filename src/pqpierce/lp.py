@@ -3,31 +3,22 @@
 Feasibility of systems of linear equations and inequalities with
 optional per-variable nonnegativity. The engine is the first phase of a
 dense primal simplex with Bland's rule, so it never cycles and is fully
-deterministic. All arithmetic is exact; the public surface speaks
-Fraction.
-
-Internally the tableau runs on gmpy2.mpq when that package is
-importable (identical exact semantics, ~10x faster constant factor) and
-falls back to Fraction otherwise.
+deterministic. The public surface speaks Fraction. The tableau is
+fraction-free (Edmonds 1967; Bareiss 1968): each row is plain ints over
+its own positive denominator, cut by its gcd after every pivot, so it
+makes exactly the pivots and returns exactly the witnesses of a
+Fraction tableau.
 """
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import BudgetExhaustedError, MalformedInputError
 from .rational import Matrix, Point, RatLike, rat
-
-try:  # optional fast exact backend
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - environment without gmpy2
-    _q = Fraction
-
-_Q0 = _q(0)
-_Q1 = _q(1)
 
 LE = "<="
 EQ = "="
@@ -85,13 +76,11 @@ class LinearSystem:
 class LpBudget:
     def __init__(self, max_calls: int):
         self.remaining = max_calls
-        self._lock = threading.Lock()
 
     def charge(self) -> None:
-        with self._lock:
-            if self.remaining <= 0:
-                raise BudgetExhaustedError("LP call budget exhausted")
-            self.remaining -= 1
+        if self.remaining <= 0:
+            raise BudgetExhaustedError("LP call budget exhausted")
+        self.remaining -= 1
 
 
 _active_budget: Optional[LpBudget] = None
@@ -116,13 +105,23 @@ def _charge_budget() -> None:
 
 # ---------------------------------------------------------------------------
 # simplex engine
+#
+# Each tableau row is a list of int numerators with the right-hand side
+# last. Its denominator is its entry in its basic column, always > 0, so
+# the rows hold exactly the rationals of a Fraction tableau and every
+# sign test and ratio comparison, hence every pivot, is the same. Rows
+# are reduced in loops rather than by gcd(*row): a starred call leaves
+# its argument tuple on CPython's free list for that size.
 
-def _to_q(x: Fraction):
-    return _q(x.numerator, x.denominator)
-
-
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = 0
+    for a in row:
+        if a:
+            g = gcd(g, a)
+            if g == 1:
+                return row
+    return [a // g for a in row] if g > 1 else row
 
 
 def _simplex(system: LinearSystem) -> Optional[Point]:
@@ -136,6 +135,7 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
     """
     _charge_budget()
     d = system.dim
+    cons = system.constraints
 
     # column layout: every variable gets a + column, free ones also a -
     col_pos: list[int] = []
@@ -150,62 +150,61 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
             col_neg.append(ncol)
             ncol += 1
 
-    m = len(system.constraints)
+    m = len(cons)
     slack_col: dict[int, int] = {}
-    for i, c in enumerate(system.constraints):
+    for i, c in enumerate(cons):
         if c.relation == LE:
             slack_col[i] = ncol
             ncol += 1
     base_cols = ncol
 
-    T: list[list] = []
-    b: list = []
-    for i, c in enumerate(system.constraints):
-        row = [_Q0] * base_cols
+    # initial basis: the slack of a <= row with rhs >= 0, an artificial
+    # for every other row
+    art_rows = [i for i, c in enumerate(cons) if c.relation != LE or c.rhs < 0]
+    art_col = {i: base_cols + k for k, i in enumerate(art_rows)}
+    total_cols = base_cols + len(art_rows)
+
+    # each row scaled by the lcm of its denominators, negated when its
+    # rhs is negative; an artificial's entry is that scale, so its value is 1
+    T: list[list[int]] = []
+    basis: list[int] = [-1] * m
+    for i, c in enumerate(cons):
+        den = c.rhs.denominator
+        for a in c.coeffs:
+            den = lcm(den, a.denominator)
+        scale = -den if c.rhs < 0 else den
+        row = [0] * (total_cols + 1)
         for j, a in enumerate(c.coeffs):
             if a:
-                qa = _to_q(a)
-                row[col_pos[j]] = qa
+                v = a.numerator * (scale // a.denominator)
+                row[col_pos[j]] = v
                 jn = col_neg[j]
                 if jn is not None:
-                    row[jn] = -qa
-        if i in slack_col:
-            row[slack_col[i]] = _Q1
-        T.append(row)
-        b.append(_to_q(c.rhs))
-
-    # make every right-hand side nonnegative
-    for i in range(m):
-        if b[i] < 0:
-            T[i] = [-a for a in T[i]]
-            b[i] = -b[i]
-
-    # initial basis: slack where usable, artificial otherwise
-    basis: list[int] = [-1] * m
-    art_rows: list[int] = []
-    for i in range(m):
+                    row[jn] = -v
         j = slack_col.get(i)
-        if j is not None and T[i][j] == 1:
+        if j is not None:
+            row[j] = scale
+        row[-1] = c.rhs.numerator * (scale // c.rhs.denominator)
+        k = art_col.get(i)
+        if k is None:
             basis[i] = j
         else:
-            art_rows.append(i)
-    nart = len(art_rows)
-    total_cols = base_cols + nart
-    for i in range(m):
-        T[i].extend([_Q0] * nart)
-    for k, i in enumerate(art_rows):
-        col = base_cols + k
-        T[i][col] = _Q1
-        basis[i] = col
+            row[k] = den
+            basis[i] = k
+        T.append(row)
 
-    # reduced costs of the sum of artificials, and its current value
-    r = [_Q0] * total_cols
-    for k in range(nart):
-        r[base_cols + k] = _Q1
-    obj = _Q0
+    # reduced costs of the sum of artificials with -objective last, over
+    # the common denominator of the artificial rows (a positive scale)
+    common = 1
     for i in art_rows:
-        r = [a - c for a, c in zip(r, T[i])]
-        obj = obj + b[i]
+        common = lcm(common, T[i][basis[i]])
+    r = [0] * (total_cols + 1)
+    for i in art_rows:
+        f = common // T[i][basis[i]]
+        r = [a - f * c for a, c in zip(r, T[i])]
+    for k in art_col.values():
+        r[k] = 0
+    r = _reduced(r)
 
     while True:
         enter = -1
@@ -215,49 +214,44 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
                 break
         if enter < 0:
             break
+        # min ratio rhs/a over rows with a > 0, compared as cross products
         leave = -1
-        best = None
         for i in range(m):
             a = T[i][enter]
             if a > 0:
-                ratio = b[i] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        # the phase-1 objective is bounded below by 0, so some row leaves
-        piv = T[leave][enter]
-        if piv != 1:
-            inv = _Q1 / piv
-            T[leave] = [a * inv for a in T[leave]]
-            b[leave] = b[leave] * inv
+                if leave < 0:
+                    leave, best_b, best_a = i, T[i][-1], a
+                    continue
+                lhs = T[i][-1] * best_a
+                rhs = best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, T[i][-1], a
+        # the phase-1 objective is bounded below by 0, so some row leaves;
+        # the pivot row stays as it is, with piv as its new denominator
         rowp = T[leave]
-        bp = b[leave]
+        piv = rowp[enter]
         for k in range(m):
             if k != leave:
-                f = T[k][enter]
+                row = T[k]
+                f = row[enter]
                 if f:
-                    T[k] = [a - f * c for a, c in zip(T[k], rowp)]
-                    b[k] = b[k] - f * bp
+                    T[k] = _reduced([a * piv - f * c for a, c in zip(row, rowp)])
         f = r[enter]
-        r = [a - f * c for a, c in zip(r, rowp)]
-        obj = obj + f * bp
+        r = _reduced([a * piv - f * c for a, c in zip(r, rowp)])
         basis[leave] = enter
-    if obj != 0:
+    if r[-1]:
         return None
 
     # artificials still basic sit at value 0; the point reads off the rest
-    val = {basis[i]: b[i] for i in range(m)}
+    val = {basis[i]: Fraction(T[i][-1], T[i][basis[i]]) for i in range(m)}
+    zero = Fraction(0)
     out = []
     for j in range(d):
-        x = val.get(col_pos[j], _Q0)
+        x = val.get(col_pos[j], zero)
         jn = col_neg[j]
         if jn is not None:
-            x = x - val.get(jn, _Q0)
-        out.append(_to_fraction(x))
+            x = x - val.get(jn, zero)
+        out.append(x)
     return tuple(out)
 
 

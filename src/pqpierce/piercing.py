@@ -8,7 +8,6 @@ here therefore reduces to one memoized intersection oracle.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
@@ -25,7 +24,7 @@ class IntersectionOracle:
     Results propagate through the subset order: an intersecting index
     set certifies all its subsets, an empty one condemns all supersets.
     Only LP-computed results seed those closures, so the scan stays
-    short. Thread-safe; LP calls run outside the lock.
+    short.
 
     A query that joins a fixed set to members (a truncating box, the
     hull of a selection) goes to an oracle whose family has that set as
@@ -39,7 +38,6 @@ class IntersectionOracle:
         self._points: dict[frozenset, Point] = {}
         self._true_seeds: list[frozenset] = []
         self._false_seeds: list[frozenset] = []
-        self._lock = threading.Lock()
 
     def _lookup(self, key: frozenset) -> Optional[bool]:
         cached = self._memo.get(key)
@@ -60,31 +58,27 @@ class IntersectionOracle:
         key = frozenset(indices)
         if not key:
             raise MalformedInputError("empty index set")
-        with self._lock:
-            cached = self._lookup(key)
+        cached = self._lookup(key)
         if cached is not None:
             return cached
         ok, witness = intersect_nonempty(self.fam, sorted(key))
-        with self._lock:
-            self._memo[key] = ok
-            if ok:
-                self._points[key] = witness
-                self._true_seeds.append(key)
-            else:
-                self._false_seeds.append(key)
+        self._memo[key] = ok
+        if ok:
+            self._points[key] = witness
+            self._true_seeds.append(key)
+        else:
+            self._false_seeds.append(key)
         return ok
 
     def witness(self, indices: Iterable[int]) -> Optional[Point]:
         key = frozenset(indices)
         if not self.intersecting(key):
             return None
-        with self._lock:
-            return self._points[key]
+        return self._points[key]
 
     @property
     def lp_results(self) -> int:
-        with self._lock:
-            return len(self._true_seeds) + len(self._false_seeds)
+        return len(self._true_seeds) + len(self._false_seeds)
 
 
 @dataclass(frozen=True)
@@ -137,6 +131,35 @@ def pq_report_to_json(r: PqReport) -> dict:
 # ---------------------------------------------------------------------------
 # partitions into intersecting parts
 
+def _assign(
+    i: int,
+    parts: int,
+    compatible: Callable[[frozenset], bool],
+    classes: list[frozenset],
+    assignment: list[int],
+) -> bool:
+    if i == len(assignment):
+        return True
+    for c, members in enumerate(classes):
+        grown = members | {i}
+        if compatible(grown):
+            classes[c] = grown
+            assignment[i] = c
+            if _assign(i + 1, parts, compatible, classes, assignment):
+                return True
+            classes[c] = members
+    if len(classes) < parts:
+        single = frozenset({i})
+        if compatible(single):
+            classes.append(single)
+            assignment[i] = len(classes) - 1
+            if _assign(i + 1, parts, compatible, classes, assignment):
+                return True
+            classes.pop()
+    assignment[i] = -1
+    return False
+
+
 def partition_search(
     n: int,
     parts: int,
@@ -146,31 +169,7 @@ def partition_search(
     passing `compatible`. First feasible assignment in lexicographic
     branch order (classes tried in creation order, new class last)."""
     assignment = [-1] * n
-    classes: list[frozenset] = []
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for c, members in enumerate(classes):
-            grown = members | {i}
-            if compatible(grown):
-                classes[c] = grown
-                assignment[i] = c
-                if extend(i + 1):
-                    return True
-                classes[c] = members
-        if len(classes) < parts:
-            single = frozenset({i})
-            if compatible(single):
-                classes.append(single)
-                assignment[i] = len(classes) - 1
-                if extend(i + 1):
-                    return True
-                classes.pop()
-        assignment[i] = -1
-        return False
-
-    if extend(0):
+    if _assign(0, parts, compatible, [], assignment):
         return assignment
     return None
 

@@ -25,7 +25,7 @@ from pqpierce.hypergraph import (
     verify_eg_equivalence,
 )
 from pqpierce.lp import completed_basis_matrix, invert_matrix
-from pqpierce.piercing import IntersectionOracle, piercing_number
+from pqpierce.piercing import piercing_number
 from pqpierce.pipelines import (
     pierce_via_free_family,
     pierce_via_transversal,

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module,
-and joint-intersection LPs are asked only through the oracle.
+"""Source hygiene: every name a module or test file imports is used in
+that file, and joint-intersection LPs are asked only through the oracle.
 
 `__init__.py` re-exports by importing, and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pqpierce"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -32,7 +33,7 @@ def test_detector_flags_an_unused_import():
     assert unused_imports(source) == ["Sequence (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

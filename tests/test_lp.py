@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqpierce.errors import BudgetExhaustedError
 from pqpierce.lp import (
+    LE,
     LinearSystem,
     completed_basis_matrix,
     eq,
@@ -164,3 +165,137 @@ def test_single_halfspace_witness_property(coeffs, rhs):
         assert ok and _satisfies(sys, x)
     else:
         assert not ok
+
+
+# --- differential test against a Fraction tableau ----------------------------
+
+def _fraction_simplex(system: LinearSystem):
+    """Reference: the phase-1 simplex with Bland's rule on a Fraction
+    tableau. The engine must make the same pivots, hence return the
+    same witness."""
+    d = system.dim
+    col_pos, col_neg, ncol = [], [], 0
+    for j in range(d):
+        col_pos.append(ncol)
+        ncol += 1
+        if j in system.nonneg:
+            col_neg.append(None)
+        else:
+            col_neg.append(ncol)
+            ncol += 1
+    m = len(system.constraints)
+    slack_col = {}
+    for i, c in enumerate(system.constraints):
+        if c.relation == LE:
+            slack_col[i] = ncol
+            ncol += 1
+    base_cols = ncol
+
+    T, b = [], []
+    for i, c in enumerate(system.constraints):
+        row = [F(0)] * base_cols
+        for j, a in enumerate(c.coeffs):
+            if a:
+                row[col_pos[j]] = a
+                if col_neg[j] is not None:
+                    row[col_neg[j]] = -a
+        if i in slack_col:
+            row[slack_col[i]] = F(1)
+        T.append(row)
+        b.append(c.rhs)
+    for i in range(m):
+        if b[i] < 0:
+            T[i] = [-a for a in T[i]]
+            b[i] = -b[i]
+
+    basis, art_rows = [-1] * m, []
+    for i in range(m):
+        j = slack_col.get(i)
+        if j is not None and T[i][j] == 1:
+            basis[i] = j
+        else:
+            art_rows.append(i)
+    nart = len(art_rows)
+    total_cols = base_cols + nart
+    for i in range(m):
+        T[i].extend([F(0)] * nart)
+    for k, i in enumerate(art_rows):
+        T[i][base_cols + k] = F(1)
+        basis[i] = base_cols + k
+
+    r = [F(0)] * total_cols
+    for k in range(nart):
+        r[base_cols + k] = F(1)
+    obj = F(0)
+    for i in art_rows:
+        r = [a - c for a, c in zip(r, T[i])]
+        obj += b[i]
+
+    while True:
+        enter = next((j for j in range(total_cols) if r[j] < 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            a = T[i][enter]
+            if a > 0:
+                ratio = b[i] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        inv = 1 / T[leave][enter]
+        T[leave] = [a * inv for a in T[leave]]
+        b[leave] *= inv
+        for k in range(m):
+            f = T[k][enter]
+            if k != leave and f:
+                T[k] = [a - f * c for a, c in zip(T[k], T[leave])]
+                b[k] -= f * b[leave]
+        f = r[enter]
+        r = [a - f * c for a, c in zip(r, T[leave])]
+        obj += f * b[leave]
+        basis[leave] = enter
+    if obj != 0:
+        return None
+    val = {basis[i]: b[i] for i in range(m)}
+    return tuple(
+        val.get(col_pos[j], F(0)) - (val.get(col_neg[j], F(0)) if col_neg[j] is not None else 0)
+        for j in range(d)
+    )
+
+
+# few distinct values and many zeros, so ratio-test ties (where Bland's
+# rule decides) are common
+_small_rationals = st.one_of(
+    st.sampled_from((F(0), F(1), F(-1), F(2), F(1, 2))),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@st.composite
+def _systems(draw):
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(_small_rationals, min_size=dim, max_size=dim),
+            st.sampled_from((le, eq)),
+            st.one_of(st.just(F(0)), _small_rationals),
+        ),
+        max_size=8,
+    ))
+    rows += rows[:draw(st.integers(0, 8 - len(rows)))]  # repeated rows tie too
+    nonneg = draw(st.frozensets(st.integers(0, dim - 1)))
+    return LinearSystem(dim, tuple(rel(c, rhs) for c, rel, rhs in rows), nonneg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+# x enters first with a ratio tie between rows 0 and 1; Bland's rule takes
+# row 1, whose slack has the lower index, and ends at (3/2, -1), not (0, -1)
+@example(LinearSystem(2, (le([-1, 2], -1), le([2, 1], 2), le([0, 1], -1)), frozenset({0})))
+def test_witness_equals_fraction_tableau(system):
+    ok, x = lp_feasible(system)
+    expected = _fraction_simplex(system)
+    assert ok == (expected is not None)
+    assert x == expected
+    if ok:
+        assert _satisfies(system, x)

@@ -1,4 +1,5 @@
 """Property checks, exact piercing vs brute force, hypergraph bridge."""
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -148,6 +149,19 @@ def test_piercing_empty_member_rejected():
     fam = family([hrep_set("E", [((1, 0), -1), ((-1, 0), 0)]), box2("B", 0, 1, 0, 1)])
     with pytest.raises(EmptySetError):
         piercing_number(fam)
+
+
+def test_piercing_leaves_no_reference_cycle():
+    # a cycle would keep the oracle, its memo and the family alive until
+    # the cyclic collector runs
+    fam = triangle_sides()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(piercing_number(fam).points) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_piercing_limit_falls_back_to_greedy():

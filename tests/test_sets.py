@@ -7,9 +7,7 @@ from pqpierce.errors import EmptySetError, MalformedInputError
 from pqpierce.lp import completed_basis_matrix, invert_matrix
 from pqpierce.rational import point, rat
 from pqpierce.sets import (
-    ConvexSet,
     Family,
-    HRep,
     VRep,
     change_coordinates,
     common_recession_direction,
