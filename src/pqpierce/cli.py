@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Every command prints machine-readable JSON (or CSV where supported) and
-maps outcomes onto four exit codes:
+maps outcomes onto five exit codes:
 
     0  success, including "the property holds"
     1  the property or a pipeline hypothesis fails (witness in output)
     2  malformed input or usage error
     3  a resource cap was exhausted (LP budget, search limit, escape cap)
+    4  internal error: any other exception (traceback on stderr)
 
 Identical argv, seed, and input files produce byte-identical output.
 """
@@ -473,6 +474,10 @@ def cmd_dispatch(argv) -> int:
         code, text = 2, _json_text({"error": str(exc)})
     except (BudgetExhaustedError, SearchLimitError) as exc:
         code, text = 3, _json_text({"error": str(exc)})
+    except Exception as exc:  # a fault of this program, whatever the input
+        import traceback  # imported here: it costs 250 KB of RSS, and only a fault needs it
+        traceback.print_exc()
+        code, text = 4, _json_text({"error": f"internal error: {exc!r}"})
     output = getattr(args, "output", None)
     try:
         _emit(text, output)

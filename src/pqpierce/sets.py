@@ -6,18 +6,24 @@ H-representation: a finite intersection of closed halfspaces
 V-representation: conv(points) + cone(rays); always closed and, since
 points must be nonempty, always a nonempty set.
 
-Intersections of V-represented members are never materialized: every
-query about them (membership, joint intersection, projected shadows)
-is a single LP assembled from coefficient blocks.
+Intersections are never materialized. A small full-dimensional V-rep
+carries its facets, enumerated once from its generators; it then joins
+LPs as <= rows over the ambient coordinates, as an H-rep does, and
+membership is substitution into those rows. Any other V-rep enters
+each LP (membership, joint intersection, projected shadows) as
+coefficient blocks of multipliers for its generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
+from math import comb, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import EmptySetError, MalformedInputError
-from .lp import LE, EQ, Constraint, LinearSystem, lp_feasible
+from .lp import LE, EQ, Constraint, LinearSystem, _reduced, lp_feasible
 from .rational import (
     Matrix,
     Point,
@@ -33,10 +39,18 @@ from .rational import (
 )
 
 
-@dataclass(frozen=True)
+# The largest dim a JSON set may declare: each coordinate is an LP column.
+MAX_DIM = 1000
+
+# Above this many d-subsets of generators a V-rep keeps its LP multipliers.
+FACET_SUBSET_CAP = 64
+
+
+@dataclass(frozen=True, slots=True)
 class Halfspace:
     """{x : normal . x <= offset}. A zero normal is only legal when the
-    constraint is vacuous (offset >= 0)."""
+    constraint is vacuous (offset >= 0). Facets of a V-rep hold
+    primitive int rows here in place of Fractions."""
 
     normal: Point
     offset: Fraction
@@ -66,6 +80,71 @@ class VRep:
         for r in self.rays:
             if is_zero(r):
                 raise MalformedInputError("zero ray in V-representation")
+
+    @cached_property
+    def facets(self) -> Optional[tuple[Halfspace, ...]]:
+        """The facet halfspaces as primitive int rows; None for a set that
+        is lower-dimensional, the whole space or over FACET_SUBSET_CAP."""
+        return _facets(self.points, self.rays)
+
+
+def _kernel_vector(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
+    """A nonzero solution of rows . x = 0 when the rows have rank one
+    less than their length, else None (Gauss-Jordan, in place)."""
+    n = len(rows[0])
+    pivots: list[int] = []
+    for c in range(n):
+        k = len(pivots)
+        r = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if r is None:
+            continue
+        rows[k], rows[r] = rows[r], rows[k]
+        p = Fraction(rows[k][c])  # int coordinates must not divide to floats
+        rows[k] = [a / p for a in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[k])]
+        pivots.append(c)
+    if len(pivots) < n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    x = [Fraction(c == free) for c in range(n)]
+    for k, c in enumerate(pivots):
+        x[c] = -rows[k][free]
+    return x
+
+
+def _facets(points: tuple[Point, ...], rays: tuple[Point, ...]) -> Optional[tuple[Halfspace, ...]]:
+    """Facets of conv(points) + cone(rays) by the double description idea
+    (Motzkin, Raiffa, Thompson and Thrall 1953; Avis and Fukuda 1992):
+    a facet's hyperplane a.x = b holds d generators, a point among them,
+    that fix (a, b) up to scale, with all points on one side and all rays
+    pointing into it. One holding every generator: lower-dimensional."""
+    d = len(points[0])
+    gens = points + rays
+    if comb(len(gens), d) > FACET_SUBSET_CAP:
+        return None
+    out: dict[tuple[int, ...], Halfspace] = {}
+    for sub in combinations(range(len(gens)), d):
+        if sub[0] >= len(points):
+            break  # combinations come in lex order: no later one holds a point
+        ab = _kernel_vector([[*gens[i], Fraction(-1 if i < len(points) else 0)] for i in sub])
+        if ab is None:
+            continue
+        den = 1
+        for a in ab:
+            den = lcm(den, a.denominator)
+        row = _reduced([a.numerator * (den // a.denominator) for a in ab])
+        sides = [dot(row[:-1], p) - row[-1] for p in points] + [dot(row[:-1], r) for r in rays]
+        lo, hi = min(sides), max(sides)
+        if lo == hi == 0:
+            return None
+        if hi > 0:
+            if lo < 0:
+                continue
+            row = [-a for a in row]
+        out.setdefault(tuple(row), Halfspace(tuple(row[:-1]), row[-1]))
+    return tuple(out.values()) or None
 
 
 Rep = Union[HRep, VRep]
@@ -211,8 +290,9 @@ class _SysBuilder:
 
 
 def _member_rows(b: _SysBuilder, s: ConvexSet, coords: Sequence[Coord]) -> None:
-    if isinstance(s.rep, HRep):
-        for h in s.rep.halfspaces:
+    rows = s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.facets
+    if rows is not None:
+        for h in rows:
             terms: dict[int, Fraction] = {}
             rhs = h.offset
             for i, n_i in enumerate(h.normal):
@@ -250,12 +330,14 @@ def _free_coords(b: _SysBuilder, d: int) -> tuple[list[int], list[Coord]]:
 # primitives
 
 def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:
-    """Exact membership. Direct evaluation for H-reps, one LP for V-reps."""
+    """Exact membership: substitution into the halfspaces of an H-rep
+    or the facets of a V-rep, one LP for a V-rep without facets."""
     xp = point(x)
     if len(xp) != s.dim:
         raise MalformedInputError(f"point arity {len(xp)} != dim {s.dim}")
-    if isinstance(s.rep, HRep):
-        return all(dot(h.normal, xp) <= h.offset for h in s.rep.halfspaces)
+    rows = s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.facets
+    if rows is not None:
+        return all(dot(h.normal, xp) <= h.offset for h in rows)
     b = _SysBuilder()
     _member_rows(b, s, [(None, c) for c in xp])
     ok, _ = lp_feasible(b.system())
@@ -607,6 +689,8 @@ def set_from_json(obj) -> ConvexSet:
         raise MalformedInputError(f"set missing key {exc}") from exc
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise MalformedInputError("dim must be an integer")
+    if dim > MAX_DIM:  # a family's dimension must match its sets'
+        raise MalformedInputError(f"dim {dim} exceeds the maximum {MAX_DIM}")
     has_v = "vrep" in obj
     has_h = "hrep" in obj
     if has_v == has_h:

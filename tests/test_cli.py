@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqpierce import cli
 from pqpierce.cli import cmd_dispatch
 
 
@@ -433,6 +434,7 @@ class TestPlumbing:
             {"dimension": 1, "sets": [{"label": "V", "dim": 1, "vrep": {"points": ["12"]}}]},
             {"dimension": 2, "sets": []},
             {"dimension": 2, "sets": {"label": "V"}},
+            {"dimension": 10**8, "sets": [{"label": "A", "dim": 10**8, "hrep": []}]},  # 10^8 LP columns
         ]
         contents = [json.dumps(fam).encode() for fam in families]
         contents.append(b"\xff\xfe{bad")  # not UTF-8
@@ -443,6 +445,15 @@ class TestPlumbing:
             for command in (["check", "pq", "--p", "1", "--q", "1"], ["solve", "pierce"]):
                 code, out = run(command + ["--input", str(path)], capsys)
                 assert (code, set(json.loads(out))) == (2, {"error"}), (content, command)
+
+    def test_internal_error_exit_four(self, monkeypatch, capsys):
+        def broken(args):
+            raise AssertionError("solver invariant broken")
+
+        monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
+        code, out = run(["bounds", "eta", "--lam", "3", "--k", "2"], capsys)
+        assert code == 4
+        assert json.loads(out) == {"error": "internal error: AssertionError('solver invariant broken')"}
 
     def test_malformed_point_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "pts.json"

@@ -2,9 +2,11 @@
 import gc
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqpierce.constructions import gruenbaum_line, unbounded_member
 from pqpierce.errors import EmptySetError, MalformedInputError
@@ -231,3 +233,47 @@ def test_piercing_json():
     assert set(j) == {"points", "assignment", "optimal"}
     assert sorted(j["assignment"]) == ["0", "1", "2"]
     assert all(isinstance(c, (int, str)) for p in j["points"] for c in p)
+
+
+# --- the oracle against coordinate comparison on intervals and boxes ----------
+
+_END = st.integers(-3, 3).map(Fraction) | st.sampled_from([Fraction(1, 2), Fraction(-5, 3)])
+
+
+@st.composite
+def boxes_and_queries(draw):
+    """Random rational intervals (d = 1) or axis boxes (d = 2), each a
+    V-rep or an H-rep, with random index subsets to ask about."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 6))
+    bounds, sets = [], []
+    for i in range(n):
+        box = [tuple(sorted((draw(_END), draw(_END)))) for _ in range(d)]
+        bounds.append(box)
+        if draw(st.booleans()):
+            sets.append(vrep_set(f"V{i}", product(*box)))
+        else:
+            rows = []
+            for axis, (lo, hi) in enumerate(box):
+                e = [int(j == axis) for j in range(d)]
+                rows += [(e, hi), ([-a for a in e], -lo)]
+            sets.append(hrep_set(f"H{i}", rows))
+    queries = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=8))
+    return family(sets), bounds, queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes_and_queries())
+def test_oracle_matches_coordinate_comparison(case):
+    fam, bounds, queries = case
+    oracle = IntersectionOracle(fam)
+    for q in queries:
+        meet = all(
+            max(bounds[i][axis][0] for i in q) <= min(bounds[i][axis][1] for i in q)
+            for axis in range(fam.dim)
+        )
+        assert oracle.intersecting(q) == meet
+        w = oracle.witness(q)
+        assert (w is not None) == meet
+        if meet:
+            assert all(lo <= w[axis] <= hi for i in q for axis, (lo, hi) in enumerate(bounds[i]))

@@ -1,12 +1,18 @@
 """Geometric primitives: membership, joint intersection, recession,
 projection, hulls, lifted projections, coordinate changes, JSON."""
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqpierce.errors import EmptySetError, MalformedInputError
-from pqpierce.lp import completed_basis_matrix, invert_matrix
-from pqpierce.rational import point, rat
+from pqpierce.lp import EQ, Constraint, LinearSystem, completed_basis_matrix, invert_matrix, lp_feasible
+from pqpierce.rational import dot, point, rat
 from pqpierce.sets import (
+    MAX_DIM,
     Family,
     VRep,
     change_coordinates,
@@ -329,7 +335,78 @@ def test_json_rejects_malformed():
     with pytest.raises(MalformedInputError):
         set_from_json({"label": "X", "dim": True, "vrep": {"points": [[0]]}})
     with pytest.raises(MalformedInputError):
+        set_from_json({"label": "X", "dim": MAX_DIM + 1, "hrep": []})
+    with pytest.raises(MalformedInputError):
         family_from_json({"dimension": 2, "sets": [
             {"label": "A", "dim": 2, "vrep": {"points": [[0, 0]]}},
             {"label": "A", "dim": 2, "vrep": {"points": [[1, 1]]}},
         ]})
+
+
+# --- facets of small V-reps against the multiplier LP -------------------------
+
+def multiplier_lp_member(pts, rays, x):
+    """x in conv(pts) + cone(rays), as the LP over the multipliers."""
+    m, k = len(pts), len(rays)
+    gens = list(pts) + list(rays)
+    rows = [Constraint(tuple(Fraction(g[i]) for g in gens), EQ, Fraction(x[i])) for i in range(len(x))]
+    rows.append(Constraint((Fraction(1),) * m + (Fraction(0),) * k, EQ, Fraction(1)))
+    return lp_feasible(LinearSystem(m + k, tuple(rows), frozenset(range(m + k))))[0]
+
+
+def rank(vectors):
+    rows = [list(v) for v in vectors]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = Fraction(rows[i][c]) / rows[r][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+_COORD = st.integers(-2, 2).map(Fraction) | st.sampled_from([Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def small_vrep_and_point(draw):
+    d = draw(st.integers(1, 3))
+    vec = st.tuples(*[_COORD] * d)
+    pts = draw(st.lists(vec, min_size=1, max_size=d + 3))
+    rays = draw(st.lists(vec.filter(any), max_size=2))
+    return pts, rays, draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_vrep_and_point())
+@example(([(0, 0), (0, 1)], [(1, 0), (-1, 0)], (5, 1)))  # strip, lineality +-e1
+@example(([(0, 0), (0, 1)], [(1, 0), (-1, 0)], (5, 2)))
+@example(([(0, 0)], [(1, 0), (1, 1)], (2, 1)))  # pointed cone
+@example(([(0, 0)], [(1, 0), (1, 1)], (1, 2)))
+def test_facets_agree_with_the_multiplier_lp(case):
+    pts, rays, x = case
+    s = vrep_set("V", pts, rays)
+    facets = s.rep.facets
+    d = s.dim
+    full = rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]] + list(rays)) == d
+    whole = all(direction_in_recession_cone(s, [sign * (i == j) for j in range(d)])
+                for i in range(d) for sign in (1, -1))
+    assert (facets is None) == (not full or whole)
+    for h in facets or ():
+        g = 0
+        for a in h.normal + (h.offset,):
+            assert isinstance(a, int)
+            g = gcd(g, a)
+        assert g == 1
+        assert all(dot(h.normal, p) <= h.offset for p in s.rep.points)
+        assert all(dot(h.normal, r) <= 0 for r in s.rep.rays)
+        # a facet: its generators span a (d-1)-flat, not a lower face
+        on = [(*p, 1) for p in s.rep.points if dot(h.normal, p) == h.offset]
+        on += [(*r, 0) for r in s.rep.rays if dot(h.normal, r) == 0]
+        assert rank(on) == d
+    assert facets is None or len(set(facets)) == len(facets)
+    assert contains_point(s, x) == multiplier_lp_member(pts, rays, x)
