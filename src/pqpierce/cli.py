@@ -255,7 +255,7 @@ def _cmd_analyze(args) -> tuple[int, str]:
                 raise MalformedInputError("projection needs dimension >= 2")
             shadows = Family(fam.dim - 1, tuple(project_drop_last(s) for s in fam.sets))
             return 0, _json_text(family_to_json(shadows))
-        gf = build_GF(fam, fam.dim)
+        gf = build_GF(fam)
         return 0, _json_text(hypergraph_to_json(gf))
 
 

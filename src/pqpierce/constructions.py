@@ -38,25 +38,21 @@ def staircase_matrix(alpha: RatLike, d: int) -> Matrix:
     return tuple(rows)
 
 
-def simplex_S(alpha: RatLike, d: int, label: Optional[str] = None) -> ConvexSet:
+def simplex_S(alpha: RatLike, d: int) -> ConvexSet:
     a = rat(alpha)
     if not 0 < a <= 1:
         raise MalformedInputError("alpha must lie in (0, 1]")
     pts = staircase_matrix(a, d)
-    return ConvexSet(label or f"S({a})", d, VRep(pts))
+    return ConvexSet(f"S({a})", d, VRep(pts))
 
 
-def poisson_binomial_coeffs(
-    alphas: Sequence[RatLike], upto: Optional[int] = None
-) -> tuple[Fraction, ...]:
+def poisson_binomial_coeffs(alphas: Sequence[RatLike]) -> tuple[Fraction, ...]:
     """Exact distribution of the number of successes among independent
     events with the given probabilities: entry k is P(exactly k)."""
     probs = [rat(a) for a in alphas]
     for a in probs:
         if not 0 < a < 1:
             raise MalformedInputError("event probabilities must lie in (0, 1)")
-    if upto is not None and upto != len(probs):
-        raise MalformedInputError("upto must equal the number of events")
     dist = [Fraction(1)]
     for a in probs:
         nxt = [(1 - a) * dist[0]]
@@ -117,7 +113,7 @@ class CounterexampleSpec:
         return self.d + 1
 
 
-def unbounded_member(d: int, n: int, label: Optional[str] = None) -> ConvexSet:
+def unbounded_member(d: int, n: int) -> ConvexSet:
     """Member A_n in R^{d+1}: hull of the embedded S_{1/n} and n*e_1,
     receding along e_1."""
     if n < 2:
@@ -126,7 +122,7 @@ def unbounded_member(d: int, n: int, label: Optional[str] = None) -> ConvexSet:
     pts = [(Fraction(0),) + row for row in simplex_rows]
     pts.append(tuple([Fraction(n)] + [Fraction(0)] * d))
     ray = tuple([Fraction(1)] + [Fraction(0)] * d)
-    return ConvexSet(label or f"A_{n}", d + 1, VRep(tuple(pts), (ray,)))
+    return ConvexSet(f"A_{n}", d + 1, VRep(tuple(pts), (ray,)))
 
 
 def family_A(spec: CounterexampleSpec) -> Family:

@@ -3,11 +3,12 @@
 Feasibility of systems of linear equations and inequalities with
 optional per-variable nonnegativity. The engine is the first phase of a
 dense primal simplex with Bland's rule, so it never cycles and is fully
-deterministic. The public surface speaks Fraction. The tableau is
-fraction-free (Edmonds 1967; Bareiss 1968): each row is plain ints over
-its own positive denominator, cut by its gcd after every pivot, so it
-makes exactly the pivots and returns exactly the witnesses of a
-Fraction tableau.
+deterministic. The public surface speaks Fraction; constraint
+coefficients and right-hand sides may also be ints, as the rows of a
+V-rep's facets are. The tableau is fraction-free (Edmonds 1967; Bareiss
+1968): each row is plain ints over its own positive denominator, cut by
+its gcd after every pivot, so it makes exactly the pivots and returns
+exactly the witnesses of a Fraction tableau.
 """
 from __future__ import annotations
 

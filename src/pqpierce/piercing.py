@@ -270,11 +270,10 @@ def piercing_to_json(sol: PiercingSolution) -> dict:
 # ---------------------------------------------------------------------------
 # derived structures
 
-def build_GF(fam: Family, d: int, oracle: Optional[IntersectionOracle] = None) -> Hypergraph:
-    """The (d+1)-uniform hypergraph whose edges are the (d+1)-subsets
-    of the family with empty intersection."""
-    if fam.dim != d:
-        raise MalformedInputError(f"family dimension {fam.dim} != d = {d}")
+def build_GF(fam: Family, oracle: Optional[IntersectionOracle] = None) -> Hypergraph:
+    """The (d+1)-uniform hypergraph, d = fam.dim, whose edges are the
+    (d+1)-subsets of the family with empty intersection."""
+    d = fam.dim
     oracle = oracle or IntersectionOracle(fam)
     edges = [
         tup

@@ -104,11 +104,9 @@ def report_to_json(r: PipelineReport) -> dict:
     }
 
 
-def _failed(name, inputs, checks, conclusion_prefix="hypothesis failed") -> PipelineReport:
+def _failed(name, inputs, checks) -> PipelineReport:
     bad = next(c.description for c in checks if not c.passed)
-    return PipelineReport(
-        name, inputs, checks, None, None, f"{conclusion_prefix}: {bad}"
-    )
+    return PipelineReport(name, inputs, checks, None, None, f"hypothesis failed: {bad}")
 
 
 def _labels(fam: Family, indices: Iterable[int]) -> list[str]:
@@ -191,7 +189,7 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
         )
     )
     checks.append(_pq_check(fam, p, p - t, oracle))
-    gf = build_GF(fam, d, oracle)
+    gf = build_GF(fam, oracle)
     beta, cover = transversal_number(gf)
     checks.append(
         HypothesisCheck(

@@ -37,12 +37,14 @@ def rat(value: RatLike) -> Fraction:
         text = value.strip()
         if not _RAT_RE.match(text):
             raise MalformedInputError(f"not a rational literal: {value!r}")
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                raise MalformedInputError(f"zero denominator: {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, _, den = text.partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise MalformedInputError(f"rational literal of {len(text)} characters is too long") from None
+        if den == 0:
+            raise MalformedInputError(f"zero denominator: {value!r}")
+        return Fraction(num, den)
     raise MalformedInputError(f"not a rational: {value!r}")
 
 

@@ -9,9 +9,11 @@ points must be nonempty, always a nonempty set.
 Intersections are never materialized. A small full-dimensional V-rep
 carries its facets, enumerated once from its generators; it then joins
 LPs as <= rows over the ambient coordinates, as an H-rep does, and
-membership is substitution into those rows. Any other V-rep enters
-each LP (membership, joint intersection, projected shadows) as
-coefficient blocks of multipliers for its generators.
+membership and recession of a direction are substitution into those
+rows. Any other V-rep enters each LP (membership, joint intersection,
+projected shadows, recession) as coefficient blocks of multipliers for
+its generators; only these blocks ever meet coordinates pinned to
+constants.
 """
 from __future__ import annotations
 
@@ -252,78 +254,76 @@ def family(sets: Sequence[ConvexSet]) -> Family:
 # ---------------------------------------------------------------------------
 # LP assembly
 #
-# Coordinates passed to _member_rows are (var_index, constant) pairs: the
-# i-th ambient coordinate equals x[var] + constant, with var possibly None
-# for a fully pinned coordinate. This one helper covers membership, joint
-# intersection, lifted projections and recession-cone probes.
-
-Coord = tuple[Optional[int], Fraction]
+# A set enters an LP as one of two blocks over the ambient variables xs.
+# A set with rows (_rows) gives <= rows in xs alone. Any other V-rep
+# gives a generator block: xs equals a combination of its generators,
+# through multipliers. A recession cone is the same two blocks on other
+# data: rows with zero offsets, or generators without points. Only a
+# generator block ever meets a point pinned to constants, since
+# membership of a pinned point in rows is decided by substitution.
 
 
 class _SysBuilder:
     def __init__(self):
         self.nvars = 0
         self.nonneg: set[int] = set()
-        self.rows: list[tuple[str, dict[int, Fraction], Fraction]] = []
-
-    def var(self, nonneg: bool = False) -> int:
-        i = self.nvars
-        self.nvars += 1
-        if nonneg:
-            self.nonneg.add(i)
-        return i
+        self.rows: list[tuple[str, dict[int, RatLike], RatLike]] = []
 
     def vars(self, k: int, nonneg: bool = False) -> list[int]:
-        return [self.var(nonneg) for _ in range(k)]
+        new = list(range(self.nvars, self.nvars + k))
+        self.nvars += k
+        if nonneg:
+            self.nonneg.update(new)
+        return new
 
-    def add(self, relation: str, terms: dict[int, Fraction], rhs: Fraction):
+    def add(self, relation: str, terms: dict[int, RatLike], rhs: RatLike):
         self.rows.append((relation, terms, rhs))
 
     def system(self) -> LinearSystem:
         cons = []
         for relation, terms, rhs in self.rows:
-            coeffs = [Fraction(0)] * self.nvars
+            coeffs = [0] * self.nvars
             for j, a in terms.items():
-                coeffs[j] = coeffs[j] + a
+                coeffs[j] = a  # a row names each variable once
             cons.append(Constraint(tuple(coeffs), relation, rhs))
         return LinearSystem(self.nvars, tuple(cons), frozenset(self.nonneg))
 
 
-def _member_rows(b: _SysBuilder, s: ConvexSet, coords: Sequence[Coord]) -> None:
-    rows = s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.facets
-    if rows is not None:
-        for h in rows:
-            terms: dict[int, Fraction] = {}
-            rhs = h.offset
-            for i, n_i in enumerate(h.normal):
-                if n_i == 0:
-                    continue
-                var, const = coords[i]
-                rhs -= n_i * const
-                if var is not None:
-                    terms[var] = terms.get(var, Fraction(0)) + n_i
-            b.add(LE, terms, rhs)
-        return
-    lam = b.vars(len(s.rep.points), nonneg=True)
-    mu = b.vars(len(s.rep.rays), nonneg=True)
-    for i in range(s.dim):
-        terms = {}
-        for k, p in enumerate(s.rep.points):
-            if p[i]:
-                terms[lam[k]] = p[i]
-        for k, r in enumerate(s.rep.rays):
-            if r[i]:
-                terms[mu[k]] = r[i]
-        var, const = coords[i]
-        if var is not None:
-            terms[var] = terms.get(var, Fraction(0)) - Fraction(1)
+def _rows(s: ConvexSet) -> Optional[tuple[Halfspace, ...]]:
+    """An H-rep's halfspaces, a V-rep's facets, or None for a V-rep
+    that keeps its multipliers."""
+    return s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.facets
+
+
+def _row_block(b: _SysBuilder, rows: Iterable[tuple[Point, RatLike]], xs: Sequence[int]) -> None:
+    """normal . x <= offset for each (normal, offset), x the variables xs."""
+    for normal, offset in rows:
+        b.add(LE, {x: a for x, a in zip(xs, normal) if a}, offset)
+
+
+def _generator_block(
+    b: _SysBuilder, points: Sequence[Point], rays: Sequence[Point],
+    xs: Optional[Sequence[int]], at: Sequence[RatLike],
+) -> None:
+    """x + at in conv(points) + cone(rays), x the variables xs (none when
+    xs is None); in cone(rays) alone when there are no points."""
+    gens = (*points, *rays)
+    mult = b.vars(len(gens), nonneg=True)
+    for i, const in enumerate(at):
+        terms = {m: g[i] for m, g in zip(mult, gens) if g[i]}
+        if xs is not None:
+            terms[xs[i]] = -1
         b.add(EQ, terms, const)
-    b.add(EQ, {j: Fraction(1) for j in lam}, Fraction(1))
+    if points:
+        b.add(EQ, dict.fromkeys(mult[:len(points)], 1), 1)
 
 
-def _free_coords(b: _SysBuilder, d: int) -> tuple[list[int], list[Coord]]:
-    xs = b.vars(d)
-    return xs, [(x, Fraction(0)) for x in xs]
+def _member_rows(b: _SysBuilder, s: ConvexSet, xs: Sequence[int]) -> None:
+    rows = _rows(s)
+    if rows is None:
+        _generator_block(b, s.rep.points, s.rep.rays, xs, (0,) * s.dim)
+    else:
+        _row_block(b, ((h.normal, h.offset) for h in rows), xs)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +335,11 @@ def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:
     xp = point(x)
     if len(xp) != s.dim:
         raise MalformedInputError(f"point arity {len(xp)} != dim {s.dim}")
-    rows = s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.facets
+    rows = _rows(s)
     if rows is not None:
         return all(dot(h.normal, xp) <= h.offset for h in rows)
     b = _SysBuilder()
-    _member_rows(b, s, [(None, c) for c in xp])
+    _generator_block(b, s.rep.points, s.rep.rays, None, xp)
     ok, _ = lp_feasible(b.system())
     return ok
 
@@ -348,8 +348,7 @@ def is_empty(s: ConvexSet) -> bool:
     if isinstance(s.rep, VRep):
         return False
     b = _SysBuilder()
-    _, coords = _free_coords(b, s.dim)
-    _member_rows(b, s, coords)
+    _member_rows(b, s, b.vars(s.dim))
     ok, _ = lp_feasible(b.system())
     return not ok
 
@@ -360,8 +359,8 @@ def some_point(s: ConvexSet) -> Point:
     if isinstance(s.rep, VRep):
         return s.rep.points[0]
     b = _SysBuilder()
-    xs, coords = _free_coords(b, s.dim)
-    _member_rows(b, s, coords)
+    xs = b.vars(s.dim)
+    _member_rows(b, s, xs)
     ok, sol = lp_feasible(b.system())
     if not ok:
         raise EmptySetError(f"set {s.label!r} is empty")
@@ -381,9 +380,9 @@ def intersect_nonempty(
         raise MalformedInputError("empty index list")
     members = fam.select(idx)
     b = _SysBuilder()
-    xs, coords = _free_coords(b, fam.dim)
+    xs = b.vars(fam.dim)
     for s in members:
-        _member_rows(b, s, coords)
+        _member_rows(b, s, xs)
     ok, sol = lp_feasible(b.system())
     if not ok:
         return False, None
@@ -399,20 +398,15 @@ def intersect_nonempty(
 def recession_cone(s: ConvexSet) -> ConvexSet:
     """The set's recession cone.
 
-    H-rep: same normals with offsets zeroed (requires nonemptiness,
-    checked by LP). V-rep: the cone generated by the rays.
+    H-rep: same nonzero normals with offsets zeroed (requires
+    nonemptiness, checked by LP). V-rep: the cone generated by the rays.
     """
+    label = f"rc({s.label})"
     if isinstance(s.rep, VRep):
         origin = (Fraction(0),) * s.dim
-        return ConvexSet(f"rc({s.label})", s.dim, VRep((origin,), s.rep.rays))
+        return ConvexSet(label, s.dim, VRep((origin,), s.rep.rays))
     if is_empty(s):
         raise EmptySetError(f"recession cone of empty set {s.label!r}")
-    return _zero_offset_cone(s, f"rc({s.label})")
-
-
-def _zero_offset_cone(s: ConvexSet, label: str) -> ConvexSet:
-    """The H-rep set's nonzero normals with offsets zeroed: its
-    recession cone whenever the set is nonempty."""
     return ConvexSet(label, s.dim, HRep(tuple(
         Halfspace(h.normal, Fraction(0))
         for h in s.rep.halfspaces if not is_zero(h.normal)
@@ -420,35 +414,20 @@ def _zero_offset_cone(s: ConvexSet, label: str) -> ConvexSet:
 
 
 def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
-    """Does the set recede along v (exactly)?"""
+    """Does the set recede along v (exactly)? Substitution into the
+    rows of a set that has them, one LP over the rays otherwise."""
     vp = point(v)
     if len(vp) != s.dim:
         raise MalformedInputError("direction arity mismatch")
     if is_zero(vp):
         return True
-    if isinstance(s.rep, HRep):
-        return all(dot(h.normal, vp) <= 0 for h in s.rep.halfspaces)
+    rows = _rows(s)
+    if rows is not None:
+        return all(dot(h.normal, vp) <= 0 for h in rows)
     b = _SysBuilder()
-    _cone_member_rows(b, s, [(None, c) for c in vp])
+    _generator_block(b, (), s.rep.rays, None, vp)
     ok, _ = lp_feasible(b.system())
     return ok
-
-
-def _cone_member_rows(b: _SysBuilder, s: ConvexSet, vcoords: Sequence[Coord]) -> None:
-    """Constrain the vcoords vector to lie in s's recession cone."""
-    if isinstance(s.rep, HRep):
-        _member_rows(b, _zero_offset_cone(s, s.label), vcoords)
-        return
-    mu = b.vars(len(s.rep.rays), nonneg=True)
-    for i in range(s.dim):
-        terms: dict[int, Fraction] = {}
-        for k, r in enumerate(s.rep.rays):
-            if r[i]:
-                terms[mu[k]] = r[i]
-        var, const = vcoords[i]
-        if var is not None:
-            terms[var] = terms.get(var, Fraction(0)) - Fraction(1)
-        b.add(EQ, terms, const)
 
 
 def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
@@ -458,10 +437,14 @@ def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
     for axis in range(dim):
         for sign in (1, -1):
             b = _SysBuilder()
-            vs, vcoords = _free_coords(b, dim)
+            vs = b.vars(dim)
             for s in members:
-                _cone_member_rows(b, s, vcoords)
-            b.add(EQ, {vs[axis]: Fraction(1)}, Fraction(sign))
+                rows = _rows(s)
+                if rows is None:
+                    _generator_block(b, (), s.rep.rays, vs, (0,) * dim)
+                else:
+                    _row_block(b, ((h.normal, 0) for h in rows if not is_zero(h.normal)), vs)
+            b.add(EQ, {vs[axis]: 1}, sign)
             ok, sol = lp_feasible(b.system())
             if ok:
                 return tuple(sol[j] for j in vs)
@@ -471,11 +454,22 @@ def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
 def common_recession_direction(fam: Family) -> Optional[Point]:
     """Some nonzero v in every member's recession cone, or None; the
     probe order makes the answer and the returned v deterministic.
-    Raises EmptySetError for an empty member, which has no cone."""
+    Raises EmptySetError for an empty member, which has no cone.
+
+    A returned v is re-checked against every member with
+    direction_in_recession_cone before being handed out.
+    """
     for s in fam.sets:
         if is_empty(s):
             raise EmptySetError(f"recession cone of empty set {s.label!r}")
-    return _recession_probe(fam.dim, fam.sets)
+    v = _recession_probe(fam.dim, fam.sets)
+    if v is not None:
+        escaped = [s.label for s in fam.sets if not direction_in_recession_cone(s, v)]
+        if escaped or is_zero(v):
+            raise AssertionError(
+                f"probe direction {point_json(v)} escaped {escaped}; solver invariant broken"
+            )
+    return v
 
 
 def is_bounded(s: ConvexSet) -> bool:
@@ -611,9 +605,7 @@ def lifted_projection_witness(
     b = _SysBuilder()
     xs = b.vars(d - 1)
     for s in sets:
-        t = b.var()
-        coords: list[Coord] = [(x, Fraction(0)) for x in xs]
-        coords.append((t, Fraction(0)))
+        coords = xs + b.vars(1)
         _member_rows(b, s, coords)
         _member_rows(b, box, coords)
     ok, sol = lp_feasible(b.system())

@@ -435,6 +435,9 @@ class TestPlumbing:
             {"dimension": 2, "sets": []},
             {"dimension": 2, "sets": {"label": "V"}},
             {"dimension": 10**8, "sets": [{"label": "A", "dim": 10**8, "hrep": []}]},  # 10^8 LP columns
+            # rationals over the int() digit limit
+            {"dimension": 1, "sets": [{"label": "H", "dim": 1, "hrep": [{"normal": [1], "offset": "9" * 5000}]}]},
+            {"dimension": 1, "sets": [{"label": "H", "dim": 1, "hrep": [{"normal": [1], "offset": "1/" + "9" * 5000}]}]},
         ]
         contents = [json.dumps(fam).encode() for fam in families]
         contents.append(b"\xff\xfe{bad")  # not UTF-8
@@ -445,6 +448,11 @@ class TestPlumbing:
             for command in (["check", "pq", "--p", "1", "--q", "1"], ["solve", "pierce"]):
                 code, out = run(command + ["--input", str(path)], capsys)
                 assert (code, set(json.loads(out))) == (2, {"error"}), (content, command)
+
+    def test_overlong_margin_exit_two(self, capsys):
+        code, out = run(["construct", "counterexample", "--d", "1", "--n-max", "4",
+                         "--n-bounded", "1", "--margin", "9" * 5000], capsys)
+        assert (code, set(json.loads(out))) == (2, {"error"})
 
     def test_internal_error_exit_four(self, monkeypatch, capsys):
         def broken(args):

@@ -52,8 +52,6 @@ def test_poisson_binomial_frozen():
     assert poisson_binomial_coeffs(["1/2", "1/2"]) == (F(1, 4), F(1, 2), F(1, 4))
     assert poisson_binomial_coeffs([]) == (F(1),)
     with pytest.raises(MalformedInputError):
-        poisson_binomial_coeffs(["1/2"], upto=2)
-    with pytest.raises(MalformedInputError):
         poisson_binomial_coeffs([0])
 
 

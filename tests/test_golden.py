@@ -1,0 +1,146 @@
+"""Byte-identity gate: pipeline reports, a piercing and a CLI output on
+fixed small inputs must equal the JSON stored under tests/golden/.
+
+A change that is meant to keep every answer (a refactor, a faster LP
+path) must leave these files alone. To record new answers on purpose,
+run `PYTHONPATH=src python tests/test_golden.py` and commit the diff.
+"""
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from pqpierce.cli import cmd_dispatch
+from pqpierce.constructions import CounterexampleSpec, family_A, family_B
+from pqpierce.lp import completed_basis_matrix, invert_matrix
+from pqpierce.piercing import piercing_number, piercing_to_json
+from pqpierce.pipelines import (
+    pierce_via_free_family,
+    pierce_via_projection,
+    pierce_via_transversal,
+    report_to_json,
+    verify_counterexample,
+    verify_projection_equivalence,
+)
+from pqpierce.sets import (
+    change_coordinates,
+    change_coordinates_family,
+    convex_hull_union,
+    family,
+    family_to_json,
+    hrep_set,
+    vrep_set,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def box2(label, x0, x1, y0, y1):
+    return vrep_set(label, [(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
+
+
+def plane_family():
+    # a far singleton, four nested half-planes, two overlapping squares
+    sets = [vrep_set("lone", [(-10, 0)])]
+    for n in range(1, 5):
+        sets.append(hrep_set(f"hp{n}", [((-1, 0), -n)]))
+    sets.append(box2("sq1", 4, 5, 0, 1))
+    sets.append(box2("sq2", F(9, 2), F(11, 2), F(1, 2), F(3, 2)))
+    return family(sets)
+
+
+def s1():
+    return report_to_json(pierce_via_transversal(plane_family(), t=1, p=4))
+
+
+def s2():
+    sets = [box2("b1", 0, 1, 0, 1), box2("b2", 2, 3, 0, 1)]
+    sets += [hrep_set(f"upper{n}", [((0, -1), n)]) for n in range(1, 5)]
+    return report_to_json(pierce_via_free_family(family(sets), [0, 1], p=4, q=3))
+
+
+def s2_failed():
+    # the selection's members meet, so the report stops at its first row
+    sets = [box2("b1", 0, 1, 0, 1), box2("b2", F(1, 2), 2, 0, 1)]
+    sets += [hrep_set(f"upper{n}", [((0, -1), n)]) for n in range(1, 5)]
+    return report_to_json(pierce_via_free_family(family(sets), [0, 1], p=4, q=3))
+
+
+def main():
+    sets = [vrep_set("c1", [(0,), (2,)]), vrep_set("c2", [(1,), (3,)])]
+    sets += [hrep_set(f"ray{n}", [((-1,), -n)]) for n in range(1, 4)]
+    return report_to_json(pierce_via_projection(family(sets), [0, 1], p=5, q=4))
+
+
+def counterexample():
+    spec = CounterexampleSpec(d=1, n_max=6, n_bounded=3)
+    return report_to_json(verify_counterexample(spec, k_max=1))
+
+
+def corollary52():
+    spec = CounterexampleSpec(d=1, n_max=5, n_bounded=2)
+    box = convex_hull_union(family_B(spec), [0, 1])
+    back = completed_basis_matrix((F(1), F(0)))
+    forward = invert_matrix(back)
+    fam = change_coordinates_family(family_A(spec), forward, back)
+    box = change_coordinates(box, forward, back)
+    return report_to_json(verify_projection_equivalence(fam, box, max_subset=3))
+
+
+def piercing():
+    return piercing_to_json(piercing_number(plane_family()))
+
+
+def analyze_recession(tmp_path):
+    # H-reps, a faceted V-rep and a V-rep over FACET_SUBSET_CAP, all
+    # receding along some of +x, +y, +z
+    corners = [(x, y, 0) for x in range(5) for y in range(2)]
+    fam = family([
+        hrep_set("up", [((0, 0, -1), 0), ((-1, -1, 0), 1)]),
+        vrep_set("wedge", [(0, 0, 0)], [(1, 0, 0), (1, 1, 0), (0, 0, 1)]),
+        vrep_set("slab", corners, [(1, 1, 1), (2, 1, 1)]),
+    ])
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(family_to_json(fam)))
+    return cmd_dispatch(["analyze", "recession", "--input", str(path)])
+
+
+CASES = {
+    "s1": s1,
+    "s2": s2,
+    "s2_failed": s2_failed,
+    "main": main,
+    "counterexample": counterexample,
+    "corollary52": corollary52,
+    "piercing": piercing,
+}
+
+
+def _text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    assert _text(CASES[name]()) == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_analyze_recession_matches_golden(tmp_path, capsys):
+    code = analyze_recession(tmp_path)
+    out = capsys.readouterr().out
+    assert {"exit": code, "stdout": out} == json.loads((GOLDEN / "analyze_recession.json").read_text())
+
+
+if __name__ == "__main__":  # rewrite the golden files from the current code
+    import tempfile
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, case in CASES.items():
+        (GOLDEN / f"{name}.json").write_text(_text(case()))
+    buf = StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(buf):
+        code = analyze_recession(Path(tmp))
+    (GOLDEN / "analyze_recession.json").write_text(_text({"exit": code, "stdout": buf.getvalue()}))

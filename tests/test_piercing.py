@@ -196,21 +196,19 @@ def test_min_partition_rejects_bad_singletons():
 
 def test_build_GF():
     shared = family([box2(f"Q{i}", 0, 1, 0, 1) for i in range(4)])
-    assert build_GF(shared, 2).edges == ()
+    assert build_GF(shared).edges == ()
     line = gruenbaum_line(3)
-    gf = build_GF(line, 1)
+    gf = build_GF(line)
     assert gf.edges == ((0, 1), (0, 2), (0, 3))
     assert gf.arity == 2
     assert transversal_number(gf) == (1, (0,))
-    with pytest.raises(MalformedInputError):
-        build_GF(line, 2)
 
 
 def test_gf_matches_direct_subset_checks():
     rng = random.Random(19)
     fam = random_family(rng, 6)
     oracle = IntersectionOracle(fam)
-    gf = build_GF(fam, 2, oracle)
+    gf = build_GF(fam, oracle)
     for tup in combinations(range(6), 3):
         assert (tup in gf.edges) == (not oracle.intersecting(tup))
 

@@ -154,6 +154,15 @@ def test_common_recession_direction_mixed_family():
     assert direction_in_recession_cone(a1, v) and direction_in_recession_cone(h, v)
 
 
+def test_common_recession_direction_is_rechecked(monkeypatch):
+    # x <= 0 recedes along -e1 only; an LP that answers +e1 must not pass
+    fam = family([hrep_set("H", [((1, 0), 0)])])
+    wrong = lambda system: (True, (Fraction(1),) + (Fraction(0),) * (system.dim - 1))
+    monkeypatch.setattr("pqpierce.sets.lp_feasible", wrong)
+    with pytest.raises(AssertionError, match="escaped"):
+        common_recession_direction(fam)
+
+
 def test_points_stay_inside_along_recession_direction():
     a1 = vrep_set("A_1", [(0, 1), (1, 0)], rays=[(1, 0)])
     h = hrep_set("H", [((0, 1), 10), ((-1, -1), 0)])
@@ -410,3 +419,7 @@ def test_facets_agree_with_the_multiplier_lp(case):
         assert rank(on) == d
     assert facets is None or len(set(facets)) == len(facets)
     assert contains_point(s, x) == multiplier_lp_member(pts, rays, x)
+    if facets is not None:
+        # recession by substitution into the facets: v in cone(rays)
+        for v in (x, *rays):
+            assert direction_in_recession_cone(s, v) == multiplier_lp_member([(0,) * d], rays, v)
