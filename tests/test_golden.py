@@ -12,9 +12,16 @@ from pathlib import Path
 import pytest
 
 from pqpierce.cli import cmd_dispatch
-from pqpierce.constructions import CounterexampleSpec, family_A, family_B
+from pqpierce.constructions import (
+    CounterexampleSpec,
+    bounded_member,
+    family_A,
+    family_B,
+    unbounded_member,
+)
 from pqpierce.lp import completed_basis_matrix, invert_matrix
 from pqpierce.piercing import piercing_number, piercing_to_json
+from pqpierce.rational import rat_str
 from pqpierce.pipelines import (
     pierce_via_free_family,
     pierce_via_projection,
@@ -106,6 +113,37 @@ def analyze_recession(tmp_path):
     return cmd_dispatch(["analyze", "recession", "--input", str(path)])
 
 
+def facets():
+    # pierce-2d-style boxes and triangles (one turned by the rotation
+    # (3/5, 4/5)), A_n and B_i for d = 1 and 2, a strip with a lineality
+    # direction and a segment, which has none; then the inverses of
+    # shadow-style coordinate changes
+    turned = [(F(3 * x - 4 * y, 5) + 1, F(4 * x + 3 * y, 5) - F(1, 3))
+              for x, y in ((0, 0), (4, 0), (0, 7), (4, 7))]
+    sets = [
+        box2("box", 2, 9, 3, 8),
+        vrep_set("turned_box", turned),
+        vrep_set("triangle", [(3, 1), (11, 4), (5, 9)]),
+        vrep_set("thin_triangle", [(F(1, 2), 0), (F(7, 3), F(5, 4)), (-2, F(9, 7))]),
+        vrep_set("strip", [(0, 0), (0, 1)], [(1, 0), (-1, 0)]),
+        vrep_set("segment", [(0, 0), (2, 1)]),
+    ]
+    for d in (1, 2):
+        sets += [unbounded_member(d, n) for n in (2, 3, 7)]
+        sets += [bounded_member(d, i, F(1, 2)) for i in (1, 2)]
+    out = {}
+    for s in sets:
+        rows = s.rep.facets
+        out[f"{s.label}/{s.dim}"] = None if rows is None else [[*h.normal, h.offset] for h in rows]
+    mats = [
+        ((F(2, 3), F(-1, 2)), (F(1, 3), F(1, 2))),
+        ((0, 1, F(-2, 3)), (F(1, 2), F(-1, 3), 2), (-1, 0, F(1, 2))),
+        ((F(-1, 2), 0, F(2, 3)), (0, 0, F(1, 3)), (F(-2, 3), F(1, 2), 0)),
+    ]
+    inverses = [[[rat_str(a) for a in row] for row in invert_matrix(m)] for m in mats]
+    return {"facets": out, "inverses": inverses}
+
+
 CASES = {
     "s1": s1,
     "s2": s2,
@@ -114,6 +152,7 @@ CASES = {
     "counterexample": counterexample,
     "corollary52": corollary52,
     "piercing": piercing,
+    "facets": facets,
 }
 
 
