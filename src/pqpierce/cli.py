@@ -26,6 +26,7 @@ from typing import Optional
 from .bounds import catalog_lookup, entry_to_json
 from .constructions import (
     CounterexampleSpec,
+    check_family_size,
     counterexample_family,
     escape_witness,
     free_flats_family,
@@ -193,11 +194,13 @@ def _cmd_construct(args) -> tuple[int, str]:
         extra = {}
         if args.alphas is not None:
             alphas = _parse_rat_list(args.alphas)
+            check_family_size(len(alphas) * args.d, args.d)
         else:
             if args.count < 1:
                 raise MalformedInputError("need --count >= 1")
             if args.max_den < 2:
                 raise MalformedInputError("need --max-den >= 2")
+            check_family_size(args.count * args.d, args.d)  # bounds the sieve too
             # the max_den - 1 fractions 1/n always exist; count the rest only if needed
             if args.count >= args.max_den and args.count > _fractions_in_unit(args.max_den):
                 raise MalformedInputError(
@@ -317,8 +320,17 @@ def _cmd_pipeline(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into MalformedInputError, after printing the
+    usage text to stderr; subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise MalformedInputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqpierce",
         description="Exact rational toolkit for intersection properties and "
         "piercing numbers of convex polyhedral families.",
@@ -465,9 +477,11 @@ def cmd_dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors
-        return 0 if exc.code in (0, None) else 2
+    except SystemExit as exc:  # --help
+        return exc.code or 0
+    except MalformedInputError as exc:  # a usage error, its usage text on stderr
+        _emit(_json_text({"error": str(exc)}), None)
+        return 2
     try:
         code, text = _HANDLERS[args.command](args)
     except (MalformedInputError, EmptySetError, CatalogError) as exc:

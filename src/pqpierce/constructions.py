@@ -23,14 +23,30 @@ from typing import Iterable, Optional, Sequence
 from .errors import MalformedInputError
 from .piercing import is_m_free
 from .rational import Matrix, Point, RatLike, point, rat
-from .sets import ConvexSet, Family, VRep, contains_point, vrep_set
+from .sets import MAX_DIM, ConvexSet, Family, VRep, contains_point, vrep_set
+
+
+# The most coordinates a constructed family may hold, summed over the
+# generators of its members: it bounds member counts and points per
+# member alike, so no size given to a constructor can make it run on.
+MAX_COORDINATES = 10**5
+
+
+def check_family_size(generators: int, dim: int) -> None:
+    """Reject a family of this many generators in R^dim before it is built."""
+    if not 1 <= dim <= MAX_DIM:
+        raise MalformedInputError(f"dimension {dim} is not in 1..{MAX_DIM}")
+    if generators * dim > MAX_COORDINATES:
+        raise MalformedInputError(
+            f"{generators} generators in dimension {dim} exceed {MAX_COORDINATES} coordinates"
+        )
 
 
 def staircase_matrix(alpha: RatLike, d: int) -> Matrix:
     """Rows are the vertices of S_alpha: row k = e_1+...+e_{k-1}+alpha*e_k."""
     a = rat(alpha)
-    if d < 1:
-        raise MalformedInputError("need d >= 1")
+    if not 1 <= d <= MAX_DIM:
+        raise MalformedInputError(f"need 1 <= d <= {MAX_DIM}")
     rows = []
     for k in range(1, d + 1):
         row = [Fraction(1)] * (k - 1) + [a] + [Fraction(0)] * (d - k)
@@ -107,6 +123,11 @@ class CounterexampleSpec:
             raise MalformedInputError("need n_bounded >= 0")
         if rat(self.bounded_margin) < 0:
             raise MalformedInputError("margin must be >= 0")
+        # the first call bounds d before the 2^(d+1) corners of each box;
+        # A_n has d + 1 points and a ray
+        check_family_size(self.n_max - 1 + self.n_bounded, self.ambient_dim)
+        corners = self.n_bounded << (self.d + 1)
+        check_family_size((self.n_max - 1) * (self.d + 2) + corners, self.ambient_dim)
 
     @property
     def ambient_dim(self) -> int:
@@ -163,6 +184,7 @@ def gruenbaum_line(n_max: int, copies_of_f0: int = 1) -> Family:
     with the rays [n, infinity) for n = 1..n_max."""
     if n_max < 1 or copies_of_f0 < 1:
         raise MalformedInputError("need n_max >= 1 and copies >= 1")
+    check_family_size(copies_of_f0 + 2 * n_max, 1)
     sets = [vrep_set("F0", [(0,)])]
     for c in range(2, copies_of_f0 + 1):
         sets.append(vrep_set(f"F0_{c}", [(0,)]))
@@ -181,6 +203,9 @@ def free_flats_family(
         raise MalformedInputError("need 1 <= k <= d")
     if count < 1:
         raise MalformedInputError("need count >= 1")
+    # the first call bounds d, hence k, before 2^(k-1), the points of a member
+    check_family_size(count, d)
+    check_family_size(count << (k - 1), d)
     r = rat(radius)
     if r <= 0:
         raise MalformedInputError("radius must be positive")

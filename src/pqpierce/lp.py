@@ -5,10 +5,11 @@ optional per-variable nonnegativity. The engine is the first phase of a
 dense primal simplex with Bland's rule, so it never cycles and is fully
 deterministic. The public surface speaks Fraction; constraint
 coefficients and right-hand sides may also be ints, as the rows of a
-V-rep's facets are. The tableau is fraction-free (Edmonds 1967; Bareiss
-1968): each row is plain ints over its own positive denominator, cut by
-its gcd after every pivot, so it makes exactly the pivots and returns
-exactly the witnesses of a Fraction tableau.
+V-rep's facets are. One fraction-free elimination step (Edmonds 1967;
+Bareiss 1968), _pivot, serves the simplex tableau, the kernels behind a
+V-rep's facets and matrix inverses: rows are plain ints, cut by their
+gcd after every pivot, so the simplex makes exactly the pivots and
+returns exactly the witnesses of a Fraction tableau.
 """
 from __future__ import annotations
 
@@ -105,14 +106,14 @@ def _charge_budget() -> None:
 
 
 # ---------------------------------------------------------------------------
-# simplex engine
+# fraction-free elimination
 #
-# Each tableau row is a list of int numerators with the right-hand side
-# last. Its denominator is its entry in its basic column, always > 0, so
-# the rows hold exactly the rationals of a Fraction tableau and every
-# sign test and ratio comparison, hence every pivot, is the same. Rows
-# are reduced in loops rather than by gcd(*row): a starred call leaves
-# its argument tuple on CPython's free list for that size.
+# _pivot is the package's one row elimination: the simplex, facet
+# kernels (sets._kernel_vector) and invert_matrix pivot through it. A
+# row of ints stands for itself over a nonzero scale; a gcd cut is a
+# positive one, so it moves no ratio or sign. Rows are reduced in loops,
+# not by gcd(*row): a starred call leaves its argument tuple on
+# CPython's free list.
 
 def _reduced(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries."""
@@ -125,6 +126,35 @@ def _reduced(row: list[int]) -> list[int]:
     return [a // g for a in row] if g > 1 else row
 
 
+def _pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Clear column c outside row r, in place: every other row becomes
+    row * p - f * rows[r], cut by its gcd, where p = rows[r][c] and f is
+    the row's own entry in column c. Row r is left as it is."""
+    rowp = rows[r]
+    p = rowp[c]
+    for k, row in enumerate(rows):
+        f = row[c]
+        if f and k != r:
+            rows[k] = _reduced([a * p - f * b for a, b in zip(row, rowp)])
+
+
+def _int_row(values) -> list[int]:
+    """Rationals (ints or Fractions) times the lcm of their denominators."""
+    den = 1
+    for a in values:
+        den = lcm(den, a.denominator)
+    return [a.numerator * (den // a.denominator) for a in values]
+
+
+# ---------------------------------------------------------------------------
+# simplex engine
+#
+# Each tableau row is a list of int numerators with the right-hand side
+# last. Its denominator is its entry in its basic column, always > 0, so
+# the rows hold exactly the rationals of a Fraction tableau and every
+# sign test and ratio comparison, hence every pivot, is the same. The
+# reduced costs of the phase-1 objective are the last row; _pivot
+# multiplies rows by the pivot, which is > 0, so no sign moves.
 def _simplex(system: LinearSystem) -> Optional[Point]:
     """Phase-1 simplex: a feasible point of the system, or None.
 
@@ -194,8 +224,9 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
             basis[i] = k
         T.append(row)
 
-    # reduced costs of the sum of artificials with -objective last, over
-    # the common denominator of the artificial rows (a positive scale)
+    # the last tableau row T[m]: reduced costs of the sum of artificials
+    # with -objective last, over the common denominator of the artificial
+    # rows (a positive scale)
     common = 1
     for i in art_rows:
         common = lcm(common, T[i][basis[i]])
@@ -205,10 +236,11 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
         r = [a - f * c for a, c in zip(r, T[i])]
     for k in art_col.values():
         r[k] = 0
-    r = _reduced(r)
+    T.append(_reduced(r))
 
     while True:
         enter = -1
+        r = T[m]
         for j in range(total_cols):
             if r[j] < 0:
                 enter = j
@@ -228,19 +260,10 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_b, best_a = i, T[i][-1], a
         # the phase-1 objective is bounded below by 0, so some row leaves;
-        # the pivot row stays as it is, with piv as its new denominator
-        rowp = T[leave]
-        piv = rowp[enter]
-        for k in range(m):
-            if k != leave:
-                row = T[k]
-                f = row[enter]
-                if f:
-                    T[k] = _reduced([a * piv - f * c for a, c in zip(row, rowp)])
-        f = r[enter]
-        r = _reduced([a * piv - f * c for a, c in zip(r, rowp)])
+        # the pivot row stays as it is, with its entry as its new denominator
+        _pivot(T, leave, enter)
         basis[leave] = enter
-    if r[-1]:
+    if T[m][-1]:
         return None
 
     # artificials still basic sit at value 0; the point reads off the rest
@@ -266,28 +289,20 @@ def lp_feasible(system: LinearSystem) -> tuple[bool, Optional[Point]]:
 # exact dense linear algebra
 
 def invert_matrix(mat: Matrix) -> Matrix:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
+    """Exact inverse of a square rational matrix: fraction-free
+    Gauss-Jordan on [mat | I], each row scaled to ints."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise MalformedInputError("matrix not square")
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
+    aug = [_int_row([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(mat)]
     for col in range(n):
-        sel = -1
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(col, n) if aug[i][col]), -1)
         if sel < 0:
             raise MalformedInputError("singular matrix")
         aug[col], aug[sel] = aug[sel], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * c for a, c in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        _pivot(aug, col, col)
+    # row i reads diag_i * (row i of the inverse)
+    return tuple(tuple(Fraction(a, row[i]) for a in row[n:]) for i, row in enumerate(aug))
 
 
 def completed_basis_matrix(v: Point) -> Matrix:

@@ -400,51 +400,36 @@ def pierce_via_projection(
 # counterexample verifier
 
 def _case_prediction(
-    fam: Family,
-    tup: tuple[int, ...],
-    n_unbounded: int,
-    d: int,
-    k: int,
-    scp_cache: dict,
-    member_cache: dict,
+    fam: Family, tup: tuple[int, ...], n_unbounded: int, d: int, k: int, masks: dict
 ) -> tuple[int, bool]:
     """Classify one tuple by the number of escaping members it contains
-    and confirm the predicted intersecting subfamily by direct
-    membership certificates. Returns (case, confirmed)."""
+    and confirm the predicted intersecting subfamily, of at least
+    d + 1 + k members, by direct membership certificates. Returns
+    (case, confirmed). A case's point has an int key: the sorted
+    escaping indices whose simplices it is common to, or the far point's
+    n; masks maps it to the bitmask of the members holding the point,
+    which for a far point are tried among the escaping members only."""
     a_idx = [i for i in tup if i < n_unbounded]
-    b_idx = [i for i in tup if i >= n_unbounded]
     i = len(a_idx)
-
-    def member(idx: int, pt: Point) -> bool:
-        key = (idx, pt)
-        if key not in member_cache:
-            member_cache[key] = contains_point(fam.sets[idx], pt)
-        return member_cache[key]
-
-    def embedded_common_point(alphas: tuple[Fraction, ...]) -> Point:
-        if alphas not in scp_cache:
-            scp_cache[alphas] = (Fraction(0),) + simplex_common_point(alphas)
-        return scp_cache[alphas]
-
     if i <= d:
-        if i == 0:
-            pt: Point = tuple(Fraction(0) for _ in range(d + 1))
+        # padded to d alphas with the largest, 1/(a_idx[0] + 2)
+        case, key, asked = 1, tuple(a_idx[:1] * (d - i) + a_idx), tup
+    elif i <= d + k:
+        case, key = 2, tuple(a_idx[:d])
+        asked = a_idx[:d] + [j for j in tup if j >= n_unbounded]
+    else:
+        case, key, asked = 3, a_idx[-1] + 2, a_idx
+    mask = masks.get(key)
+    if mask is None:
+        if case == 3:
+            pt: Point = (Fraction(key),) + (Fraction(0),) * d
+            members = range(n_unbounded)
         else:
-            alphas = sorted(Fraction(1, idx + 2) for idx in a_idx)
-            padded = tuple(sorted(alphas + [alphas[-1]] * (d - i)))
-            pt = embedded_common_point(padded)
-        return 1, all(member(idx, pt) for idx in tup)
-    if i <= d + k:
-        chosen = a_idx[:d]
-        alphas = tuple(sorted(Fraction(1, idx + 2) for idx in chosen))
-        pt = embedded_common_point(alphas)
-        predicted = chosen + b_idx
-        if len(predicted) < d + 1 + k:
-            return 2, False
-        return 2, all(member(idx, pt) for idx in predicted)
-    far_n = max(idx + 2 for idx in a_idx)
-    pt = tuple(Fraction(far_n if c == 0 else 0) for c in range(d + 1))
-    return 3, all(member(idx, pt) for idx in a_idx)
+            alphas = sorted(Fraction(1, j + 2) for j in key)
+            pt = (Fraction(0),) + (simplex_common_point(alphas) if key else (Fraction(0),) * d)
+            members = range(len(fam))
+        mask = masks[key] = sum(1 << j for j in members if contains_point(fam.sets[j], pt))
+    return case, all(mask >> j & 1 for j in asked)
 
 
 def verify_counterexample(
@@ -552,10 +537,9 @@ def _classification_sweep(
 ) -> tuple[dict[str, int], Optional[tuple[int, ...]]]:
     counts = {"1": 0, "2": 0, "3": 0}
     first_bad = None
-    scp_cache: dict = {}  # points repeat heavily across the tuples of one k
-    member_cache: dict = {}
+    masks: dict = {}  # points repeat heavily across the tuples of one k
     for tup in combinations(range(len(fam)), p):
-        case, ok = _case_prediction(fam, tup, n_unbounded, d, k, scp_cache, member_cache)
+        case, ok = _case_prediction(fam, tup, n_unbounded, d, k, masks)
         counts[str(case)] += 1
         if not ok and first_bad is None:
             first_bad = tup

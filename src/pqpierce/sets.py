@@ -25,7 +25,7 @@ from math import comb, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import EmptySetError, MalformedInputError
-from .lp import LE, EQ, Constraint, LinearSystem, _reduced, lp_feasible
+from .lp import LE, EQ, Constraint, LinearSystem, _int_row, _pivot, _reduced, lp_feasible
 from .rational import (
     Matrix,
     Point,
@@ -90,9 +90,10 @@ class VRep:
         return _facets(self.points, self.rays)
 
 
-def _kernel_vector(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
-    """A nonzero solution of rows . x = 0 when the rows have rank one
-    less than their length, else None (Gauss-Jordan, in place)."""
+def _kernel_vector(rows: list[list[int]]) -> Optional[list[int]]:
+    """A nonzero int solution of rows . x = 0 when the rows have rank one
+    less than their length, else None (fraction-free Gauss-Jordan on the
+    list, whose rows it replaces but never mutates)."""
     n = len(rows[0])
     pivots: list[int] = []
     for c in range(n):
@@ -101,18 +102,19 @@ def _kernel_vector(rows: list[list[Fraction]]) -> Optional[list[Fraction]]:
         if r is None:
             continue
         rows[k], rows[r] = rows[r], rows[k]
-        p = Fraction(rows[k][c])  # int coordinates must not divide to floats
-        rows[k] = [a / p for a in rows[k]]
-        for i, row in enumerate(rows):
-            if i != k and row[c]:
-                rows[i] = [a - row[c] * b for a, b in zip(row, rows[k])]
+        _pivot(rows, k, c)
         pivots.append(c)
     if len(pivots) < n - 1:
         return None
     free = next(c for c in range(n) if c not in pivots)
-    x = [Fraction(c == free) for c in range(n)]
+    # pivot row k reads p_k * x[c_k] + rows[k][free] * x[free] = 0
+    den = 1
     for k, c in enumerate(pivots):
-        x[c] = -rows[k][free]
+        den = lcm(den, rows[k][c])
+    x = [0] * n
+    x[free] = den
+    for k, c in enumerate(pivots):
+        x[c] = -rows[k][free] * (den // rows[k][c])
     return x
 
 
@@ -121,23 +123,21 @@ def _facets(points: tuple[Point, ...], rays: tuple[Point, ...]) -> Optional[tupl
     (Motzkin, Raiffa, Thompson and Thrall 1953; Avis and Fukuda 1992):
     a facet's hyperplane a.x = b holds d generators, a point among them,
     that fix (a, b) up to scale, with all points on one side and all rays
-    pointing into it. One holding every generator: lower-dimensional."""
+    pointing into it. One holding every generator: lower-dimensional.
+    Generators are int rows [p, -1] and [r, 0], scaled by positive ints."""
     d = len(points[0])
-    gens = points + rays
-    if comb(len(gens), d) > FACET_SUBSET_CAP:
+    if comb(len(points) + len(rays), d) > FACET_SUBSET_CAP:
         return None
+    gens = [_int_row([*p, -1]) for p in points] + [_int_row([*r, 0]) for r in rays]
     out: dict[tuple[int, ...], Halfspace] = {}
     for sub in combinations(range(len(gens)), d):
         if sub[0] >= len(points):
             break  # combinations come in lex order: no later one holds a point
-        ab = _kernel_vector([[*gens[i], Fraction(-1 if i < len(points) else 0)] for i in sub])
+        ab = _kernel_vector([gens[i] for i in sub])
         if ab is None:
             continue
-        den = 1
-        for a in ab:
-            den = lcm(den, a.denominator)
-        row = _reduced([a.numerator * (den // a.denominator) for a in ab])
-        sides = [dot(row[:-1], p) - row[-1] for p in points] + [dot(row[:-1], r) for r in rays]
+        row = _reduced(ab)
+        sides = [sum(a * g for a, g in zip(row, gen)) for gen in gens]
         lo, hi = min(sides), max(sides)
         if lo == hi == 0:
             return None

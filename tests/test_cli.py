@@ -415,7 +415,31 @@ class TestPipelines:
 
 class TestPlumbing:
     def test_unknown_subcommand_exit_two(self, capsys):
-        assert cmd_dispatch(["frobnicate"]) == 2
+        # usage errors: JSON on stdout, argparse's usage text on stderr
+        for argv in (["frobnicate"],
+                     ["construct", "simplex", "--d", "3", "--alphas", "1/2", "1/3"],
+                     ["check", "pq", "--p", "2"]):
+            assert cmd_dispatch(argv) == 2
+            captured = capsys.readouterr()
+            assert set(json.loads(captured.out)) == {"error"}, argv
+            assert captured.err.startswith("usage:"), argv
+        assert cmd_dispatch(["construct", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "gruenbaum", "--n-max", "100000000"],
+        ["construct", "counterexample", "--d", "1", "--n-max", "100000000", "--n-bounded", "1"],
+        ["pipeline", "counterexample", "--d", "1", "--n-max", "100000000", "--n-bounded", "1",
+         "--k-max", "0"],
+        ["construct", "counterexample", "--d", "20", "--n-max", "3", "--n-bounded", "1"],
+        ["construct", "simplex", "--d", "100000000", "--alphas", "1/2"],
+        ["construct", "simplex", "--d", "2", "--count", "2000000000", "--max-den", "1000000000"],
+        ["construct", "free-flats", "--d", "60", "--k", "60", "--count", "2"],
+        ["construct", "free-flats", "--d", str(10**18), "--k", str(10**18), "--count", "2"],
+    ])
+    def test_oversized_construction_rejected_before_building(self, capsys, argv):
+        code, out = run(argv, capsys)
+        assert (code, set(json.loads(out))) == (2, {"error"})
 
     def test_missing_file_exit_two(self, capsys):
         code, out = run(["check", "pq", "--p", "2", "--q", "2",

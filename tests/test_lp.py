@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqpierce.errors import BudgetExhaustedError
+from pqpierce.errors import BudgetExhaustedError, MalformedInputError
 from pqpierce.lp import (
     LE,
     LinearSystem,
@@ -299,3 +299,51 @@ def test_witness_equals_fraction_tableau(system):
     assert x == expected
     if ok:
         assert _satisfies(system, x)
+
+
+# --- differential test of invert_matrix against a Fraction Gauss-Jordan ------
+
+def _fraction_inverse(mat):
+    """Reference: Gauss-Jordan on [mat | I] over Fractions, swapping in
+    the first row with a nonzero entry in each column; None if singular."""
+    n = len(mat)
+    aug = [[F(a) for a in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        sel = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if sel is None:
+            return None
+        aug[col], aug[sel] = aug[sel], aug[col]
+        pv = aug[col][col]
+        aug[col] = [a / pv for a in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f != 0:
+                aug[i] = [a - f * c for a, c in zip(aug[i], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+# zeros make row swaps common, negatives make negative pivots
+_ENTRIES = tuple(F(a) for a in (0, 0, 1, -1, 2, -3, "1/2", "-2/3", "3/4", "-5/6", "5/3", "-7/2"))
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    flat = draw(st.lists(st.sampled_from(_ENTRIES), min_size=n * n, max_size=n * n))
+    return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices())
+@example(((F(0), F(1), F(-2, 3)), (F(1, 2), F(-1, 3), F(2)), (F(-1), F(0), F(1, 2))))
+@example(((F(0), F(0), F(-3)), (F(0), F(-1, 2), F(1)), (F(-2, 5), F(1), F(0))))
+@example(((F(1), F(2)), (F(1, 2), F(1))))  # singular
+def test_invert_matrix_equals_fraction_gauss_jordan(mat):
+    expected = _fraction_inverse(mat)
+    if expected is None:
+        with pytest.raises(MalformedInputError):
+            invert_matrix(mat)
+        return
+    got = invert_matrix(mat)
+    assert got == expected
+    assert all(type(a) is F for row in got for a in row)

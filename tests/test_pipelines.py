@@ -1,19 +1,24 @@
 """End-to-end checks for the piercing pipelines on small instances
 where the exact piercing number is known independently."""
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+
+import pqpierce.pipelines
 
 from pqpierce.constructions import (
     CounterexampleSpec,
     counterexample_family,
     family_A,
     family_B,
+    simplex_common_point,
 )
 from pqpierce.errors import EmptySetError, MalformedInputError
 from pqpierce.lp import completed_basis_matrix, invert_matrix, lp_budget
 from pqpierce.piercing import piercing_number
 from pqpierce.pipelines import (
+    _classification_sweep,
     pierce_via_free_family,
     pierce_via_projection,
     pierce_via_transversal,
@@ -346,3 +351,57 @@ def test_no_joint_query_twice(monkeypatch):
         asked.clear()
         assert run().all_passed
         assert asked and len(set(asked)) == len(asked)
+
+
+# --- the case sweep against a reference without masks -------------------------
+
+def reference_sweep(fam, p, d, k, n_unbounded):
+    """The three-case classification of every p-tuple, each point built
+    and each membership asked afresh (through pipelines.contains_point,
+    so a patch there reaches both sweeps)."""
+    counts = {"1": 0, "2": 0, "3": 0}
+    first_bad = None
+    for tup in combinations(range(len(fam)), p):
+        a_idx = [i for i in tup if i < n_unbounded]
+        b_idx = [i for i in tup if i >= n_unbounded]
+        if len(a_idx) <= d:
+            case, asked, pt = 1, tup, (F(0),) * (d + 1)
+            if a_idx:  # padded to d alphas with the largest
+                alphas = [F(1, i + 2) for i in a_idx]
+                alphas += [max(alphas)] * (d - len(a_idx))
+                pt = (F(0),) + simplex_common_point(sorted(alphas))
+        elif len(a_idx) <= d + k:
+            case, asked = 2, a_idx[:d] + b_idx
+            pt = (F(0),) + simplex_common_point(sorted(F(1, i + 2) for i in a_idx[:d]))
+        else:
+            case, asked = 3, a_idx
+            pt = (F(max(a_idx) + 2),) + (F(0),) * d
+        counts[str(case)] += 1
+        ok = not (case == 2 and len(asked) < d + 1 + k) and all(
+            pqpierce.pipelines.contains_point(fam.sets[i], pt) for i in asked)
+        if not ok and first_bad is None:
+            first_bad = tup
+    return counts, first_bad
+
+
+@pytest.mark.parametrize("deny", [False, True])
+def test_classification_sweep_matches_reference(monkeypatch, deny):
+    bad = 0
+    for d in (1, 2):
+        for n_max in range(3, 7):
+            for n_bounded in range(4):
+                fam = counterexample_family(CounterexampleSpec(d, n_max, n_bounded))
+                if deny:  # the last member holds no point at all
+                    denied = fam.sets[-1]
+                    monkeypatch.setattr(
+                        pqpierce.pipelines, "contains_point",
+                        lambda s, x: s is not denied and contains_point(s, x),
+                    )
+                k = 0
+                while d + 1 + 2 * k <= len(fam):
+                    args = (fam, d + 1 + 2 * k, d, k, n_max - 1)
+                    got = _classification_sweep(*args)
+                    assert got == reference_sweep(*args), (d, n_max, n_bounded, k)
+                    bad += got[1] is not None
+                    k += 1
+    assert (bad > 0) == deny  # no real spec reaches first_bad
