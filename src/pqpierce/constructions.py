@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import MalformedInputError
@@ -206,6 +207,8 @@ def free_flats_family(
     # the first call bounds d, hence k, before 2^(k-1), the points of a member
     check_family_size(count, d)
     check_family_size(count << (k - 1), d)
+    # the k-freeness check reads the 2^(k-1) points of k+1 members per subset
+    check_family_size(comb(count, k + 1) * (k + 1) << (k - 1), d)
     r = rat(radius)
     if r <= 0:
         raise MalformedInputError("radius must be positive")
@@ -244,6 +247,8 @@ def escape_witness(
     that the candidates pierce everything)."""
     if n_cap < 2:
         raise MalformedInputError("need n_cap >= 2")
+    # the loop builds A_2..A_{n_cap}, counted as CounterexampleSpec counts them
+    check_family_size((n_cap - 1) * (spec.d + 2), spec.ambient_dim)
     cands = [point(p) for p in points]
     for c in cands:
         if len(c) != spec.ambient_dim:

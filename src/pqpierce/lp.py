@@ -3,9 +3,10 @@
 Feasibility of systems of linear equations and inequalities with
 optional per-variable nonnegativity. The engine is the first phase of a
 dense primal simplex with Bland's rule, so it never cycles and is fully
-deterministic. The public surface speaks Fraction; constraint
-coefficients and right-hand sides may also be ints, as the rows of a
-V-rep's facets are. One fraction-free elimination step (Edmonds 1967;
+deterministic. A constraint's row stays sparse, terms from variable
+index to nonzero coefficient, from the set block that builds it to the
+simplex's tableau row; coefficients and right-hand sides are ints or
+Fractions, witnesses Fractions. One fraction-free elimination step (Edmonds 1967;
 Bareiss 1968), _pivot, serves the simplex tableau, the kernels behind a
 V-rep's facets and matrix inverses: rows are plain ints, cut by their
 gcd after every pivot, so the simplex makes exactly the pivots and
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import BudgetExhaustedError, MalformedInputError
 from .rational import Matrix, Point, RatLike, rat
@@ -26,13 +27,16 @@ LE = "<="
 EQ = "="
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
-    """One linear constraint: coeffs . x  <=|=  rhs."""
+    """One linear constraint: the sum of a * x_j over terms {j: a}  <=|=  rhs.
 
-    coeffs: Point
+    Unnamed variables have coefficient 0; coefficients and rhs are ints
+    or Fractions. le and eq build one from a dense list, dropping zeros."""
+
+    terms: Mapping[int, int | Fraction]
     relation: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def __post_init__(self):
         if self.relation not in (LE, EQ):
@@ -40,11 +44,11 @@ class Constraint:
 
 
 def le(coeffs: Iterable[RatLike], rhs: RatLike) -> Constraint:
-    return Constraint(tuple(rat(c) for c in coeffs), LE, rat(rhs))
+    return Constraint({j: a for j, c in enumerate(coeffs) if (a := rat(c))}, LE, rat(rhs))
 
 
 def eq(coeffs: Iterable[RatLike], rhs: RatLike) -> Constraint:
-    return Constraint(tuple(rat(c) for c in coeffs), EQ, rat(rhs))
+    return Constraint({j: a for j, c in enumerate(coeffs) if (a := rat(c))}, EQ, rat(rhs))
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,8 @@ class LinearSystem:
         if self.dim < 0:
             raise MalformedInputError("negative dimension")
         for c in self.constraints:
-            if len(c.coeffs) != self.dim:
-                raise MalformedInputError(
-                    f"constraint arity {len(c.coeffs)} != dim {self.dim}"
-                )
+            if c.terms and not 0 <= min(c.terms) <= max(c.terms) < self.dim:
+                raise MalformedInputError(f"constraint names a variable outside 0..{self.dim - 1}")
         for j in self.nonneg:
             if not 0 <= j < self.dim:
                 raise MalformedInputError(f"nonneg index {j} out of range")
@@ -201,17 +203,16 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
     basis: list[int] = [-1] * m
     for i, c in enumerate(cons):
         den = c.rhs.denominator
-        for a in c.coeffs:
+        for a in c.terms.values():
             den = lcm(den, a.denominator)
         scale = -den if c.rhs < 0 else den
         row = [0] * (total_cols + 1)
-        for j, a in enumerate(c.coeffs):
-            if a:
-                v = a.numerator * (scale // a.denominator)
-                row[col_pos[j]] = v
-                jn = col_neg[j]
-                if jn is not None:
-                    row[jn] = -v
+        for j, a in c.terms.items():
+            v = a.numerator * (scale // a.denominator)
+            row[col_pos[j]] = v
+            jn = col_neg[j]
+            if jn is not None:
+                row[jn] = -v
         j = slack_col.get(i)
         if j is not None:
             row[j] = scale

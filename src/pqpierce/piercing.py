@@ -21,10 +21,12 @@ from .sets import Family, HRep, contains_point, intersect_nonempty, is_bounded, 
 class IntersectionOracle:
     """Memoized joint-intersection queries on one family.
 
-    Results propagate through the subset order: an intersecting index
-    set certifies all its subsets, an empty one condemns all supersets.
-    Only LP-computed results seed those closures, so the scan stays
-    short.
+    One map holds every known answer: a key (a frozenset of member
+    indices) maps to its witness point when the members intersect and
+    to None when they do not. Results propagate through the subset
+    order: an intersecting index set certifies all its subsets with its
+    own witness, an empty one condemns all supersets. Only LP-computed
+    results seed those closures, so the scan stays short.
 
     A query that joins a fixed set to members (a truncating box, the
     hull of a selection) goes to an oracle whose family has that set as
@@ -34,47 +36,33 @@ class IntersectionOracle:
 
     def __init__(self, fam: Family):
         self.fam = fam
-        self._memo: dict[frozenset, bool] = {}
-        self._points: dict[frozenset, Point] = {}
+        self._answers: dict[frozenset, Optional[Point]] = {}
         self._true_seeds: list[frozenset] = []
         self._false_seeds: list[frozenset] = []
-
-    def _lookup(self, key: frozenset) -> Optional[bool]:
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        for seed in self._true_seeds:
-            if key <= seed:
-                self._memo[key] = True
-                self._points[key] = self._points[seed]
-                return True
-        for seed in self._false_seeds:
-            if seed <= key:
-                self._memo[key] = False
-                return False
-        return None
 
     def intersecting(self, indices: Iterable[int]) -> bool:
         key = frozenset(indices)
         if not key:
             raise MalformedInputError("empty index set")
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
+        if key in self._answers:
+            return self._answers[key] is not None
+        for seed in self._true_seeds:
+            if key <= seed:
+                self._answers[key] = self._answers[seed]
+                return True
+        for seed in self._false_seeds:
+            if seed <= key:
+                self._answers[key] = None
+                return False
         ok, witness = intersect_nonempty(self.fam, sorted(key))
-        self._memo[key] = ok
-        if ok:
-            self._points[key] = witness
-            self._true_seeds.append(key)
-        else:
-            self._false_seeds.append(key)
+        self._answers[key] = witness
+        (self._true_seeds if ok else self._false_seeds).append(key)
         return ok
 
     def witness(self, indices: Iterable[int]) -> Optional[Point]:
         key = frozenset(indices)
-        if not self.intersecting(key):
-            return None
-        return self._points[key]
+        self.intersecting(key)  # answers the key, by LP if need be
+        return self._answers[key]
 
     @property
     def lp_results(self) -> int:

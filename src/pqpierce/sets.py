@@ -261,13 +261,15 @@ def family(sets: Sequence[ConvexSet]) -> Family:
 # data: rows with zero offsets, or generators without points. Only a
 # generator block ever meets a point pinned to constants, since
 # membership of a pinned point in rows is decided by substitution.
+# Each block row is an lp.Constraint over its nonzero terms alone, and
+# the simplex fills its tableau row from them: no dense row is built.
 
 
 class _SysBuilder:
     def __init__(self):
         self.nvars = 0
         self.nonneg: set[int] = set()
-        self.rows: list[tuple[str, dict[int, RatLike], RatLike]] = []
+        self.rows: list[Constraint] = []
 
     def vars(self, k: int, nonneg: bool = False) -> list[int]:
         new = list(range(self.nvars, self.nvars + k))
@@ -277,16 +279,10 @@ class _SysBuilder:
         return new
 
     def add(self, relation: str, terms: dict[int, RatLike], rhs: RatLike):
-        self.rows.append((relation, terms, rhs))
+        self.rows.append(Constraint(terms, relation, rhs))
 
     def system(self) -> LinearSystem:
-        cons = []
-        for relation, terms, rhs in self.rows:
-            coeffs = [0] * self.nvars
-            for j, a in terms.items():
-                coeffs[j] = a  # a row names each variable once
-            cons.append(Constraint(tuple(coeffs), relation, rhs))
-        return LinearSystem(self.nvars, tuple(cons), frozenset(self.nonneg))
+        return LinearSystem(self.nvars, tuple(self.rows), frozenset(self.nonneg))
 
 
 def _rows(s: ConvexSet) -> Optional[tuple[Halfspace, ...]]:

@@ -436,9 +436,17 @@ class TestPlumbing:
         ["construct", "simplex", "--d", "2", "--count", "2000000000", "--max-den", "1000000000"],
         ["construct", "free-flats", "--d", "60", "--k", "60", "--count", "2"],
         ["construct", "free-flats", "--d", str(10**18), "--k", str(10**18), "--count", "2"],
+        # work after building: the k-freeness scan and the escape search
+        ["construct", "free-flats", "--d", "6", "--k", "6", "--count", "500"],
+        ["escape", "--d", "1", "--n-max", "3", "--n-bounded", "0", "--n-cap", "100000000",
+         "--points", "PTS"],
+        ["pipeline", "counterexample", "--d", "1", "--n-max", "3", "--n-bounded", "0",
+         "--k-max", "0", "--n-cap", "100000000", "--points", "PTS"],
     ])
-    def test_oversized_construction_rejected_before_building(self, capsys, argv):
-        code, out = run(argv, capsys)
+    def test_oversized_construction_rejected_before_building(self, tmp_path, capsys, argv):
+        pts = tmp_path / "pts.json"  # a point inside every A_n up to n = 10^9
+        pts.write_text(json.dumps({"points": [[10**9, 0]]}))
+        code, out = run([str(pts) if a == "PTS" else a for a in argv], capsys)
         assert (code, set(json.loads(out))) == (2, {"error"})
 
     def test_missing_file_exit_two(self, capsys):

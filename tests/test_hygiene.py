@@ -1,5 +1,6 @@
 """Source hygiene: every name a module or test file imports is used in
-that file, and joint-intersection LPs are asked only through the oracle.
+that file, joint-intersection LPs are asked only through the oracle, and
+LP rows and systems are built only by the row builders.
 
 `__init__.py` re-exports by importing, and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -65,3 +66,53 @@ def test_detector_flags_a_joint_lp_call():
 def test_joint_intersection_only_through_the_oracle(path):
     # IntersectionOracle in piercing.py is the one caller of the joint LP
     assert joint_lp_references(path.read_text(encoding="utf-8")) == []
+
+
+def construction_sites(source: str) -> list[tuple[str, str, int]]:
+    """(class, enclosing def or class path, line) for every call that
+    constructs a Constraint or a LinearSystem; the path is "" at module
+    level."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("Constraint", "LinearSystem"):
+                    sites.append((name, scope, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_detector_flags_a_row_construction():
+    source = (
+        "def le(c, r): return Constraint(c, LE, r)\n"
+        "class _SysBuilder:\n"
+        "    def system(self):\n"
+        "        return lp.LinearSystem(0, ())\n"
+        "row = Constraint({}, EQ, 0)\n"
+    )
+    assert construction_sites(source) == [
+        ("Constraint", "le", 1), ("LinearSystem", "_SysBuilder.system", 4), ("Constraint", "", 5),
+    ]
+
+
+# the one path of an LP row: dense lists through lp.le/lp.eq, set blocks
+# through sets._SysBuilder, whose system() alone makes a LinearSystem
+ROW_BUILDERS = {
+    "Constraint": ("lp.le", "lp.eq", "sets._SysBuilder"),
+    "LinearSystem": ("sets._SysBuilder.system",),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_lp_rows_built_only_by_the_row_builders(path):
+    for cls, scope, line in construction_sites(path.read_text(encoding="utf-8")):
+        where = f"{path.stem}.{scope}"
+        assert any(where == b or where.startswith(b + ".") for b in ROW_BUILDERS[cls]), (cls, where, line)

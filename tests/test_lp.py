@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from pqpierce.errors import BudgetExhaustedError, MalformedInputError
 from pqpierce.lp import (
+    EQ,
     LE,
+    Constraint,
     LinearSystem,
     completed_basis_matrix,
     eq,
@@ -85,6 +87,34 @@ def test_budget_exhaustion_raises():
     assert ok
 
 
+# --- the sparse row format ----------------------------------------------------
+
+@pytest.mark.parametrize("var", [-1, 2])
+def test_system_rejects_a_term_outside_its_variables(var):
+    with pytest.raises(MalformedInputError):
+        LinearSystem(2, (Constraint({0: F(1), var: F(1)}, LE, F(0)),))
+
+
+def test_dense_rows_drop_zeros_and_match_terms():
+    dense = (le([0, 2, 0, -1], F(1, 2)), eq([F(1, 3), 0, 0, 1], 1), le([0, 0, -1, 0], 0))
+    assert [c.terms for c in dense] == [{1: 2, 3: -1}, {0: F(1, 3), 3: 1}, {2: -1}]
+    sparse = (  # int coefficients where the dense rows hold Fractions
+        Constraint({1: 2, 3: -1}, LE, F(1, 2)),
+        Constraint({0: F(1, 3), 3: 1}, EQ, 1),
+        Constraint({2: -1}, LE, 0),
+    )
+    for nonneg in (frozenset(), frozenset({1, 2})):
+        ok, x = lp_feasible(LinearSystem(4, dense, nonneg))
+        assert ok and lp_feasible(LinearSystem(4, sparse, nonneg)) == (True, x)
+
+
+def test_dense_row_longer_than_dim_with_trailing_zeros_is_accepted():
+    # a dense row names only the variables of its nonzero coefficients
+    assert lp_feasible(LinearSystem(1, (le([1, 0, 0], -1),))) == (True, (F(-1),))
+    with pytest.raises(MalformedInputError):
+        LinearSystem(1, (le([1, 0, 2], -1),))
+
+
 def test_invert_matrix_roundtrip():
     m = tuple((rat(1), rat(2)) for _ in range(1)) + ((rat(3), rat(5)),)
     inv = invert_matrix(m)
@@ -116,7 +146,7 @@ def _random_system(rng: random.Random) -> LinearSystem:
 
 def _satisfies(sys: LinearSystem, x) -> bool:
     for c in sys.constraints:
-        v = sum((a * xi for a, xi in zip(c.coeffs, x)), F(0))
+        v = sum((a * x[j] for j, a in c.terms.items()), F(0))
         if c.relation == "<=" and not v <= c.rhs:
             return False
         if c.relation == "=" and v != c.rhs:
@@ -141,9 +171,10 @@ def test_adding_a_constraint_never_revives_feasibility():
     for _ in range(200):
         sys = _random_system(rng)
         ok, _ = lp_feasible(sys)
-        extra = _random_system(rng).constraints[0]
-        if len(extra.coeffs) != sys.dim:
+        other = _random_system(rng)
+        if other.dim != sys.dim:
             continue
+        extra = other.constraints[0]
         bigger = LinearSystem(sys.dim, sys.constraints + (extra,), sys.nonneg)
         ok2, _ = lp_feasible(bigger)
         if not ok:
@@ -194,7 +225,7 @@ def _fraction_simplex(system: LinearSystem):
     T, b = [], []
     for i, c in enumerate(system.constraints):
         row = [F(0)] * base_cols
-        for j, a in enumerate(c.coeffs):
+        for j, a in c.terms.items():
             if a:
                 row[col_pos[j]] = a
                 if col_neg[j] is not None:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqpierce.errors import EmptySetError, MalformedInputError
-from pqpierce.lp import EQ, Constraint, LinearSystem, completed_basis_matrix, invert_matrix, lp_feasible
+from pqpierce.lp import LinearSystem, completed_basis_matrix, eq, invert_matrix, lp_feasible
 from pqpierce.rational import dot, point, rat
 from pqpierce.sets import (
     MAX_DIM,
@@ -358,8 +358,8 @@ def multiplier_lp_member(pts, rays, x):
     """x in conv(pts) + cone(rays), as the LP over the multipliers."""
     m, k = len(pts), len(rays)
     gens = list(pts) + list(rays)
-    rows = [Constraint(tuple(Fraction(g[i]) for g in gens), EQ, Fraction(x[i])) for i in range(len(x))]
-    rows.append(Constraint((Fraction(1),) * m + (Fraction(0),) * k, EQ, Fraction(1)))
+    rows = [eq([g[i] for g in gens], x[i]) for i in range(len(x))]
+    rows.append(eq([1] * m + [0] * k, 1))
     return lp_feasible(LinearSystem(m + k, tuple(rows), frozenset(range(m + k))))[0]
 
 
