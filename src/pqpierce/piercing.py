@@ -10,23 +10,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
 from .hypergraph import Hypergraph, hypergraph
+from .lp import _int_row
 from .rational import Point, point_json
-from .sets import Family, HRep, contains_point, intersect_nonempty, is_bounded, is_empty
+from .sets import Family, HRep, _rows, contains_point, intersect_nonempty, is_bounded, is_empty
 
 
 class IntersectionOracle:
     """Memoized joint-intersection queries on one family.
 
-    One map holds every known answer: a key (a frozenset of member
-    indices) maps to its witness point when the members intersect and
-    to None when they do not. Results propagate through the subset
-    order: an intersecting index set certifies all its subsets with its
-    own witness, an empty one condemns all supersets. Only LP-computed
-    results seed those closures, so the scan stays short.
+    A key is an int bitmask over member indices. One map holds every
+    known answer: a key maps to its witness point when the members
+    intersect and to None when they do not. Two closures answer keys
+    that no LP asked:
+
+    - after each feasible LP, its witness w is substituted into every
+      member with rows (an H-rep's halfspaces, a V-rep's facets), in
+      ints: w as numerators over one denominator, each member's rows
+      scaled once per oracle. The mask of the members holding w, with
+      the LP's own key, certifies every key inside it, with w as the
+      witness;
+    - an LP-infeasible key condemns all its supersets.
+
+    A V-rep without rows joins a mask only through the LP's key. Helly's
+    theorem is not used: a key outside every mask is asked by LP.
 
     A query that joins a fixed set to members (a truncating box, the
     hull of a selection) goes to an oracle whose family has that set as
@@ -36,37 +47,63 @@ class IntersectionOracle:
 
     def __init__(self, fam: Family):
         self.fam = fam
-        self._answers: dict[frozenset, Optional[Point]] = {}
-        self._true_seeds: list[frozenset] = []
-        self._false_seeds: list[frozenset] = []
+        self._answers: dict[int, Optional[Point]] = {}
+        self._masks: list[tuple[int, Point]] = []
+        self._false_seeds: list[int] = []
+        self._int_rows = [
+            None if rows is None else [_int_row([*h.normal, h.offset]) for h in rows]
+            for rows in map(_rows, fam.sets)
+        ]
 
-    def intersecting(self, indices: Iterable[int]) -> bool:
-        key = frozenset(indices)
+    def _key(self, indices: Iterable[int]) -> int:
+        n = len(self.fam)
+        key = 0
+        for i in indices:
+            if not 0 <= i < n:
+                raise MalformedInputError(f"set index {i} out of range")
+            key |= 1 << i
         if not key:
             raise MalformedInputError("empty index set")
+        return key
+
+    def _answer(self, key: int) -> Optional[Point]:
         if key in self._answers:
-            return self._answers[key] is not None
-        for seed in self._true_seeds:
-            if key <= seed:
-                self._answers[key] = self._answers[seed]
-                return True
+            return self._answers[key]
+        for mask, w in self._masks:
+            if key & mask == key:
+                self._answers[key] = w
+                return w
         for seed in self._false_seeds:
-            if seed <= key:
+            if key & seed == seed:
                 self._answers[key] = None
-                return False
-        ok, witness = intersect_nonempty(self.fam, sorted(key))
-        self._answers[key] = witness
-        (self._true_seeds if ok else self._false_seeds).append(key)
-        return ok
+                return None
+        ok, w = intersect_nonempty(self.fam, [i for i in range(key.bit_length()) if key >> i & 1])
+        self._answers[key] = w
+        if ok:
+            self._masks.append((self._mask(key, w), w))
+        else:
+            self._false_seeds.append(key)
+        return w
+
+    def _mask(self, key: int, w: Point) -> int:
+        """key plus every member with rows that holds w."""
+        x = _int_row([*w, -1])  # row . x <= 0 reads normal . w <= offset
+        mask = key
+        for i, rows in enumerate(self._int_rows):
+            if rows is not None and not key >> i & 1 \
+                    and all(sum(map(mul, row, x)) <= 0 for row in rows):
+                mask |= 1 << i
+        return mask
+
+    def intersecting(self, indices: Iterable[int]) -> bool:
+        return self._answer(self._key(indices)) is not None
 
     def witness(self, indices: Iterable[int]) -> Optional[Point]:
-        key = frozenset(indices)
-        self.intersecting(key)  # answers the key, by LP if need be
-        return self._answers[key]
+        return self._answer(self._key(indices))
 
     @property
     def lp_results(self) -> int:
-        return len(self._true_seeds) + len(self._false_seeds)
+        return len(self._masks) + len(self._false_seeds)
 
 
 @dataclass(frozen=True)
@@ -177,7 +214,7 @@ def min_partition(
     raise MalformedInputError("an index is incompatible even on its own")
 
 
-@dataclass
+@dataclass(slots=True)
 class PiercingSolution:
     points: tuple[Point, ...]
     assignment: dict[int, int]

@@ -13,6 +13,7 @@ realizes the same conclusions with computable certificates.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +40,7 @@ from .piercing import (
     piercing_to_json,
     pq_property_scan,
 )
-from .rational import Point, point_json, rat_str
+from .rational import Point, rat_str
 from .sets import (
     ConvexSet,
     Family,
@@ -53,14 +54,18 @@ from .sets import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class HypothesisCheck:
     description: str
     passed: bool
     witness: object = None
 
+    def __post_init__(self):
+        # a run holds many reports that repeat a few texts: share them
+        self.description = sys.intern(self.description)
 
-@dataclass
+
+@dataclass(slots=True)
 class PipelineReport:
     name: str
     inputs: dict
@@ -70,6 +75,11 @@ class PipelineReport:
     conclusion: str
     exhaustive: bool = True
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.conclusion = sys.intern(self.conclusion)
+        if self.bound_claim is not None:
+            self.bound_claim = (sys.intern(self.bound_claim[0]), self.bound_claim[1])
 
     @property
     def all_passed(self) -> bool:
@@ -222,7 +232,7 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
             HypothesisCheck(
                 "remaining members share a common point",
                 helly_point is not None,
-                None if helly_point is None else {"point": point_json(helly_point)},
+                None if helly_point is None else {"point": helly_point},
             )
         )
         if not all(c.passed for c in checks):
@@ -287,7 +297,7 @@ def pierce_via_free_family(
             HypothesisCheck(
                 f"part {j} and the joined selection have a common point",
                 w is not None,
-                {"part": _labels(fam, members), "point": None if w is None else point_json(w)},
+                {"part": _labels(fam, members), "point": w},
             )
         )
         if w is not None:
@@ -375,8 +385,7 @@ def pierce_via_projection(
                 HypothesisCheck(
                     f"part {j} has a common point",
                     w is not None,
-                    {"part": _labels(fam, members),
-                     "point": None if w is None else point_json(w)},
+                    {"part": _labels(fam, members), "point": w},
                 )
             )
             checks.append(_truncated_scan_row(boxed, members, q, f"part {j}"))

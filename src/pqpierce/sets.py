@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
 from .lp import LE, EQ, Constraint, LinearSystem, _int_row, _pivot, _reduced, lp_feasible
@@ -149,14 +149,11 @@ def _facets(points: tuple[Point, ...], rays: tuple[Point, ...]) -> Optional[tupl
     return tuple(out.values()) or None
 
 
-Rep = Union[HRep, VRep]
-
-
 @dataclass(frozen=True)
 class ConvexSet:
     label: str
     dim: int
-    rep: Rep
+    rep: HRep | VRep
 
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
@@ -620,7 +617,7 @@ def change_coordinates(s: ConvexSet, forward: Matrix, inverse: Matrix) -> Convex
     through `inverse` (n . x <= b becomes (n . inverse) . y <= b).
     """
     if isinstance(s.rep, VRep):
-        rep: Rep = VRep(
+        rep: HRep | VRep = VRep(
             tuple(mat_vec(forward, p) for p in s.rep.points),
             tuple(mat_vec(forward, r) for r in s.rep.rays),
         )

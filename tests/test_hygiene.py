@@ -6,6 +6,9 @@ LP rows and systems are built only by the row builders.
 are directives, so both are exempt from the import check.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,24 @@ def test_lp_rows_built_only_by_the_row_builders(path):
     for cls, scope, line in construction_sites(path.read_text(encoding="utf-8")):
         where = f"{path.stem}.{scope}"
         assert any(where == b or where.startswith(b + ".") for b in ROW_BUILDERS[cls]), (cls, where, line)
+
+
+def test_fresh_imports_leave_no_stale_module_copies():
+    # a benchmark that re-imports the package must be able to free the
+    # earlier copies; a typing.Union over package classes, for one, is
+    # kept in typing's cache and keeps its module alive
+    script = (
+        "import gc, importlib, sys\n"
+        "for _ in range(9):\n"
+        "    for name in [m for m in sys.modules if m.partition('.')[0] == 'pqpierce']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('pqpierce')\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, type) and o.__module__ == 'pqpierce.sets'\n"
+        "          and o.__qualname__ == 'ConvexSet' for o in gc.get_objects()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["1"]

@@ -248,12 +248,15 @@ _END = st.integers(-3, 3).map(Fraction) | st.sampled_from([Fraction(1, 2), Fract
 @st.composite
 def boxes_and_queries(draw):
     """Random rational intervals (d = 1) or axis boxes (d = 2), each a
-    V-rep or an H-rep, with random index subsets to ask about."""
+    V-rep or an H-rep, some degenerate, with random index subsets to ask
+    about. A degenerate V-rep is lower-dimensional, so it has no rows."""
     d = draw(st.integers(1, 2))
     n = draw(st.integers(1, 6))
     bounds, sets = [], []
     for i in range(n):
         box = [tuple(sorted((draw(_END), draw(_END)))) for _ in range(d)]
+        if draw(st.booleans()):
+            box[0] = (box[0][0], box[0][0])
         bounds.append(box)
         if draw(st.booleans()):
             sets.append(vrep_set(f"V{i}", product(*box)))
@@ -270,9 +273,14 @@ def boxes_and_queries(draw):
 @settings(max_examples=150, deadline=None)
 @given(boxes_and_queries())
 def test_oracle_matches_coordinate_comparison(case):
+    # each query's superset is asked before it and its subsets after it,
+    # so answers also come from witness masks and from false seeds
     fam, bounds, queries = case
     oracle = IntersectionOracle(fam)
+    asked = [sorted(set().union(*queries))]
     for q in queries:
+        asked += [sorted(q)] + [list(sub) for sub in combinations(sorted(q), len(q) - 1) if sub]
+    for q in asked:
         meet = all(
             max(bounds[i][axis][0] for i in q) <= min(bounds[i][axis][1] for i in q)
             for axis in range(fam.dim)
@@ -282,3 +290,19 @@ def test_oracle_matches_coordinate_comparison(case):
         assert (w is not None) == meet
         if meet:
             assert all(lo <= w[axis] <= hi for i in q for axis, (lo, hi) in enumerate(bounds[i]))
+    for bad in ([-1], [0, len(fam)], [len(fam) + 5]):
+        with pytest.raises(MalformedInputError):
+            oracle.intersecting(bad)
+        with pytest.raises(MalformedInputError):
+            oracle.witness(bad)
+
+
+def test_oracle_mask_takes_a_rowless_member_through_its_key():
+    # the point {1} is a V-rep without rows: no witness is substituted
+    # into it, but an LP key that holds it puts it in that witness's mask
+    fam = family([hrep_set("I", [((1,), 2), ((-1,), 0)]), vrep_set("P", [(1,)])])
+    oracle = IntersectionOracle(fam)
+    assert oracle.witness([0, 1]) == (Fraction(1),)
+    assert oracle.lp_results == 1
+    assert oracle.intersecting([1]) and oracle.intersecting([0])
+    assert oracle.lp_results == 1

@@ -353,6 +353,24 @@ def test_no_joint_query_twice(monkeypatch):
         assert asked and len(set(asked)) == len(asked)
 
 
+
+def test_counterexample_sweep_lp_count(monkeypatch):
+    # the witness masks answer almost every joint query of the d = 1
+    # sweep without an LP (1,620 LPs before them, 94 with them)
+    import pqpierce.piercing
+
+    real = pqpierce.piercing.intersect_nonempty
+    calls = []
+
+    def counting(fam, indices):
+        calls.append(None)
+        return real(fam, indices)
+
+    monkeypatch.setattr(pqpierce.piercing, "intersect_nonempty", counting)
+    report = verify_counterexample(CounterexampleSpec(1, 12, 5), k_max=2)
+    assert report.all_passed and report.exhaustive
+    assert len(calls) <= 100
+
 # --- the case sweep against a reference without masks -------------------------
 
 def reference_sweep(fam, p, d, k, n_unbounded):
