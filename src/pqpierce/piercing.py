@@ -8,7 +8,7 @@ here therefore reduces to one memoized intersection oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
@@ -17,7 +17,7 @@ from .errors import EmptySetError, MalformedInputError
 from .hypergraph import Hypergraph, hypergraph
 from .lp import _int_row
 from .rational import Point, point_json
-from .sets import Family, HRep, _rows, contains_point, intersect_nonempty, is_bounded, is_empty
+from .sets import ConvexSet, Family, HRep, _rows, contains_point, intersect_nonempty, is_bounded, is_empty
 
 
 class IntersectionOracle:
@@ -39,10 +39,10 @@ class IntersectionOracle:
     A V-rep without rows joins a mask only through the LP's key. Helly's
     theorem is not used: a key outside every mask is asked by LP.
 
-    A query that joins a fixed set to members (a truncating box, the
-    hull of a selection) goes to an oracle whose family has that set as
-    its last member, with the last index in every key; the closures
-    stay sound because joining the fixed set is monotone in the rest.
+    A fixed set that queries join to members (a truncating box, the
+    hull of a selection) enters through `join`, which appends it to the
+    family and returns its index. No stored answer, mask or false seed
+    names the new index, so each stays sound.
     """
 
     def __init__(self, fam: Family):
@@ -50,10 +50,23 @@ class IntersectionOracle:
         self._answers: dict[int, Optional[Point]] = {}
         self._masks: list[tuple[int, Point]] = []
         self._false_seeds: list[int] = []
-        self._int_rows = [
-            None if rows is None else [_int_row([*h.normal, h.offset]) for h in rows]
-            for rows in map(_rows, fam.sets)
-        ]
+        self._int_rows = [self._scaled_rows(s) for s in fam.sets]
+
+    @staticmethod
+    def _scaled_rows(s: ConvexSet) -> Optional[list[list[int]]]:
+        rows = _rows(s)
+        return None if rows is None else [_int_row([*h.normal, h.offset]) for h in rows]
+
+    def join(self, fixed: ConvexSet) -> int:
+        """Append `fixed` as the last member, renamed if its label is
+        taken, and return its index."""
+        taken = set(self.fam.labels)
+        label = fixed.label
+        while label in taken:
+            label += "'"
+        self.fam = Family(self.fam.dim, self.fam.sets + (replace(fixed, label=label),))
+        self._int_rows.append(self._scaled_rows(fixed))
+        return len(self.fam) - 1
 
     def _key(self, indices: Iterable[int]) -> int:
         n = len(self.fam)
@@ -157,61 +170,51 @@ def pq_report_to_json(r: PqReport) -> dict:
 # partitions into intersecting parts
 
 def _assign(
-    i: int,
-    parts: int,
-    compatible: Callable[[frozenset], bool],
-    classes: list[frozenset],
-    assignment: list[int],
+    oracle: IntersectionOracle, idx: Sequence[int], at: int, parts: int, classes: list[list[int]]
 ) -> bool:
-    if i == len(assignment):
+    """Extend `classes` by idx[at:], each class staying intersecting,
+    with at most `parts` classes: classes are tried in creation order,
+    a new class last."""
+    if at == len(idx):
         return True
-    for c, members in enumerate(classes):
-        grown = members | {i}
-        if compatible(grown):
-            classes[c] = grown
-            assignment[i] = c
-            if _assign(i + 1, parts, compatible, classes, assignment):
-                return True
-            classes[c] = members
-    if len(classes) < parts:
-        single = frozenset({i})
-        if compatible(single):
-            classes.append(single)
-            assignment[i] = len(classes) - 1
-            if _assign(i + 1, parts, compatible, classes, assignment):
-                return True
-            classes.pop()
-    assignment[i] = -1
+    i = idx[at]
+    for members in classes:
+        members.append(i)
+        if oracle.intersecting(members) and _assign(oracle, idx, at + 1, parts, classes):
+            return True
+        members.pop()
+    if len(classes) < parts and oracle.intersecting([i]):
+        classes.append([i])
+        if _assign(oracle, idx, at + 1, parts, classes):
+            return True
+        classes.pop()
     return False
 
 
-def partition_search(
-    n: int,
-    parts: int,
-    compatible: Callable[[frozenset], bool],
-) -> Optional[list[int]]:
-    """Assign indices 0..n-1 to at most `parts` classes, each class
-    passing `compatible`. First feasible assignment in lexicographic
-    branch order (classes tried in creation order, new class last)."""
-    assignment = [-1] * n
-    if _assign(0, parts, compatible, [], assignment):
-        return assignment
-    return None
-
-
 def min_partition(
-    n: int, compatible: Callable[[frozenset], bool]
-) -> list[list[int]]:
-    """Minimum partition of 0..n-1 into classes passing `compatible`
-    (assumed true on singletons and closed under subsets)."""
-    for parts in range(1, n + 1):
-        assignment = partition_search(n, parts, compatible)
-        if assignment is not None:
-            out: list[list[int]] = [[] for _ in range(max(assignment) + 1)]
-            for i, c in enumerate(assignment):
-                out[c].append(i)
-            return out
-    raise MalformedInputError("an index is incompatible even on its own")
+    oracle: IntersectionOracle, indices: Iterable[int], limit: Optional[int] = None
+) -> tuple[list[list[int]], bool]:
+    """Minimum partition of the indexed members into intersecting parts,
+    by iterative deepening: (parts, optimal), each part a list of family
+    indices. With `limit` set and the minimum above it, a greedy
+    first-fit partition is returned instead, marked non-optimal."""
+    idx = list(indices)
+    cap = len(idx) if limit is None else min(limit, len(idx))
+    for parts in range(cap + 1):
+        classes: list[list[int]] = []
+        if _assign(oracle, idx, 0, parts, classes):
+            return classes, True
+    if limit is None:
+        raise MalformedInputError("a member is empty")
+    classes = []
+    for i in idx:
+        for members in classes:
+            if oracle.intersecting(members + [i]):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes, False
 
 
 @dataclass(slots=True)
@@ -245,40 +248,11 @@ def piercing_number(fam: Family, limit: Optional[int] = None) -> PiercingSolutio
         raise MalformedInputError("need limit >= 1")
     _require_members_nonempty(fam)
     oracle = IntersectionOracle(fam)
-    n = len(fam)
-    cap = n if limit is None else min(limit, n)
-    for parts in range(1, cap + 1):
-        assignment = partition_search(n, parts, oracle.intersecting)
-        if assignment is not None:
-            return _solution_from_assignment(fam, oracle, assignment, optimal=True)
-    # greedy fallback: first part whose join stays intersecting
-    classes: list[frozenset] = []
-    assignment = [-1] * n
-    for i in range(n):
-        for c, members in enumerate(classes):
-            if oracle.intersecting(members | {i}):
-                classes[c] = members | {i}
-                assignment[i] = c
-                break
-        else:
-            classes.append(frozenset({i}))
-            assignment[i] = len(classes) - 1
-    return _solution_from_assignment(fam, oracle, assignment, optimal=False)
-
-
-def _solution_from_assignment(
-    fam: Family, oracle: IntersectionOracle, assignment: Sequence[int], optimal: bool
-) -> PiercingSolution:
-    part_count = max(assignment) + 1
-    points = []
-    for c in range(part_count):
-        members = [i for i, a in enumerate(assignment) if a == c]
-        w = oracle.witness(members)
-        if w is None:
-            raise AssertionError("partition class lost its witness")
-        points.append(w)
+    parts, optimal = min_partition(oracle, range(len(fam)), limit)
     sol = PiercingSolution(
-        tuple(points), {i: a for i, a in enumerate(assignment)}, optimal
+        tuple(map(oracle.witness, parts)),
+        {i: c for c, part in enumerate(parts) for i in part},
+        optimal,
     )
     _verify_solution(fam, sol)
     return sol
@@ -308,12 +282,7 @@ def build_GF(fam: Family, oracle: Optional[IntersectionOracle] = None) -> Hyperg
     return hypergraph(len(fam), edges, arity=d + 1)
 
 
-def is_m_free(
-    fam: Family,
-    indices: Iterable[int],
-    m: int,
-    oracle: Optional[IntersectionOracle] = None,
-) -> bool:
+def is_m_free(fam: Family, indices: Iterable[int], m: int) -> bool:
     """All indexed members compact and no m+1 of them intersecting."""
     if m < 1:
         raise MalformedInputError("need m >= 1")
@@ -326,7 +295,7 @@ def is_m_free(
             return False
     if len(idx) <= m:
         return True
-    oracle = oracle or IntersectionOracle(fam)
+    oracle = IntersectionOracle(fam)
     return not any(
         oracle.intersecting(sub) for sub in combinations(idx, m + 1)
     )

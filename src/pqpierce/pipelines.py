@@ -36,7 +36,6 @@ from .piercing import (
     build_GF,
     has_pq_property,
     min_partition,
-    piercing_number,
     piercing_to_json,
     pq_property_scan,
 )
@@ -135,6 +134,7 @@ def _pq_check(fam: Family, p: int, q: int, oracle: IntersectionOracle) -> Hypoth
 def _finish(
     name: str,
     fam: Family,
+    oracle: IntersectionOracle,
     inputs: dict,
     checks: list[HypothesisCheck],
     points: list[Point],
@@ -150,20 +150,19 @@ def _finish(
     if not all(c.passed for c in checks):
         return _failed(name, inputs, checks)
     if selection:
-        sel = piercing_number(fam.subfamily(selection))
+        parts, _ = min_partition(oracle, selection)
         checks.append(
             HypothesisCheck(
                 f"selection pierced by at most {limit} points",
-                len(sel.points) <= limit,
-                {"used": len(sel.points)},
+                len(parts) <= limit,
+                {"used": len(parts)},
             )
         )
         if not checks[-1].passed:
             return _failed(name, inputs, checks)
-        offset = len(points)
-        points.extend(sel.points)
-        for local, i in enumerate(selection):
-            assignment[i] = offset + sel.assignment[local]
+        for part in parts:
+            assignment.update((i, len(points)) for i in part)
+            points.append(oracle.witness(part))
     sol = PiercingSolution(tuple(points), assignment, optimal=False)
     _verify_solution(fam, sol)
     return PipelineReport(
@@ -243,13 +242,67 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
         points.append(some_point(fam.sets[i]))
         assignment[i] = len(points) - 1
     return _finish(
-        "s1", fam, inputs, checks, points, assignment,
+        "s1", fam, oracle, inputs, checks, points, assignment,
         (f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}",
     )
 
 
 # ---------------------------------------------------------------------------
-# free-selection route: a (q-d)-free selection pierced separately
+# free-selection and projection routes: a selection set aside, the rest
+# partitioned into intersecting parts
+
+def _part_rows(
+    fam: Family,
+    oracle: IntersectionOracle,
+    selection: Sequence[int],
+    checks: list[HypothesisCheck],
+    q: Optional[int] = None,
+) -> tuple[list[Point], dict[int, int]]:
+    """Join the selection's hull to the oracle, partition the other
+    members into intersecting parts and add a row per part: without q
+    its point must also lie in the hull; with q it is the part's own
+    point, and a truncated-scan row against the hull follows."""
+    hull = oracle.join(convex_hull_union(fam, selection))
+    rest = [i for i in range(len(fam)) if i not in set(selection)]
+    parts, _ = min_partition(oracle, rest)
+    points: list[Point] = []
+    assignment: dict[int, int] = {}
+    for j, part in enumerate(parts):
+        if q is None:
+            w = oracle.witness(part + [hull])
+            description = f"part {j} and the joined selection have a common point"
+        else:
+            w = oracle.witness(part)
+            description = f"part {j} has a common point"
+        checks.append(
+            HypothesisCheck(description, w is not None, {"part": _labels(fam, part), "point": w})
+        )
+        if q is not None:
+            checks.append(_truncated_scan_row(oracle, part, hull, q, f"part {j}"))
+        if w is not None:
+            points.append(w)
+            assignment.update((i, j) for i in part)
+    return points, assignment
+
+
+def _truncated_scan_row(
+    oracle: IntersectionOracle, members: Sequence[int], box: int, q: int, label: str
+) -> HypothesisCheck:
+    """Among any q-1 members truncated by the member `box`, some dim of
+    them intersect."""
+    d = oracle.fam.dim
+    description = f"{label}: truncated members satisfy the ({q - 1},{d})-property"
+    if len(members) < q - 1:
+        return HypothesisCheck(description, True, {"tuples": 0})
+    holds, violating, checked = pq_property_scan(
+        len(members), q - 1, d,
+        lambda sub: oracle.intersecting([members[i] for i in sub] + [box]),
+    )
+    witness = {"tuples": checked}
+    if not holds:
+        witness["violating"] = _labels(oracle.fam, [members[i] for i in violating])
+    return HypothesisCheck(description, holds, witness)
+
 
 def pierce_via_free_family(
     fam: Family, b_indices: Sequence[int], p: int, q: int
@@ -283,58 +336,15 @@ def pierce_via_free_family(
     if not all(c.passed for c in checks):
         return _failed("s2", inputs, checks)
 
-    rest = [i for i in range(len(fam)) if i not in set(b)]
-    joined = IntersectionOracle(Family(d, fam.sets + (convex_hull_union(fam, b),)))
-    parts = min_partition(
-        len(rest), lambda cls: oracle.intersecting(frozenset(rest[i] for i in cls))
-    )
-    points: list[Point] = []
-    assignment: dict[int, int] = {}
-    for j, cls in enumerate(parts):
-        members = [rest[i] for i in cls]
-        w = joined.witness(members + [len(fam)])
-        checks.append(
-            HypothesisCheck(
-                f"part {j} and the joined selection have a common point",
-                w is not None,
-                {"part": _labels(fam, members), "point": w},
-            )
-        )
-        if w is not None:
-            points.append(w)
-            for i in members:
-                assignment[i] = j
+    points, assignment = _part_rows(fam, oracle, b, checks)
     entry = catalog_lookup("xi", (p, q, d))
     numeric = None if entry is None else entry.value + p - q + 1
     return _finish(
-        "s2", fam, inputs, checks, points, assignment,
+        "s2", fam, oracle, inputs, checks, points, assignment,
         (f"xi({p},{q},{d}) + {p - q + 1}", numeric),
         "" if numeric is None else f", within the bound {numeric}",
         selection=b, limit=p - q + 1,
     )
-
-
-# ---------------------------------------------------------------------------
-# projection route: compact selection plus recession-direction parts
-
-def _truncated_scan_row(
-    boxed: IntersectionOracle, members: Sequence[int], q: int, label: str
-) -> HypothesisCheck:
-    """Among any q-1 box-truncated members, some dim of them intersect.
-    The box is the last member of the oracle's family."""
-    d = boxed.fam.dim
-    box = len(boxed.fam) - 1
-    description = f"{label}: truncated members satisfy the ({q - 1},{d})-property"
-    if len(members) < q - 1:
-        return HypothesisCheck(description, True, {"tuples": 0})
-    holds, violating, checked = pq_property_scan(
-        len(members), q - 1, d,
-        lambda sub: boxed.intersecting([members[i] for i in sub] + [box]),
-    )
-    witness = {"tuples": checked}
-    if not holds:
-        witness["violating"] = _labels(boxed.fam, [members[i] for i in violating])
-    return HypothesisCheck(description, holds, witness)
 
 
 def pierce_via_projection(
@@ -370,36 +380,14 @@ def pierce_via_projection(
     if not all(c.passed for c in checks):
         return _failed("main", inputs, checks)
 
-    boxed = IntersectionOracle(Family(d, fam.sets + (convex_hull_union(fam, comp),)))
-    rest = [i for i in range(len(fam)) if i not in set(comp)]
-    points: list[Point] = []
-    assignment: dict[int, int] = {}
-    if rest:
-        parts = min_partition(
-            len(rest), lambda cls: oracle.intersecting(frozenset(rest[i] for i in cls))
-        )
-        for j, cls in enumerate(parts):
-            members = [rest[i] for i in cls]
-            w = oracle.witness(members)
-            checks.append(
-                HypothesisCheck(
-                    f"part {j} has a common point",
-                    w is not None,
-                    {"part": _labels(fam, members), "point": w},
-                )
-            )
-            checks.append(_truncated_scan_row(boxed, members, q, f"part {j}"))
-            if w is not None:
-                points.append(w)
-                for i in members:
-                    assignment[i] = j
+    points, assignment = _part_rows(fam, oracle, comp, checks, q)
     inner = catalog_lookup("xi", (q - 1, d, d - 1))
     outer = catalog_lookup("xi", (p, q, d))
     numeric = None
     if inner is not None and outer is not None:
         numeric = inner.value * outer.value + p - q + 1
     return _finish(
-        "main", fam, inputs, checks, points, assignment,
+        "main", fam, oracle, inputs, checks, points, assignment,
         (f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "",
         selection=comp, limit=p - q + 1,
     )
@@ -586,7 +574,8 @@ def verify_projection_equivalence(
     if bad:
         return _failed("corollary52", inputs, checks)
 
-    boxed = IntersectionOracle(Family(d, fam.sets + (box,)))
+    oracle = IntersectionOracle(fam)
+    box_index = oracle.join(box)
     total = 0
     for size in range(1, min(max_subset, len(fam)) + 1):
         agree = True
@@ -594,7 +583,7 @@ def verify_projection_equivalence(
         count = 0
         for sub in combinations(range(len(fam)), size):
             count += 1
-            direct = boxed.intersecting(sub + (len(fam),))
+            direct = oracle.intersecting(sub + (box_index,))
             shadow = lifted_projection_witness(fam.select(sub), box)[0]
             if direct != shadow:
                 agree = False

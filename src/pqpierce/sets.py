@@ -238,9 +238,6 @@ class Family:
             out.append(self.sets[i])
         return tuple(out)
 
-    def subfamily(self, indices: Iterable[int]) -> "Family":
-        return Family(self.dim, self.select(indices))
-
 
 def family(sets: Sequence[ConvexSet]) -> Family:
     if not sets:

@@ -71,10 +71,11 @@ def test_joint_intersection_only_through_the_oracle(path):
     assert joint_lp_references(path.read_text(encoding="utf-8")) == []
 
 
-def construction_sites(source: str) -> list[tuple[str, str, int]]:
+def construction_sites(
+    source: str, classes: tuple[str, ...] = ("Constraint", "LinearSystem")
+) -> list[tuple[str, str, int]]:
     """(class, enclosing def or class path, line) for every call that
-    constructs a Constraint or a LinearSystem; the path is "" at module
-    level."""
+    constructs one of `classes`; the path is "" at module level."""
     sites = []
 
     def visit(node, scope):
@@ -85,7 +86,7 @@ def construction_sites(source: str) -> list[tuple[str, str, int]]:
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in ("Constraint", "LinearSystem"):
+                if name in classes:
                     sites.append((name, scope, child.lineno))
             visit(child, scope)
 
@@ -119,6 +120,40 @@ def test_lp_rows_built_only_by_the_row_builders(path):
     for cls, scope, line in construction_sites(path.read_text(encoding="utf-8")):
         where = f"{path.stem}.{scope}"
         assert any(where == b or where.startswith(b + ".") for b in ROW_BUILDERS[cls]), (cls, where, line)
+
+
+ONE_ORACLE = ("IntersectionOracle", "Family")
+
+
+def extra_oracles(source: str) -> list[tuple[str, str, int]]:
+    """Every Family construction, and every IntersectionOracle
+    construction after the first in the same def."""
+    seen: set[str] = set()
+    out = []
+    for cls, scope, line in construction_sites(source, ONE_ORACLE):
+        if cls == "Family" or scope in seen:
+            out.append((cls, scope, line))
+        seen.add(scope)
+    return out
+
+
+def test_detector_flags_a_second_oracle():
+    source = (
+        "def run(fam, box):\n"
+        "    oracle = IntersectionOracle(fam)\n"
+        "    boxed = piercing.IntersectionOracle(Family(fam.dim, fam.sets + (box,)))\n"
+        "def other(fam):\n"
+        "    return IntersectionOracle(fam)\n"
+    )
+    assert extra_oracles(source) == [
+        ("IntersectionOracle", "run", 3), ("Family", "run", 3),
+    ]
+
+
+def test_one_oracle_per_pipeline_run():
+    # a fixed set joins the run's oracle (IntersectionOracle.join), so a
+    # pipeline builds neither a second oracle nor an augmented family
+    assert extra_oracles((SRC / "pipelines.py").read_text(encoding="utf-8")) == []
 
 
 def test_fresh_imports_leave_no_stale_module_copies():

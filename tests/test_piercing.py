@@ -197,8 +197,31 @@ def test_piercing_monotone_under_additions():
 
 
 def test_min_partition_rejects_bad_singletons():
+    # without a limit, a member that is empty on its own fits no part
+    fam = family([box2("B", 0, 1, 0, 1), hrep_set("E", [((1, 0), -1), ((-1, 0), 0)])])
     with pytest.raises(MalformedInputError):
-        min_partition(2, lambda s: len(s) == 0)
+        min_partition(IntersectionOracle(fam), range(2))
+
+
+def test_min_partition_parts_are_family_indices():
+    # parts list family indices in the order given, opened in that order
+    fam = family([box2("A", 0, 1, 0, 1), box2("B", 3, 4, 0, 1),
+                  box2("C", 6, 7, 0, 1), box2("D", 1, 2, 0, 1)])
+    oracle = IntersectionOracle(fam)
+    assert min_partition(oracle, [1, 3, 0, 2]) == ([[1], [3, 0], [2]], True)
+    assert min_partition(oracle, []) == ([], True)
+
+
+def test_oracle_join_renames_and_stays_sound():
+    fam = family([box2("A", 0, 2, 0, 2), box2("B", 1, 3, 1, 3)])
+    oracle = IntersectionOracle(fam)
+    assert oracle.intersecting([0, 1])  # its mask cannot name a later member
+    box = oracle.join(box2("A", 5, 6, 5, 6))
+    assert box == 2 and oracle.fam.labels == ("A", "B", "A'")
+    assert not oracle.intersecting([0, box])
+    assert oracle.join(box2("A", 0, 9, 0, 9)) == 3 and oracle.fam.labels[3] == "A''"
+    assert contains_point(oracle.fam.sets[3], oracle.witness([0, 1, 3]))
+    assert not oracle.intersecting([0, 1, 2, 3])
 
 
 def test_build_GF():

@@ -1,5 +1,6 @@
 """End-to-end checks for the piercing pipelines on small instances
 where the exact piercing number is known independently."""
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -161,6 +162,16 @@ class TestFreeFamilyPipeline:
         assert first.description == "selection is 1-free"
         assert first.witness == {"intersecting": ["b1", "b2"]}
 
+    def test_member_named_like_the_hull(self):
+        # the selection's hull joins the run's oracle under a free label
+        sets = list(self.build().sets)
+        sets[2] = hrep_set("hull(b1,b2)", [((0, -1), 1)])
+        report = pierce_via_free_family(family(sets), [0, 1], p=4, q=3)
+        assert report.all_passed
+        assert report.hypothesis_checks[2].witness["part"] == [
+            "hull(b1,b2)", "upper2", "upper3", "upper4"
+        ]
+
     def test_preconditions(self):
         fam = self.build()
         with pytest.raises(MalformedInputError):
@@ -276,6 +287,13 @@ class TestProjectionEquivalence:
         assert report.extras["subsets_checked"] == 6 + 15 + 20 + 15 + 6
         assert report.piercing is None
 
+    def test_box_named_like_a_member(self):
+        rot_fam, rot_box = self.rotated_truncation()
+        clash = replace(rot_box, label=rot_fam.sets[2].label)
+        report = verify_projection_equivalence(rot_fam, clash, max_subset=5)
+        assert report.all_passed
+        assert report.inputs["box"] == "A_4"
+
     def test_recession_hypothesis_fails_unrotated(self):
         spec = CounterexampleSpec(d=1, n_max=5, n_bounded=2)
         fam = family_A(spec)
@@ -328,9 +346,9 @@ class TestReportJson:
         assert data["piercing"] is None
 
 
-def test_no_joint_query_twice(monkeypatch):
-    # every joint-intersection question of one pipeline run, box- and
-    # hull-joined ones included, reaches the LP at most once
+@pytest.fixture
+def joint_lps(monkeypatch):
+    """The label sets of the joint LPs asked, in order."""
     import pqpierce.piercing
 
     real = pqpierce.piercing.intersect_nonempty
@@ -342,15 +360,34 @@ def test_no_joint_query_twice(monkeypatch):
         return real(fam, indices)
 
     monkeypatch.setattr(pqpierce.piercing, "intersect_nonempty", recording)
+    return asked
+
+
+def test_no_joint_query_twice(joint_lps):
+    # every joint-intersection question of one pipeline run, box- and
+    # hull-joined ones and the selection's own partition included,
+    # reaches the LP at most once
     rot_fam, rot_box = TestProjectionEquivalence().rotated_truncation()
     runs = (
         lambda: pierce_via_transversal(plane_instance_with_outlier(), t=1, p=4),
+        lambda: pierce_via_free_family(TestFreeFamilyPipeline().build(), [0, 1], p=4, q=3),
+        lambda: pierce_via_projection(TestProjectionPipeline().build(), [0, 1], p=5, q=4),
         lambda: verify_projection_equivalence(rot_fam, rot_box, max_subset=5),
     )
     for run in runs:
-        asked.clear()
+        joint_lps.clear()
         assert run().all_passed
-        assert asked and len(set(asked)) == len(asked)
+        assert joint_lps and len(set(joint_lps)) == len(joint_lps)
+
+
+def test_selection_routes_share_one_oracle(joint_lps):
+    # with one oracle per run, earlier witnesses answer the hull-joined
+    # parts and the selection (7 and 5 joint LPs with three oracles)
+    assert pierce_via_free_family(TestFreeFamilyPipeline().build(), [0, 1], p=4, q=3).all_passed
+    assert len(joint_lps) <= 4
+    joint_lps.clear()
+    assert pierce_via_projection(TestProjectionPipeline().build(), [0, 1], p=5, q=4).all_passed
+    assert len(joint_lps) <= 2
 
 
 
