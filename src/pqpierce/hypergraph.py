@@ -146,7 +146,7 @@ def hypergraph_from_json(obj) -> Hypergraph:
         raise MalformedInputError("hypergraph needs n and edges")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise MalformedInputError("n must be a nonnegative integer")
+        raise MalformedInputError("n must be an integer >= 0")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise MalformedInputError("edges must be a list")

@@ -1,21 +1,21 @@
 """Exact linear programming and linear algebra over the rationals.
 
-Feasibility of systems of linear equations and inequalities with
-optional per-variable nonnegativity. The engine is the first phase of a
-dense primal simplex with Bland's rule, so it never cycles and is fully
+Feasibility of systems of <= rows over free variables, the one LP form
+the package builds. The engine is the first phase of a dense primal
+simplex with Bland's rule, so it never cycles and is fully
 deterministic. A constraint's row stays sparse, terms from variable
 index to nonzero coefficient, from the set block that builds it to the
 simplex's tableau row; coefficients and right-hand sides are ints or
-Fractions, witnesses Fractions. One fraction-free elimination step (Edmonds 1967;
-Bareiss 1968), _pivot, serves the simplex tableau, the kernels behind a
-V-rep's facets and matrix inverses: rows are plain ints, cut by their
-gcd after every pivot, so the simplex makes exactly the pivots and
-returns exactly the witnesses of a Fraction tableau.
+Fractions, witnesses Fractions. One fraction-free elimination step
+(Edmonds 1967; Bareiss 1968), _pivot, serves the simplex tableau and
+matrix inverses: rows are plain ints, cut by their gcd after every
+pivot, so the simplex makes exactly the pivots and returns exactly the
+witnesses of a Fraction tableau.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
@@ -23,45 +23,28 @@ from typing import Iterable, Mapping, Optional
 from .errors import BudgetExhaustedError, MalformedInputError
 from .rational import Matrix, Point, RatLike, rat
 
-LE = "<="
-EQ = "="
-
 
 @dataclass(frozen=True, slots=True)
 class Constraint:
-    """One linear constraint: the sum of a * x_j over terms {j: a}  <=|=  rhs.
+    """One linear constraint: the sum of a * x_j over terms {j: a} <= rhs.
 
     Unnamed variables have coefficient 0; coefficients and rhs are ints
-    or Fractions. le and eq build one from a dense list, dropping zeros."""
+    or Fractions. le builds one from a dense list, dropping zeros."""
 
     terms: Mapping[int, int | Fraction]
-    relation: str
     rhs: int | Fraction
-
-    def __post_init__(self):
-        if self.relation not in (LE, EQ):
-            raise MalformedInputError(f"bad relation {self.relation!r}")
 
 
 def le(coeffs: Iterable[RatLike], rhs: RatLike) -> Constraint:
-    return Constraint({j: a for j, c in enumerate(coeffs) if (a := rat(c))}, LE, rat(rhs))
-
-
-def eq(coeffs: Iterable[RatLike], rhs: RatLike) -> Constraint:
-    return Constraint({j: a for j, c in enumerate(coeffs) if (a := rat(c))}, EQ, rat(rhs))
+    return Constraint({j: a for j, c in enumerate(coeffs) if (a := rat(c))}, rat(rhs))
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A feasibility system over `dim` real variables.
-
-    Variables listed in `nonneg` are constrained to be >= 0; the rest
-    are free. Constraints are inequalities (<=) or equations (=).
-    """
+    """A feasibility system of <= rows over `dim` free real variables."""
 
     dim: int
     constraints: tuple[Constraint, ...]
-    nonneg: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.dim < 0:
@@ -69,9 +52,6 @@ class LinearSystem:
         for c in self.constraints:
             if c.terms and not 0 <= min(c.terms) <= max(c.terms) < self.dim:
                 raise MalformedInputError(f"constraint names a variable outside 0..{self.dim - 1}")
-        for j in self.nonneg:
-            if not 0 <= j < self.dim:
-                raise MalformedInputError(f"nonneg index {j} out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +90,10 @@ def _charge_budget() -> None:
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 #
-# _pivot is the package's one row elimination: the simplex, facet
-# kernels (sets._kernel_vector) and invert_matrix pivot through it. A
-# row of ints stands for itself over a nonzero scale; a gcd cut is a
-# positive one, so it moves no ratio or sign. Rows are reduced in loops,
+# _pivot is the package's one row elimination: the simplex and
+# invert_matrix pivot through it, and sets._cone combines rays the same
+# way. A row of ints stands for itself over a nonzero scale; a gcd cut
+# is a positive one, so it moves no ratio or sign. Rows are reduced in loops,
 # not by gcd(*row): a starred call leaves its argument tuple on
 # CPython's free list.
 
@@ -170,30 +150,11 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
     d = system.dim
     cons = system.constraints
 
-    # column layout: every variable gets a + column, free ones also a -
-    col_pos: list[int] = []
-    col_neg: list[Optional[int]] = []
-    ncol = 0
-    for j in range(d):
-        col_pos.append(ncol)
-        ncol += 1
-        if j in system.nonneg:
-            col_neg.append(None)
-        else:
-            col_neg.append(ncol)
-            ncol += 1
-
+    # columns: x_j = x_j+ - x_j-, at 2j and 2j + 1; the slack of row i
+    # at 2d + i; an artificial for each row with rhs < 0
     m = len(cons)
-    slack_col: dict[int, int] = {}
-    for i, c in enumerate(cons):
-        if c.relation == LE:
-            slack_col[i] = ncol
-            ncol += 1
-    base_cols = ncol
-
-    # initial basis: the slack of a <= row with rhs >= 0, an artificial
-    # for every other row
-    art_rows = [i for i, c in enumerate(cons) if c.relation != LE or c.rhs < 0]
+    base_cols = 2 * d + m
+    art_rows = [i for i, c in enumerate(cons) if c.rhs < 0]
     art_col = {i: base_cols + k for k, i in enumerate(art_rows)}
     total_cols = base_cols + len(art_rows)
 
@@ -209,17 +170,13 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
         row = [0] * (total_cols + 1)
         for j, a in c.terms.items():
             v = a.numerator * (scale // a.denominator)
-            row[col_pos[j]] = v
-            jn = col_neg[j]
-            if jn is not None:
-                row[jn] = -v
-        j = slack_col.get(i)
-        if j is not None:
-            row[j] = scale
+            row[2 * j] = v
+            row[2 * j + 1] = -v
+        row[2 * d + i] = scale
         row[-1] = c.rhs.numerator * (scale // c.rhs.denominator)
         k = art_col.get(i)
         if k is None:
-            basis[i] = j
+            basis[i] = 2 * d + i
         else:
             row[k] = den
             basis[i] = k
@@ -270,14 +227,7 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
     # artificials still basic sit at value 0; the point reads off the rest
     val = {basis[i]: Fraction(T[i][-1], T[i][basis[i]]) for i in range(m)}
     zero = Fraction(0)
-    out = []
-    for j in range(d):
-        x = val.get(col_pos[j], zero)
-        jn = col_neg[j]
-        if jn is not None:
-            x = x - val.get(jn, zero)
-        out.append(x)
-    return tuple(out)
+    return tuple(val.get(2 * j, zero) - val.get(2 * j + 1, zero) for j in range(d))
 
 
 def lp_feasible(system: LinearSystem) -> tuple[bool, Optional[Point]]:

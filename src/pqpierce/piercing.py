@@ -29,15 +29,13 @@ class IntersectionOracle:
     that no LP asked:
 
     - after each feasible LP, its witness w is substituted into every
-      member with rows (an H-rep's halfspaces, a V-rep's facets), in
-      ints: w as numerators over one denominator, each member's rows
-      scaled once per oracle. The mask of the members holding w, with
-      the LP's own key, certifies every key inside it, with w as the
-      witness;
+      member's rows (an H-rep's halfspaces, a V-rep's rows from its
+      generators), in ints: w as numerators over one denominator, each
+      member's rows scaled once per oracle. The mask of the members
+      holding w certifies every key inside it, with w as the witness;
     - an LP-infeasible key condemns all its supersets.
 
-    A V-rep without rows joins a mask only through the LP's key. Helly's
-    theorem is not used: a key outside every mask is asked by LP.
+    Helly's theorem is not used: a key outside every mask is asked by LP.
 
     A fixed set that queries join to members (a truncating box, the
     hull of a selection) enters through `join`, which appends it to the
@@ -53,9 +51,8 @@ class IntersectionOracle:
         self._int_rows = [self._scaled_rows(s) for s in fam.sets]
 
     @staticmethod
-    def _scaled_rows(s: ConvexSet) -> Optional[list[list[int]]]:
-        rows = _rows(s)
-        return None if rows is None else [_int_row([*h.normal, h.offset]) for h in rows]
+    def _scaled_rows(s: ConvexSet) -> list[list[int]]:
+        return [_int_row([*h.normal, h.offset]) for h in _rows(s)]
 
     def join(self, fixed: ConvexSet) -> int:
         """Append `fixed` as the last member, renamed if its label is
@@ -99,12 +96,11 @@ class IntersectionOracle:
         return w
 
     def _mask(self, key: int, w: Point) -> int:
-        """key plus every member with rows that holds w."""
+        """key plus every member that holds w."""
         x = _int_row([*w, -1])  # row . x <= 0 reads normal . w <= offset
         mask = key
         for i, rows in enumerate(self._int_rows):
-            if rows is not None and not key >> i & 1 \
-                    and all(sum(map(mul, row, x)) <= 0 for row in rows):
+            if not key >> i & 1 and all(sum(map(mul, row, x)) <= 0 for row in rows):
                 mask |= 1 << i
         return mask
 

@@ -6,26 +6,24 @@ H-representation: a finite intersection of closed halfspaces
 V-representation: conv(points) + cone(rays); always closed and, since
 points must be nonempty, always a nonempty set.
 
-Intersections are never materialized. A small full-dimensional V-rep
-carries its facets, enumerated once from its generators; it then joins
-LPs as <= rows over the ambient coordinates, as an H-rep does, and
-membership and recession of a direction are substitution into those
-rows. Any other V-rep enters each LP (membership, joint intersection,
-projected shadows, recession) as coefficient blocks of multipliers for
-its generators; only these blocks ever meet coordinates pinned to
-constants.
+One double-description routine, _cone, converts between the two. Every
+V-rep gets <= rows from its generators, once, when first used: its
+facets, and each equation of its affine hull as two rows. A bounded or
+unbounded H-rep gets generators the same way when a hull needs them.
+Intersections are never materialized: every member joins every LP as
+<= rows over free coordinates, and membership and recession of a
+direction are substitution into those rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import comb, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
-from .lp import LE, EQ, Constraint, LinearSystem, _int_row, _pivot, _reduced, lp_feasible
+from .lp import Constraint, LinearSystem, _int_row, _reduced, lp_feasible
 from .rational import (
     Matrix,
     Point,
@@ -44,14 +42,19 @@ from .rational import (
 # The largest dim a JSON set may declare: each coordinate is an LP column.
 MAX_DIM = 1000
 
-# Above this many d-subsets of generators a V-rep keeps its LP multipliers.
-FACET_SUBSET_CAP = 64
+# The work one double-description run (_cone) may do: int entries read
+# and written, pairs of rays tested for adjacency and rays scanned in
+# those tests. The largest box a CounterexampleSpec admits,
+# bounded_member(11, 1) with 4,096 corners in R^12, takes 1.9 M; the
+# hull of B_1 and B_2 takes 4.0 M for d = 9 and 10.5 M for d = 10; the
+# cross-polytope in R^12, with 4,096 facets, takes 5.8 M.
+DD_WORK_CAP = 8_000_000
 
 
 @dataclass(frozen=True, slots=True)
 class Halfspace:
     """{x : normal . x <= offset}. A zero normal is only legal when the
-    constraint is vacuous (offset >= 0). Facets of a V-rep hold
+    constraint is vacuous (offset >= 0). The rows of a V-rep hold
     primitive int rows here in place of Fractions."""
 
     normal: Point
@@ -84,69 +87,101 @@ class VRep:
                 raise MalformedInputError("zero ray in V-representation")
 
     @cached_property
-    def facets(self) -> Optional[tuple[Halfspace, ...]]:
-        """The facet halfspaces as primitive int rows; None for a set that
-        is lower-dimensional, the whole space or over FACET_SUBSET_CAP."""
-        return _facets(self.points, self.rays)
+    def rows(self) -> tuple[Halfspace, ...]:
+        """The set as primitive int <= rows: its facets, and each
+        equation of its affine hull as a row and its negation, sorted by
+        the ascending tuple of the generators each row is tight on; ()
+        for the whole space."""
+        gens = [_int_row([*p, -1]) for p in self.points] + [_int_row([*r, 0]) for r in self.rays]
+        lin, ext = _cone(gens, len(gens[0]))
+        rows = [((1 << len(gens)) - 1, y) for e in lin for y in (e, [-c for c in e])]
+        rows += [(on, y) for on, y in ext if any(y[:-1])]  # not 0 <= 1
+        rows.sort(key=lambda row: [i for i in range(len(gens)) if row[0] >> i & 1])
+        return tuple(Halfspace(tuple(y[:-1]), y[-1]) for _, y in rows)
 
 
-def _kernel_vector(rows: list[list[int]]) -> Optional[list[int]]:
-    """A nonzero int solution of rows . x = 0 when the rows have rank one
-    less than their length, else None (fraction-free Gauss-Jordan on the
-    list, whose rows it replaces but never mutates)."""
-    n = len(rows[0])
-    pivots: list[int] = []
-    for c in range(n):
-        k = len(pivots)
-        r = next((i for i in range(k, len(rows)) if rows[i][c]), None)
-        if r is None:
-            continue
-        rows[k], rows[r] = rows[r], rows[k]
-        _pivot(rows, k, c)
-        pivots.append(c)
-    if len(pivots) < n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    # pivot row k reads p_k * x[c_k] + rows[k][free] * x[free] = 0
-    den = 1
-    for k, c in enumerate(pivots):
-        den = lcm(den, rows[k][c])
-    x = [0] * n
-    x[free] = den
-    for k, c in enumerate(pivots):
-        x[c] = -rows[k][free] * (den // rows[k][c])
-    return x
+def _cone(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[tuple[int, list[int]]]]:
+    """The cone {y in R^n : row . y <= 0 for every row} by the double
+    description method (Motzkin, Raiffa, Thompson and Thrall 1953;
+    Fukuda and Prodon 1996, "Double description method revisited"): a
+    basis of its lineality space, and its extreme rays modulo that
+    space, each as (bitmask of the rows it is tight on, ray).
+
+    Rows are added one at a time to R^n. A row that a lineality vector
+    l0 leaves moves l0 into the rays and makes every other vector tight
+    on it; otherwise two rays on opposite sides are combined when they
+    are adjacent: no third ray is tight on every row both are. Vectors
+    are ints, each a positive combination cut by its gcd, as in
+    lp._pivot. Raises MalformedInputError past DD_WORK_CAP."""
+    lin = [[int(i == j) for j in range(n)] for i in range(n)]
+    rays: list[list[int]] = []
+    tight: list[int] = []  # bitmask of the rows each ray is tight on
+    work = 0
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        on_lin = [sum(map(mul, a, y)) for y in lin]
+        on_rays = [sum(map(mul, a, y)) for y in rays]
+        work += n * (len(lin) + len(rays))
+        p = next((i for i, v in enumerate(on_lin) if v), -1)
+        if p >= 0:
+            l0, s = lin.pop(p), on_lin.pop(p)
+            if s < 0:
+                l0, s = [-c for c in l0], -s
+            # y - (a . y) / s * l0, scaled by s > 0, is tight on a
+            lin = [_reduced([s * c - v * e for c, e in zip(y, l0)]) if v else y
+                   for y, v in zip(lin, on_lin)]
+            rays = [_reduced([s * c - v * e for c, e in zip(y, l0)]) if v else y
+                    for y, v in zip(rays, on_rays)]
+            rays.append([-c for c in l0])
+            tight = [z | bit for z in tight] + [bit - 1]
+            work += n * (1 + sum(map(bool, on_lin)) + sum(map(bool, on_rays)))
+        else:
+            need = n - len(lin) - 2  # the fewest rows tight on a 2-face
+            new = [(y, z | bit if v == 0 else z) for y, z, v in zip(rays, tight, on_rays) if v <= 0]
+            neg = [j for j, v in enumerate(on_rays) if v < 0]
+            for i, vi in enumerate(on_rays):
+                if vi <= 0:
+                    continue
+                for j in neg:
+                    on = tight[i] & tight[j]
+                    work += 1
+                    if on.bit_count() >= need:
+                        for h, z in enumerate(tight):
+                            if z & on == on and h != i and h != j:
+                                work += h
+                                break
+                        else:  # adjacent: their combination tight on a
+                            vj = on_rays[j]
+                            new.append((_reduced([vi * c - vj * e for c, e in zip(rays[j], rays[i])]), on | bit))
+                            work += len(tight) + n
+                    if work > DD_WORK_CAP:
+                        raise _over_cap(len(rows), n)
+            rays = [y for y, _ in new]
+            tight = [z for _, z in new]
+        if work > DD_WORK_CAP:
+            raise _over_cap(len(rows), n)
+    return lin, list(zip(tight, rays))
 
 
-def _facets(points: tuple[Point, ...], rays: tuple[Point, ...]) -> Optional[tuple[Halfspace, ...]]:
-    """Facets of conv(points) + cone(rays) by the double description idea
-    (Motzkin, Raiffa, Thompson and Thrall 1953; Avis and Fukuda 1992):
-    a facet's hyperplane a.x = b holds d generators, a point among them,
-    that fix (a, b) up to scale, with all points on one side and all rays
-    pointing into it. One holding every generator: lower-dimensional.
-    Generators are int rows [p, -1] and [r, 0], scaled by positive ints."""
-    d = len(points[0])
-    if comb(len(points) + len(rays), d) > FACET_SUBSET_CAP:
-        return None
-    gens = [_int_row([*p, -1]) for p in points] + [_int_row([*r, 0]) for r in rays]
-    out: dict[tuple[int, ...], Halfspace] = {}
-    for sub in combinations(range(len(gens)), d):
-        if sub[0] >= len(points):
-            break  # combinations come in lex order: no later one holds a point
-        ab = _kernel_vector([gens[i] for i in sub])
-        if ab is None:
-            continue
-        row = _reduced(ab)
-        sides = [sum(a * g for a, g in zip(row, gen)) for gen in gens]
-        lo, hi = min(sides), max(sides)
-        if lo == hi == 0:
-            return None
-        if hi > 0:
-            if lo < 0:
-                continue
-            row = [-a for a in row]
-        out.setdefault(tuple(row), Halfspace(tuple(row[:-1]), row[-1]))
-    return tuple(out.values()) or None
+def _over_cap(m: int, n: int) -> MalformedInputError:
+    return MalformedInputError(f"converting {m} rows in R^{n} passes the work cap {DD_WORK_CAP}")
+
+
+def _generators(s: ConvexSet) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
+    """(points, rays) with s = conv(points) + cone(rays): a V-rep's own,
+    or an H-rep's by _cone on its rows [normal, -offset] and [0, -1],
+    whose rays (x, t) are the points x / t for t > 0 and the rays x for
+    t = 0, with both signs of each lineality vector. Raises
+    EmptySetError for an empty H-rep, whose cone has no t > 0."""
+    if isinstance(s.rep, VRep):
+        return s.rep.points, s.rep.rays
+    rows = [_int_row([*h.normal, -h.offset]) for h in s.rep.halfspaces]
+    lin, ext = _cone(rows + [[0] * s.dim + [-1]], s.dim + 1)
+    pts = tuple(tuple(Fraction(c, y[-1]) for c in y[:-1]) for _, y in ext if y[-1])
+    if not pts:
+        raise EmptySetError(f"set {s.label!r} is empty")
+    rays = [y[:-1] for _, y in ext if not y[-1]] + [y[:-1] for e in lin for y in (e, [-c for c in e])]
+    return pts, tuple(point(r) for r in rays)
 
 
 @dataclass(frozen=True)
@@ -248,90 +283,53 @@ def family(sets: Sequence[ConvexSet]) -> Family:
 # ---------------------------------------------------------------------------
 # LP assembly
 #
-# A set enters an LP as one of two blocks over the ambient variables xs.
-# A set with rows (_rows) gives <= rows in xs alone. Any other V-rep
-# gives a generator block: xs equals a combination of its generators,
-# through multipliers. A recession cone is the same two blocks on other
-# data: rows with zero offsets, or generators without points. Only a
-# generator block ever meets a point pinned to constants, since
-# membership of a pinned point in rows is decided by substitution.
-# Each block row is an lp.Constraint over its nonzero terms alone, and
-# the simplex fills its tableau row from them: no dense row is built.
+# Every LP is <= rows over free variables. A set enters one as its rows
+# (_rows) over the ambient variables xs; a recession cone as the same
+# rows with zero offsets. Each row is an lp.Constraint over its nonzero
+# terms alone, and the simplex fills its tableau row from them: no
+# dense row is built.
 
 
 class _SysBuilder:
     def __init__(self):
         self.nvars = 0
-        self.nonneg: set[int] = set()
         self.rows: list[Constraint] = []
 
-    def vars(self, k: int, nonneg: bool = False) -> list[int]:
-        new = list(range(self.nvars, self.nvars + k))
+    def vars(self, k: int) -> list[int]:
         self.nvars += k
-        if nonneg:
-            self.nonneg.update(new)
-        return new
+        return list(range(self.nvars - k, self.nvars))
 
-    def add(self, relation: str, terms: dict[int, RatLike], rhs: RatLike):
-        self.rows.append(Constraint(terms, relation, rhs))
+    def add(self, terms: dict[int, RatLike], rhs: RatLike):
+        self.rows.append(Constraint(terms, rhs))
 
     def system(self) -> LinearSystem:
-        return LinearSystem(self.nvars, tuple(self.rows), frozenset(self.nonneg))
+        return LinearSystem(self.nvars, tuple(self.rows))
 
 
-def _rows(s: ConvexSet) -> Optional[tuple[Halfspace, ...]]:
-    """An H-rep's halfspaces, a V-rep's facets, or None for a V-rep
-    that keeps its multipliers."""
-    return s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.facets
+def _rows(s: ConvexSet) -> tuple[Halfspace, ...]:
+    """An H-rep's halfspaces or a V-rep's rows."""
+    return s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.rows
 
 
 def _row_block(b: _SysBuilder, rows: Iterable[tuple[Point, RatLike]], xs: Sequence[int]) -> None:
     """normal . x <= offset for each (normal, offset), x the variables xs."""
     for normal, offset in rows:
-        b.add(LE, {x: a for x, a in zip(xs, normal) if a}, offset)
-
-
-def _generator_block(
-    b: _SysBuilder, points: Sequence[Point], rays: Sequence[Point],
-    xs: Optional[Sequence[int]], at: Sequence[RatLike],
-) -> None:
-    """x + at in conv(points) + cone(rays), x the variables xs (none when
-    xs is None); in cone(rays) alone when there are no points."""
-    gens = (*points, *rays)
-    mult = b.vars(len(gens), nonneg=True)
-    for i, const in enumerate(at):
-        terms = {m: g[i] for m, g in zip(mult, gens) if g[i]}
-        if xs is not None:
-            terms[xs[i]] = -1
-        b.add(EQ, terms, const)
-    if points:
-        b.add(EQ, dict.fromkeys(mult[:len(points)], 1), 1)
+        b.add({x: a for x, a in zip(xs, normal) if a}, offset)
 
 
 def _member_rows(b: _SysBuilder, s: ConvexSet, xs: Sequence[int]) -> None:
-    rows = _rows(s)
-    if rows is None:
-        _generator_block(b, s.rep.points, s.rep.rays, xs, (0,) * s.dim)
-    else:
-        _row_block(b, ((h.normal, h.offset) for h in rows), xs)
+    _row_block(b, ((h.normal, h.offset) for h in _rows(s)), xs)
 
 
 # ---------------------------------------------------------------------------
 # primitives
 
 def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:
-    """Exact membership: substitution into the halfspaces of an H-rep
-    or the facets of a V-rep, one LP for a V-rep without facets."""
+    """Exact membership: substitution into the set's rows."""
     xp = point(x)
     if len(xp) != s.dim:
         raise MalformedInputError(f"point arity {len(xp)} != dim {s.dim}")
-    rows = _rows(s)
-    if rows is not None:
-        return all(dot(h.normal, xp) <= h.offset for h in rows)
-    b = _SysBuilder()
-    _generator_block(b, s.rep.points, s.rep.rays, None, xp)
-    ok, _ = lp_feasible(b.system())
-    return ok
+    return all(dot(h.normal, xp) <= h.offset for h in _rows(s))
 
 
 def is_empty(s: ConvexSet) -> bool:
@@ -404,40 +402,28 @@ def recession_cone(s: ConvexSet) -> ConvexSet:
 
 
 def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
-    """Does the set recede along v (exactly)? Substitution into the
-    rows of a set that has them, one LP over the rays otherwise."""
+    """Does the set recede along v (exactly)? Substitution into its
+    rows with zero offsets."""
     vp = point(v)
     if len(vp) != s.dim:
         raise MalformedInputError("direction arity mismatch")
-    if is_zero(vp):
-        return True
-    rows = _rows(s)
-    if rows is not None:
-        return all(dot(h.normal, vp) <= 0 for h in rows)
-    b = _SysBuilder()
-    _generator_block(b, (), s.rep.rays, None, vp)
-    ok, _ = lp_feasible(b.system())
-    return ok
+    return all(dot(h.normal, vp) <= 0 for h in _rows(s))
 
 
 def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
     """Probe the 2*dim signed coordinate functionals in ascending
     coordinate order, positive sign first, for a nonzero v in every
-    member's recession cone; each probe is one LP."""
+    member's recession cone; each probe is one LP over the other dim - 1
+    coordinates, with v[axis] = sign substituted into every row."""
+    rows = [h.normal for s in members for h in _rows(s) if not is_zero(h.normal)]
     for axis in range(dim):
         for sign in (1, -1):
             b = _SysBuilder()
-            vs = b.vars(dim)
-            for s in members:
-                rows = _rows(s)
-                if rows is None:
-                    _generator_block(b, (), s.rep.rays, vs, (0,) * dim)
-                else:
-                    _row_block(b, ((h.normal, 0) for h in rows if not is_zero(h.normal)), vs)
-            b.add(EQ, {vs[axis]: 1}, sign)
+            vs = b.vars(dim - 1)
+            _row_block(b, ((n[:axis] + n[axis + 1:], -sign * n[axis]) for n in rows), vs)
             ok, sol = lp_feasible(b.system())
             if ok:
-                return tuple(sol[j] for j in vs)
+                return sol[:axis] + (Fraction(sign),) + sol[axis:]
     return None
 
 
@@ -545,21 +531,20 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
 
 
 def convex_hull_union(fam: Family, indices: Iterable[int]) -> ConvexSet:
-    """conv of the union of V-represented members: concatenate generators."""
+    """conv of the union of the members: concatenate their generators,
+    an H-rep's from _generators. Raises EmptySetError for an empty
+    member."""
     members = fam.select(list(indices))
     if not members:
         raise MalformedInputError("empty index list")
     pts: list[Point] = []
     rays: list[Point] = []
     for s in members:
-        if not isinstance(s.rep, VRep):
-            raise MalformedInputError(
-                f"convex_hull_union needs V-representations; {s.label} is H-rep"
-            )
-        for p in s.rep.points:
+        points, directions = _generators(s)
+        for p in points:
             if p not in pts:
                 pts.append(p)
-        for r in s.rep.rays:
+        for r in directions:
             if r not in rays:
                 rays.append(r)
     label = "hull(" + ",".join(s.label for s in members) + ")"

@@ -2,6 +2,7 @@
 byte-identical determinism."""
 import io
 import json
+import time
 from contextlib import redirect_stdout
 from importlib import resources
 
@@ -480,6 +481,22 @@ class TestPlumbing:
             for command in (["check", "pq", "--p", "1", "--q", "1"], ["solve", "pierce"]):
                 code, out = run(command + ["--input", str(path)], capsys)
                 assert (code, set(json.loads(out))) == (2, {"error"}), (content, command)
+
+    def test_vrep_over_the_conversion_cap_exit_two(self, tmp_path, capsys):
+        # the cross-polytope in R^14 has 2^14 facets: its rows pass the
+        # double-description work cap, and the run stops early
+        d = 14
+        points = [[s * (i == j) for j in range(d)] for i in range(d) for s in (1, -1)]
+        path = tmp_path / "cross.json"
+        path.write_text(json.dumps({"dimension": d, "sets": [
+            {"label": "X", "dim": d, "vrep": {"points": points}},
+        ]}))
+        for command in (["check", "pq", "--p", "1", "--q", "1"], ["solve", "pierce"]):
+            start = time.perf_counter()
+            code, out = run(command + ["--input", str(path)], capsys)
+            assert (code, set(json.loads(out))) == (2, {"error"})
+            assert "work cap" in json.loads(out)["error"]
+            assert time.perf_counter() - start < 10
 
     def test_overlong_margin_exit_two(self, capsys):
         code, out = run(["construct", "counterexample", "--d", "1", "--n-max", "4",

@@ -100,7 +100,7 @@ def piercing():
 
 
 def analyze_recession(tmp_path):
-    # H-reps, a faceted V-rep and a V-rep over FACET_SUBSET_CAP, all
+    # H-reps, a V-rep cone and a V-rep of ten points and two rays, all
     # receding along some of +x, +y, +z
     corners = [(x, y, 0) for x in range(5) for y in range(2)]
     fam = family([
@@ -116,8 +116,8 @@ def analyze_recession(tmp_path):
 def facets():
     # pierce-2d-style boxes and triangles (one turned by the rotation
     # (3/5, 4/5)), A_n and B_i for d = 1 and 2, a strip with a lineality
-    # direction and a segment, which has none; then the inverses of
-    # shadow-style coordinate changes
+    # direction and a segment, whose rows include its line's equation;
+    # then the inverses of shadow-style coordinate changes
     turned = [(F(3 * x - 4 * y, 5) + 1, F(4 * x + 3 * y, 5) - F(1, 3))
               for x, y in ((0, 0), (4, 0), (0, 7), (4, 7))]
     sets = [
@@ -133,8 +133,7 @@ def facets():
         sets += [bounded_member(d, i, F(1, 2)) for i in (1, 2)]
     out = {}
     for s in sets:
-        rows = s.rep.facets
-        out[f"{s.label}/{s.dim}"] = None if rows is None else [[*h.normal, h.offset] for h in rows]
+        out[f"{s.label}/{s.dim}"] = [[*h.normal, h.offset] for h in s.rep.rows]
     mats = [
         ((F(2, 3), F(-1, 2)), (F(1, 3), F(1, 2))),
         ((0, 1, F(-2, 3)), (F(1, 2), F(-1, 3), 2), (-1, 0, F(1, 2))),

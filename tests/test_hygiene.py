@@ -96,21 +96,21 @@ def construction_sites(
 
 def test_detector_flags_a_row_construction():
     source = (
-        "def le(c, r): return Constraint(c, LE, r)\n"
+        "def le(c, r): return Constraint(c, r)\n"
         "class _SysBuilder:\n"
         "    def system(self):\n"
         "        return lp.LinearSystem(0, ())\n"
-        "row = Constraint({}, EQ, 0)\n"
+        "row = Constraint({}, 0)\n"
     )
     assert construction_sites(source) == [
         ("Constraint", "le", 1), ("LinearSystem", "_SysBuilder.system", 4), ("Constraint", "", 5),
     ]
 
 
-# the one path of an LP row: dense lists through lp.le/lp.eq, set blocks
+# the one path of an LP row: dense lists through lp.le, set blocks
 # through sets._SysBuilder, whose system() alone makes a LinearSystem
 ROW_BUILDERS = {
-    "Constraint": ("lp.le", "lp.eq", "sets._SysBuilder"),
+    "Constraint": ("lp.le", "sets._SysBuilder"),
     "LinearSystem": ("sets._SysBuilder.system",),
 }
 

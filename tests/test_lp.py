@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 
 from pqpierce.errors import BudgetExhaustedError, MalformedInputError
 from pqpierce.lp import (
-    EQ,
-    LE,
     Constraint,
     LinearSystem,
     completed_basis_matrix,
-    eq,
     invert_matrix,
     le,
     lp_budget,
@@ -51,20 +48,6 @@ def test_two_squares_intersection_witness_in_box():
     assert all(F(1, 2) <= c <= F(1) for c in x)
 
 
-def test_equality_constraints_with_free_vars():
-    sys = LinearSystem(2, (eq([2, 0], 1), eq([1, 1], 1)))
-    ok, x = lp_feasible(sys)
-    assert ok and x == (F(1, 2), F(1, 2))
-
-
-def test_nonneg_marking_changes_answer():
-    # x = -1 is fine for a free variable, impossible for a nonneg one
-    ok, _ = lp_feasible(LinearSystem(1, (eq([1], -1),)))
-    assert ok
-    ok, _ = lp_feasible(LinearSystem(1, (eq([1], -1),), frozenset({0})))
-    assert not ok
-
-
 def test_degenerate_redundant_rows_terminate():
     # the same hyperplane stacked five times plus a vertex pinned by
     # many constraints; Bland must not cycle
@@ -92,20 +75,19 @@ def test_budget_exhaustion_raises():
 @pytest.mark.parametrize("var", [-1, 2])
 def test_system_rejects_a_term_outside_its_variables(var):
     with pytest.raises(MalformedInputError):
-        LinearSystem(2, (Constraint({0: F(1), var: F(1)}, LE, F(0)),))
+        LinearSystem(2, (Constraint({0: F(1), var: F(1)}, F(0)),))
 
 
 def test_dense_rows_drop_zeros_and_match_terms():
-    dense = (le([0, 2, 0, -1], F(1, 2)), eq([F(1, 3), 0, 0, 1], 1), le([0, 0, -1, 0], 0))
+    dense = (le([0, 2, 0, -1], F(1, 2)), le([F(1, 3), 0, 0, 1], -1), le([0, 0, -1, 0], 0))
     assert [c.terms for c in dense] == [{1: 2, 3: -1}, {0: F(1, 3), 3: 1}, {2: -1}]
     sparse = (  # int coefficients where the dense rows hold Fractions
-        Constraint({1: 2, 3: -1}, LE, F(1, 2)),
-        Constraint({0: F(1, 3), 3: 1}, EQ, 1),
-        Constraint({2: -1}, LE, 0),
+        Constraint({1: 2, 3: -1}, F(1, 2)),
+        Constraint({0: F(1, 3), 3: 1}, -1),
+        Constraint({2: -1}, 0),
     )
-    for nonneg in (frozenset(), frozenset({1, 2})):
-        ok, x = lp_feasible(LinearSystem(4, dense, nonneg))
-        assert ok and lp_feasible(LinearSystem(4, sparse, nonneg)) == (True, x)
+    ok, x = lp_feasible(LinearSystem(4, dense))
+    assert ok and lp_feasible(LinearSystem(4, sparse)) == (True, x)
 
 
 def test_dense_row_longer_than_dim_with_trailing_zeros_is_accepted():
@@ -137,21 +119,12 @@ def _random_system(rng: random.Random) -> LinearSystem:
     rows = []
     for _ in range(rng.randint(1, 5)):
         coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)]
-        rel_le = rng.random() < 0.8
-        rhs = F(rng.randint(-6, 6), rng.randint(1, 3))
-        rows.append(le(coeffs, rhs) if rel_le else eq(coeffs, rhs))
-    nonneg = frozenset(j for j in range(dim) if rng.random() < 0.3)
-    return LinearSystem(dim, tuple(rows), nonneg)
+        rows.append(le(coeffs, F(rng.randint(-6, 6), rng.randint(1, 3))))
+    return LinearSystem(dim, tuple(rows))
 
 
 def _satisfies(sys: LinearSystem, x) -> bool:
-    for c in sys.constraints:
-        v = sum((a * x[j] for j, a in c.terms.items()), F(0))
-        if c.relation == "<=" and not v <= c.rhs:
-            return False
-        if c.relation == "=" and v != c.rhs:
-            return False
-    return all(x[j] >= 0 for j in sys.nonneg)
+    return all(sum((a * x[j] for j, a in c.terms.items()), F(0)) <= c.rhs for c in sys.constraints)
 
 
 def test_random_witnesses_satisfy_every_constraint_exactly():
@@ -175,7 +148,7 @@ def test_adding_a_constraint_never_revives_feasibility():
         if other.dim != sys.dim:
             continue
         extra = other.constraints[0]
-        bigger = LinearSystem(sys.dim, sys.constraints + (extra,), sys.nonneg)
+        bigger = LinearSystem(sys.dim, sys.constraints + (extra,))
         ok2, _ = lp_feasible(bigger)
         if not ok:
             assert not ok2
@@ -205,22 +178,11 @@ def _fraction_simplex(system: LinearSystem):
     tableau. The engine must make the same pivots, hence return the
     same witness."""
     d = system.dim
-    col_pos, col_neg, ncol = [], [], 0
-    for j in range(d):
-        col_pos.append(ncol)
-        ncol += 1
-        if j in system.nonneg:
-            col_neg.append(None)
-        else:
-            col_neg.append(ncol)
-            ncol += 1
+    col_pos = [2 * j for j in range(d)]
+    col_neg = [2 * j + 1 for j in range(d)]
     m = len(system.constraints)
-    slack_col = {}
-    for i, c in enumerate(system.constraints):
-        if c.relation == LE:
-            slack_col[i] = ncol
-            ncol += 1
-    base_cols = ncol
+    slack_col = {i: 2 * d + i for i in range(m)}
+    base_cols = 2 * d + m
 
     T, b = [], []
     for i, c in enumerate(system.constraints):
@@ -228,10 +190,8 @@ def _fraction_simplex(system: LinearSystem):
         for j, a in c.terms.items():
             if a:
                 row[col_pos[j]] = a
-                if col_neg[j] is not None:
-                    row[col_neg[j]] = -a
-        if i in slack_col:
-            row[slack_col[i]] = F(1)
+                row[col_neg[j]] = -a
+        row[slack_col[i]] = F(1)
         T.append(row)
         b.append(c.rhs)
     for i in range(m):
@@ -241,8 +201,8 @@ def _fraction_simplex(system: LinearSystem):
 
     basis, art_rows = [-1] * m, []
     for i in range(m):
-        j = slack_col.get(i)
-        if j is not None and T[i][j] == 1:
+        j = slack_col[i]
+        if T[i][j] == 1:
             basis[i] = j
         else:
             art_rows.append(i)
@@ -288,10 +248,7 @@ def _fraction_simplex(system: LinearSystem):
     if obj != 0:
         return None
     val = {basis[i]: b[i] for i in range(m)}
-    return tuple(
-        val.get(col_pos[j], F(0)) - (val.get(col_neg[j], F(0)) if col_neg[j] is not None else 0)
-        for j in range(d)
-    )
+    return tuple(val.get(col_pos[j], F(0)) - val.get(col_neg[j], F(0)) for j in range(d))
 
 
 # few distinct values and many zeros, so ratio-test ties (where Bland's
@@ -308,21 +265,20 @@ def _systems(draw):
     rows = draw(st.lists(
         st.tuples(
             st.lists(_small_rationals, min_size=dim, max_size=dim),
-            st.sampled_from((le, eq)),
             st.one_of(st.just(F(0)), _small_rationals),
         ),
         max_size=8,
     ))
     rows += rows[:draw(st.integers(0, 8 - len(rows)))]  # repeated rows tie too
-    nonneg = draw(st.frozensets(st.integers(0, dim - 1)))
-    return LinearSystem(dim, tuple(rel(c, rhs) for c, rel, rhs in rows), nonneg)
+    return LinearSystem(dim, tuple(le(c, rhs) for c, rhs in rows))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_systems())
 # x enters first with a ratio tie between rows 0 and 1; Bland's rule takes
 # row 1, whose slack has the lower index, and ends at (3/2, -1), not (0, -1)
-@example(LinearSystem(2, (le([-1, 2], -1), le([2, 1], 2), le([0, 1], -1)), frozenset({0})))
+# (the last row, x >= 0, keeps the tie of the free x)
+@example(LinearSystem(2, (le([-1, 2], -1), le([2, 1], 2), le([0, 1], -1), le([-1, 0], 0))))
 def test_witness_equals_fraction_tableau(system):
     ok, x = lp_feasible(system)
     expected = _fraction_simplex(system)

@@ -182,6 +182,33 @@ class TestFreeFamilyPipeline:
             pierce_via_free_family(fam, [0, 1], p=99, q=3)
 
 
+def test_hrep_selection_gets_the_vrep_report():
+    # a bounded H-rep selection's hull takes its vertices; the reports
+    # equal those of the same selection written as V-reps
+    def hbox(label, x0, x1, y0, y1):
+        return hrep_set(label, [((1, 0), x1), ((-1, 0), -x0), ((0, 1), y1), ((0, -1), -y0)])
+
+    uppers = [hrep_set(f"upper{n}", [((0, -1), n)]) for n in range(1, 5)]
+    for selection in ([hbox("b1", 0, 1, 0, 1), hbox("b2", 2, 3, 0, 1)],
+                      [hbox("b1", 0, 1, 0, 1), box2("b2", 2, 3, 0, 1)]):
+        report = pierce_via_free_family(family(selection + uppers), [0, 1], p=4, q=3)
+        vreport = pierce_via_free_family(
+            family([box2("b1", 0, 1, 0, 1), box2("b2", 2, 3, 0, 1)] + uppers), [0, 1], p=4, q=3
+        )
+        assert report.all_passed and report_to_json(report) == report_to_json(vreport)
+    # pierce_via_projection needs q >= p - q + dim + 1, so the golden
+    # main family, its segments written as H-reps
+    rays = [hrep_set(f"ray{n}", [((-1,), -n)]) for n in range(1, 4)]
+    segments = [hrep_set("c1", [((1,), 2), ((-1,), 0)]), hrep_set("c2", [((1,), 3), ((-1,), -1)])]
+    report = pierce_via_projection(family(segments + rays), [0, 1], p=5, q=4)
+    vsegments = [vrep_set("c1", [(0,), (2,)]), vrep_set("c2", [(1,), (3,)])]
+    vreport = pierce_via_projection(family(vsegments + rays), [0, 1], p=5, q=4)
+    assert report.all_passed and report_to_json(report) == report_to_json(vreport)
+    empty = hrep_set("b2", [((1, 0), 0), ((-1, 0), -1)])
+    with pytest.raises(EmptySetError):
+        pierce_via_free_family(family([hbox("b1", 0, 1, 0, 1), empty] + uppers), [0, 1], p=4, q=3)
+
+
 class TestProjectionPipeline:
     def build(self):
         sets = [

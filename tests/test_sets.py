@@ -9,11 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqpierce.errors import EmptySetError, MalformedInputError
-from pqpierce.lp import LinearSystem, completed_basis_matrix, eq, invert_matrix, lp_feasible
+from pqpierce.constructions import bounded_member
+from pqpierce.lp import LinearSystem, completed_basis_matrix, invert_matrix, le, lp_feasible
 from pqpierce.rational import dot, point, rat
 from pqpierce.sets import (
     MAX_DIM,
+    ConvexSet,
     Family,
+    HRep,
     VRep,
     change_coordinates,
     common_recession_direction,
@@ -236,10 +239,20 @@ def test_convex_hull_union():
     assert not contains_point(hull, ("-1/2",)) and not contains_point(hull, ("7/2",))
 
 
-def test_convex_hull_union_rejects_hrep():
-    fam = family([vrep_set("P", [(0,)]), hrep_set("H", [((1,), 1)])])
-    with pytest.raises(MalformedInputError):
-        convex_hull_union(fam, [0, 1])
+def test_convex_hull_union_takes_hrep():
+    # x <= 1 has the vertex 1 and the ray -1; with the point 3: x <= 3
+    fam = family([vrep_set("P", [(3,)]), hrep_set("H", [((1,), 1)])])
+    hull = convex_hull_union(fam, [0, 1])
+    assert hull.rep == VRep((point((3,)), point((1,))), (point((-1,)),))
+    assert contains_point(hull, (-100,)) and not contains_point(hull, ("7/2",))
+    # a strip with lineality: both signs of the line's direction are rays
+    strip = hrep_set("S", [((0, 1), 1), ((0, -1), 0)])
+    hull = convex_hull_union(family([strip]), [0])
+    assert set(hull.rep.rays) == {point((1, 0)), point((-1, 0))}
+    assert contains_point(hull, (-9, "1/2")) and not contains_point(hull, (0, 2))
+    empty = hrep_set("E", [((1,), -1), ((-1,), 0)])
+    with pytest.raises(EmptySetError):
+        convex_hull_union(family([vrep_set("P", [(0,)]), empty]), [0, 1])
 
 
 def test_lifted_projection_of_skew_segments():
@@ -352,15 +365,17 @@ def test_json_rejects_malformed():
         ]})
 
 
-# --- facets of small V-reps against the multiplier LP -------------------------
+# --- rows of small V-reps against the multiplier LP ---------------------------
 
 def multiplier_lp_member(pts, rays, x):
-    """x in conv(pts) + cone(rays), as the LP over the multipliers."""
+    """x in conv(pts) + cone(rays), as the LP over the multipliers m in
+    <= rows: each equation as two rows, each m_k >= 0 as -m_k <= 0."""
     m, k = len(pts), len(rays)
     gens = list(pts) + list(rays)
-    rows = [eq([g[i] for g in gens], x[i]) for i in range(len(x))]
-    rows.append(eq([1] * m + [0] * k, 1))
-    return lp_feasible(LinearSystem(m + k, tuple(rows), frozenset(range(m + k))))[0]
+    eqs = [([g[i] for g in gens], x[i]) for i in range(len(x))] + [([1] * m + [0] * k, 1)]
+    rows = [le(c, b) for c, b in eqs] + [le([-a for a in c], -b) for c, b in eqs]
+    rows += [le([-int(i == j) for j in range(m + k)], 0) for i in range(m + k)]
+    return lp_feasible(LinearSystem(m + k, tuple(rows)))[0]
 
 
 def rank(vectors):
@@ -396,16 +411,19 @@ def small_vrep_and_point(draw):
 @example(([(0, 0), (0, 1)], [(1, 0), (-1, 0)], (5, 2)))
 @example(([(0, 0)], [(1, 0), (1, 1)], (2, 1)))  # pointed cone
 @example(([(0, 0)], [(1, 0), (1, 1)], (1, 2)))
+@example(([(0, 0), (2, 1)], [], (4, 2)))  # segment: one equation
+@example(([(1, 1, 1)], [], (1, 1, 1)))  # point: three equations
 def test_facets_agree_with_the_multiplier_lp(case):
     pts, rays, x = case
     s = vrep_set("V", pts, rays)
-    facets = s.rep.facets
+    rows = s.rep.rows
     d = s.dim
-    full = rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]] + list(rays)) == d
+    gens = [(*p, 1) for p in s.rep.points] + [(*r, 0) for r in s.rep.rays]
     whole = all(direction_in_recession_cone(s, [sign * (i == j) for j in range(d)])
                 for i in range(d) for sign in (1, -1))
-    assert (facets is None) == (not full or whole)
-    for h in facets or ():
+    assert (rows == ()) == whole
+    assert len(set(rows)) == len(rows)
+    for h in rows:
         g = 0
         for a in h.normal + (h.offset,):
             assert isinstance(a, int)
@@ -413,13 +431,60 @@ def test_facets_agree_with_the_multiplier_lp(case):
         assert g == 1
         assert all(dot(h.normal, p) <= h.offset for p in s.rep.points)
         assert all(dot(h.normal, r) <= 0 for r in s.rep.rays)
-        # a facet: its generators span a (d-1)-flat, not a lower face
-        on = [(*p, 1) for p in s.rep.points if dot(h.normal, p) == h.offset]
-        on += [(*r, 0) for r in s.rep.rays if dot(h.normal, r) == 0]
-        assert rank(on) == d
-    assert facets is None or len(set(facets)) == len(facets)
-    assert contains_point(s, x) == multiplier_lp_member(pts, rays, x)
-    if facets is not None:
-        # recession by substitution into the facets: v in cone(rays)
-        for v in (x, *rays):
-            assert direction_in_recession_cone(s, v) == multiplier_lp_member([(0,) * d], rays, v)
+    negated = {(tuple(-a for a in h.normal), -h.offset) for h in rows}
+    equations = [h for h in rows if (h.normal, h.offset) in negated]
+    # one equation, as two rows, per dimension the generators do not span
+    assert len(equations) == 2 * (d + 1 - rank(gens))
+    for h in equations:
+        assert all(dot(h.normal, p) == h.offset for p in s.rep.points)
+        assert all(dot(h.normal, r) == 0 for r in s.rep.rays)
+    for h in rows:
+        if h not in equations:
+            # a facet: its generators span a flat one less than the set's
+            on = [g for g in gens if dot(h.normal, g[:d]) == h.offset * g[d]]
+            assert rank(on) == rank(gens) - 1
+    # a point of the set, seen by a lower-dimensional set too
+    inside = tuple(Fraction(sum(c), len(pts)) for c in zip(*pts))
+    inside = tuple(a + sum(c) for a, *c in zip(inside, *rays))
+    for y in (x, inside):
+        assert contains_point(s, y) == multiplier_lp_member(pts, rays, y)
+    assert contains_point(s, inside)
+    # recession by substitution into the rows: v in cone(rays)
+    for v in (x, *rays):
+        assert direction_in_recession_cone(s, v) == multiplier_lp_member([(0,) * d], rays, v)
+
+
+@st.composite
+def bounded_hrep_and_points(draw):
+    d = draw(st.integers(1, 3))
+    box = [(tuple(sign * (i == j) for j in range(d)), 2) for i in range(d) for sign in (1, -1)]
+    vec = st.tuples(*[_COORD] * d)
+    cuts = draw(st.lists(st.tuples(vec.filter(any), _COORD), max_size=4))
+    return d, box + cuts, draw(st.lists(vec, min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_hrep_and_points())
+@example((2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 1), 1)], [(1, 0), (1, 1)]))
+def test_hrep_to_vrep_and_back_keeps_membership(case):
+    d, halfspaces, probes = case
+    h = hrep_set("H", halfspaces, dim=d)
+    if is_empty(h):
+        with pytest.raises(EmptySetError):
+            convex_hull_union(family([h]), [0])
+        return
+    v = convex_hull_union(family([h]), [0])
+    assert isinstance(v.rep, VRep) and v.rep.rays == ()
+    assert all(contains_point(h, p) for p in v.rep.points)
+    for y in probes:
+        assert contains_point(v, y) == contains_point(h, y)
+    # the V-rep's rows describe the same set as the H-rep
+    again = ConvexSet("H2", d, HRep(v.rep.rows))
+    for y in (*probes, *v.rep.points):
+        assert contains_point(again, y) == contains_point(h, y)
+
+
+def test_largest_counterexample_box_converts_under_the_work_cap():
+    box = bounded_member(11, 1)  # 4,096 corners in R^12
+    assert len(box.rep.rows) == 24
+    assert contains_point(box, (0,) * 12)
