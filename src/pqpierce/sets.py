@@ -296,8 +296,9 @@ class _SysBuilder:
         self.rows: list[Constraint] = []
 
     def vars(self, k: int) -> list[int]:
+        new = list(range(self.nvars, self.nvars + k))
         self.nvars += k
-        return list(range(self.nvars - k, self.nvars))
+        return new
 
     def add(self, terms: dict[int, RatLike], rhs: RatLike):
         self.rows.append(Constraint(terms, rhs))
