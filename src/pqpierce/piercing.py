@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
 from .hypergraph import Hypergraph, hypergraph
 from .lp import _int_row
 from .rational import Point, point_json
-from .sets import ConvexSet, Family, HRep, _rows, contains_point, intersect_nonempty, is_bounded, is_empty
+from .sets import ConvexSet, Family, HRep, _holds, contains_point, intersect_nonempty, is_bounded, is_empty
 
 
 class IntersectionOracle:
@@ -29,11 +28,13 @@ class IntersectionOracle:
     that no LP asked:
 
     - after each feasible LP, its witness w is substituted into every
-      member's rows (an H-rep's halfspaces, a V-rep's rows from its
-      generators), in ints: w as numerators over one denominator, each
-      member's rows scaled once per oracle. The mask of the members
-      holding w certifies every key inside it, with w as the witness;
-    - an LP-infeasible key condemns all its supersets.
+      member's int rows (sets._holds), w as numerators over one
+      denominator and each member's rows scaled once per set. The mask
+      of the members holding w certifies every key inside it, with w
+      as the witness;
+    - an LP-infeasible key condemns all its supersets. False seeds are
+      kept in buckets by their lowest member, and a key looks only in
+      the buckets of its own members.
 
     Helly's theorem is not used: a key outside every mask is asked by LP.
 
@@ -47,12 +48,7 @@ class IntersectionOracle:
         self.fam = fam
         self._answers: dict[int, Optional[Point]] = {}
         self._masks: list[tuple[int, Point]] = []
-        self._false_seeds: list[int] = []
-        self._int_rows = [self._scaled_rows(s) for s in fam.sets]
-
-    @staticmethod
-    def _scaled_rows(s: ConvexSet) -> list[list[int]]:
-        return [_int_row([*h.normal, h.offset]) for h in _rows(s)]
+        self._false_seeds: dict[int, list[int]] = {}  # lowest member bit -> seeds
 
     def join(self, fixed: ConvexSet) -> int:
         """Append `fixed` as the last member, renamed if its label is
@@ -62,7 +58,6 @@ class IntersectionOracle:
         while label in taken:
             label += "'"
         self.fam = Family(self.fam.dim, self.fam.sets + (replace(fixed, label=label),))
-        self._int_rows.append(self._scaled_rows(fixed))
         return len(self.fam) - 1
 
     def _key(self, indices: Iterable[int]) -> int:
@@ -83,26 +78,27 @@ class IntersectionOracle:
             if key & mask == key:
                 self._answers[key] = w
                 return w
-        for seed in self._false_seeds:
-            if key & seed == seed:
-                self._answers[key] = None
-                return None
+        rest = key
+        while rest:  # a seed inside key has its lowest bit in key
+            low = rest & -rest
+            for seed in self._false_seeds.get(low, ()):
+                if key & seed == seed:
+                    self._answers[key] = None
+                    return None
+            rest ^= low
         ok, w = intersect_nonempty(self.fam, [i for i in range(key.bit_length()) if key >> i & 1])
         self._answers[key] = w
         if ok:
             self._masks.append((self._mask(key, w), w))
         else:
-            self._false_seeds.append(key)
+            self._false_seeds.setdefault(key & -key, []).append(key)
         return w
 
     def _mask(self, key: int, w: Point) -> int:
         """key plus every member that holds w."""
-        x = _int_row([*w, -1])  # row . x <= 0 reads normal . w <= offset
-        mask = key
-        for i, rows in enumerate(self._int_rows):
-            if not key >> i & 1 and all(sum(map(mul, row, x)) <= 0 for row in rows):
-                mask |= 1 << i
-        return mask
+        x = _int_row([*w, -1])
+        return key | sum(1 << i for i, s in enumerate(self.fam.sets)
+                         if not key >> i & 1 and _holds(s, x))
 
     def intersecting(self, indices: Iterable[int]) -> bool:
         return self._answer(self._key(indices)) is not None
@@ -112,7 +108,7 @@ class IntersectionOracle:
 
     @property
     def lp_results(self) -> int:
-        return len(self._masks) + len(self._false_seeds)
+        return len(self._masks) + sum(map(len, self._false_seeds.values()))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ facets, and each equation of its affine hull as two rows. A bounded or
 unbounded H-rep gets generators the same way when a hull needs them.
 Intersections are never materialized: every member joins every LP as
 <= rows over free coordinates, and membership and recession of a
-direction are substitution into those rows.
+direction are one int substitution, _holds, into the rows either rep
+caches (`rows`; an H-rep's are its halfspaces scaled to ints).
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .rational import (
     Matrix,
     Point,
     RatLike,
-    dot,
     is_zero,
     mat_vec,
     point,
@@ -54,8 +54,8 @@ DD_WORK_CAP = 8_000_000
 @dataclass(frozen=True, slots=True)
 class Halfspace:
     """{x : normal . x <= offset}. A zero normal is only legal when the
-    constraint is vacuous (offset >= 0). The rows of a V-rep hold
-    primitive int rows here in place of Fractions."""
+    constraint is vacuous (offset >= 0). The `rows` of either rep hold
+    ints here in place of Fractions."""
 
     normal: Point
     offset: Fraction
@@ -72,6 +72,14 @@ def halfspace(normal: Iterable[RatLike], offset: RatLike) -> Halfspace:
 @dataclass(frozen=True)
 class HRep:
     halfspaces: tuple[Halfspace, ...]
+
+    @cached_property
+    def rows(self) -> tuple[Halfspace, ...]:
+        """Each halfspace times the lcm of its denominators, in ints.
+        LPs take the halfspaces: the simplex weighs each artificial
+        variable by its row's scale, so these would move its pivots."""
+        rows = (_int_row([*h.normal, h.offset]) for h in self.halfspaces)
+        return tuple(Halfspace(tuple(y[:-1]), y[-1]) for y in rows)
 
 
 @dataclass(frozen=True)
@@ -175,7 +183,7 @@ def _generators(s: ConvexSet) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     EmptySetError for an empty H-rep, whose cone has no t > 0."""
     if isinstance(s.rep, VRep):
         return s.rep.points, s.rep.rays
-    rows = [_int_row([*h.normal, -h.offset]) for h in s.rep.halfspaces]
+    rows = [[*h.normal, -h.offset] for h in s.rep.rows]
     lin, ext = _cone(rows + [[0] * s.dim + [-1]], s.dim + 1)
     pts = tuple(tuple(Fraction(c, y[-1]) for c in y[:-1]) for _, y in ext if y[-1])
     if not pts:
@@ -308,7 +316,7 @@ class _SysBuilder:
 
 
 def _rows(s: ConvexSet) -> tuple[Halfspace, ...]:
-    """An H-rep's halfspaces or a V-rep's rows."""
+    """The LP rows: an H-rep's halfspaces or a V-rep's rows."""
     return s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.rows
 
 
@@ -325,12 +333,20 @@ def _member_rows(b: _SysBuilder, s: ConvexSet, xs: Sequence[int]) -> None:
 # ---------------------------------------------------------------------------
 # primitives
 
+def _holds(s: ConvexSet, x: list[int]) -> bool:
+    """Does normal . y + offset * t <= 0 hold for every int row of s,
+    x = [*y, t]? A point p enters as _int_row([*p, -1]), a direction v
+    as _int_row([*v, 0])."""
+    t = x[-1]
+    return all(sum(map(mul, h.normal, x)) + h.offset * t <= 0 for h in s.rep.rows)
+
+
 def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:
-    """Exact membership: substitution into the set's rows."""
+    """Exact membership: substitution into the set's int rows."""
     xp = point(x)
     if len(xp) != s.dim:
         raise MalformedInputError(f"point arity {len(xp)} != dim {s.dim}")
-    return all(dot(h.normal, xp) <= h.offset for h in _rows(s))
+    return _holds(s, _int_row([*xp, -1]))
 
 
 def is_empty(s: ConvexSet) -> bool:
@@ -362,7 +378,7 @@ def intersect_nonempty(
     """Joint intersection of the indexed members via a single LP.
 
     The witness returned on success is re-checked against every indexed
-    member with contains_point before being handed out.
+    member by int substitution before being handed out.
     """
     idx = list(indices)
     if not idx:
@@ -376,8 +392,9 @@ def intersect_nonempty(
     if not ok:
         return False, None
     witness = tuple(sol[j] for j in xs)
+    x = _int_row([*witness, -1])
     for s in members:
-        if not contains_point(s, witness):
+        if not _holds(s, x):
             raise AssertionError(
                 f"joint LP witness escaped {s.label}; solver invariant broken"
             )
@@ -404,11 +421,11 @@ def recession_cone(s: ConvexSet) -> ConvexSet:
 
 def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
     """Does the set recede along v (exactly)? Substitution into its
-    rows with zero offsets."""
+    int rows with zero offsets."""
     vp = point(v)
     if len(vp) != s.dim:
         raise MalformedInputError("direction arity mismatch")
-    return all(dot(h.normal, vp) <= 0 for h in _rows(s))
+    return _holds(s, _int_row([*vp, 0]))
 
 
 def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:

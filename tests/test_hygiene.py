@@ -1,6 +1,7 @@
 """Source hygiene: every name a module or test file imports is used in
-that file, joint-intersection LPs are asked only through the oracle, and
-LP rows and systems are built only by the row builders.
+that file, joint-intersection LPs are asked only through the oracle,
+LP rows and systems are built only by the row builders, and point and
+direction tests substitute into the int rows cached on each set.
 
 `__init__.py` re-exports by importing, and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -120,6 +121,30 @@ def test_lp_rows_built_only_by_the_row_builders(path):
     for cls, scope, line in construction_sites(path.read_text(encoding="utf-8")):
         where = f"{path.stem}.{scope}"
         assert any(where == b or where.startswith(b + ".") for b in ROW_BUILDERS[cls]), (cls, where, line)
+
+
+def imported_names(source: str) -> set[str]:
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "rational.py"], ids=lambda p: p.name
+)
+def test_no_fraction_substitution(path):
+    # membership and recession go through sets._holds over int rows,
+    # not through Fraction dot products
+    assert "dot" not in imported_names(path.read_text(encoding="utf-8"))
+
+
+def test_the_oracle_keeps_no_row_copies():
+    # each set caches its own int rows (HRep.rows, VRep.rows)
+    source = (SRC / "piercing.py").read_text(encoding="utf-8")
+    assert "_int_rows" not in source and "_scaled_rows" not in source
 
 
 ONE_ORACLE = ("IntersectionOracle", "Family")

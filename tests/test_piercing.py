@@ -100,6 +100,24 @@ def test_oracle_condemns_supersets():
         oracle.intersecting([])
 
 
+def test_false_seed_answers_a_key_past_its_lowest_member(monkeypatch):
+    # the seed {2, 5} sits in the bucket of member 2; the key {0, 2, 5}
+    # must find it there, not only in the bucket of its lowest member 0
+    fam = family([hrep_set(f"I{i}", [((1,), hi), ((-1,), -lo)])
+                  for i, (lo, hi) in enumerate([(0, 9), (0, 9), (0, 1), (0, 9), (0, 9), (2, 3)])])
+    oracle = IntersectionOracle(fam)
+    assert not oracle.intersecting([2, 5])
+    assert oracle.lp_results == 1
+
+    def no_lp(fam, indices):
+        raise AssertionError(f"LP asked for {indices}")
+
+    monkeypatch.setattr("pqpierce.piercing.intersect_nonempty", no_lp)
+    assert oracle.witness([0, 2, 5]) is None
+    assert not oracle.intersecting([2, 3, 4, 5])
+    assert oracle.lp_results == 1
+
+
 def test_pq_property_identical_squares():
     fam = family([box2(f"Q{i}", 0, 1, 0, 1) for i in range(4)])
     rep = has_pq_property(fam, 4, 4)

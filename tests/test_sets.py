@@ -1,6 +1,7 @@
 """Geometric primitives: membership, joint intersection, recession,
 projection, hulls, lifted projections, coordinate changes, JSON."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -89,6 +90,14 @@ def test_intersect_mixed_reps():
     ok, w = intersect_nonempty(fam, [0, 1])
     assert ok
     assert w[0] >= 2 and 0 <= w[1] <= 1
+
+
+def test_joint_lp_takes_the_halfspaces_not_the_scaled_rows():
+    # the simplex weighs each artificial variable by its row's scale:
+    # the int rows of HRep.rows, scaled per row, would end at (4/3, -5/3)
+    h0 = hrep_set("h0", [((-1, 0), "-3/4"), ((3, 2), "2/3")])
+    h1 = hrep_set("h1", [((1, 2), -2), ((-1, 2), 2)])
+    assert intersect_nonempty(family([h0, h1]), [0, 1]) == (True, point(("3/4", "-11/8")))
 
 
 def test_intersect_empty_indices_rejected():
@@ -488,3 +497,72 @@ def test_largest_counterexample_box_converts_under_the_work_cap():
     box = bounded_member(11, 1)  # 4,096 corners in R^12
     assert len(box.rep.rows) == 24
     assert contains_point(box, (0,) * 12)
+
+
+# --- int substitution against the Fraction reference --------------------------
+
+def reference_holds(halfspaces, x, direction=False):
+    """The Fraction test: normal . x <= offset (<= 0 for a direction)."""
+    return all(dot(h.normal, point(x)) <= (0 if direction else h.offset) for h in halfspaces)
+
+
+def _frac(rng, top=9):
+    return Fraction(rng.randint(-top, top), rng.randint(1, top))
+
+
+def _moved_out(x, normal, den):
+    """x moved 1/den along the first axis the normal leans on, outward."""
+    k = next(k for k, a in enumerate(normal) if a)
+    return tuple(c + (Fraction(1 if normal[k] > 0 else -1, den) if i == k else 0) for i, c in enumerate(x))
+
+
+def test_substitution_matches_the_fraction_reference():
+    # random H-reps with fractional offsets through a point c lying on
+    # row j: c is in, c moved 1/den past row j is out, and random points
+    # and directions agree with rational.dot over the halfspaces
+    rng = random.Random(7)
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        c = tuple(_frac(rng) for _ in range(d))
+        normals = [tuple(_frac(rng) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+        normals = [n for n in normals if any(n)] or [(Fraction(1),) * d]
+        j = rng.randrange(len(normals))
+        offsets = [dot(n, c) + (0 if i == j else abs(_frac(rng))) for i, n in enumerate(normals)]
+        s = hrep_set("H", list(zip(normals, offsets)))
+        hs = s.rep.halfspaces
+        assert contains_point(s, c) and reference_holds(hs, c)
+        den = rng.randint(2, 10 ** 9)
+        out = _moved_out(c, normals[j], den)
+        assert not contains_point(s, out) and not reference_holds(hs, out)
+        for _ in range(4):
+            y = tuple(_frac(rng) for _ in range(d))
+            assert contains_point(s, y) == reference_holds(hs, y)
+            assert direction_in_recession_cone(s, y) == reference_holds(hs, y, direction=True)
+        # a direction on row j's boundary, then 1/den past it
+        n = normals[j]
+        u = tuple(_frac(rng) for _ in range(d))
+        v = tuple(a - dot(n, u) / dot(n, n) * b for a, b in zip(u, n))
+        assert direction_in_recession_cone(s, v) == reference_holds(hs, v, direction=True)
+        assert not direction_in_recession_cone(s, _moved_out(v, n, den))
+    # random V-reps: every generator holds, a generator on a row moved
+    # 1/den past it does not, and random points agree with the reference
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        pts = [tuple(_frac(rng) for _ in range(d)) for _ in range(rng.randint(1, d + 3))]
+        rays = [r for r in (tuple(_frac(rng, 3) for _ in range(d)) for _ in range(rng.randint(0, 2))) if any(r)]
+        s = vrep_set("V", pts, rays)
+        rows = s.rep.rows
+        assert all(contains_point(s, p) and reference_holds(rows, p) for p in pts)
+        assert all(direction_in_recession_cone(s, r) for r in rays)
+        for h in rows:
+            den = rng.randint(2, 10 ** 9)
+            on = [p for p in pts if dot(h.normal, p) == h.offset]
+            along = [r for r in rays if dot(h.normal, r) == 0]
+            for p in on:
+                assert not contains_point(s, _moved_out(p, h.normal, den))
+            for r in along:
+                assert not direction_in_recession_cone(s, _moved_out(r, h.normal, den))
+        for _ in range(4):
+            y = tuple(_frac(rng) for _ in range(d))
+            assert contains_point(s, y) == reference_holds(rows, y)
+            assert direction_in_recession_cone(s, y) == reference_holds(rows, y, direction=True)
