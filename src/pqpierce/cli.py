@@ -227,9 +227,7 @@ def _cmd_construct(args) -> tuple[int, str]:
 
 
 def _cmd_check_pq(args) -> tuple[int, str]:
-    fam = _load_family(args.input)
-    with _budget_context(args):
-        report = has_pq_property(fam, args.p, args.q)
+    report = has_pq_property(_load_family(args.input), args.p, args.q)
     data = pq_report_to_json(report)
     text = _pq_csv(data) if args.format == "csv" else _json_text(data)
     return (0 if report.holds else 1), text
@@ -237,9 +235,7 @@ def _cmd_check_pq(args) -> tuple[int, str]:
 
 def _cmd_solve(args) -> tuple[int, str]:
     if args.what == "pierce":
-        fam = _load_family(args.input)
-        with _budget_context(args):
-            sol = piercing_number(fam, limit=args.limit)
+        sol = piercing_number(_load_family(args.input), limit=args.limit)
         return 0, _json_text(piercing_to_json(sol))
     h = hypergraph_from_json(_load_json(args.input))
     beta, cover = transversal_number(h, limit=args.limit)
@@ -248,25 +244,21 @@ def _cmd_solve(args) -> tuple[int, str]:
 
 def _cmd_analyze(args) -> tuple[int, str]:
     fam = _load_family(args.input)
-    with _budget_context(args):
-        if args.what == "recession":
-            v = common_recession_direction(fam)
-            data = {"direction": None if v is None else point_json(v)}
-            return (0 if v is not None else 1), _json_text(data)
-        if args.what == "project":
-            if fam.dim < 2:
-                raise MalformedInputError("projection needs dimension >= 2")
-            shadows = Family(fam.dim - 1, tuple(project_drop_last(s) for s in fam.sets))
-            return 0, _json_text(family_to_json(shadows))
-        gf = build_GF(fam)
-        return 0, _json_text(hypergraph_to_json(gf))
+    if args.what == "recession":
+        v = common_recession_direction(fam)
+        data = {"direction": None if v is None else point_json(v)}
+        return (0 if v is not None else 1), _json_text(data)
+    if args.what == "project":
+        if fam.dim < 2:
+            raise MalformedInputError("projection needs dimension >= 2")
+        shadows = Family(fam.dim - 1, tuple(project_drop_last(s) for s in fam.sets))
+        return 0, _json_text(family_to_json(shadows))
+    gf = build_GF(fam)
+    return 0, _json_text(hypergraph_to_json(gf))
 
 
 def _cmd_escape(args) -> tuple[int, str]:
-    spec = _spec(args)
-    pts = _load_points(args.points)
-    with _budget_context(args):
-        w = escape_witness(spec, pts, args.n_cap)
+    w = escape_witness(_spec(args), _load_points(args.points), args.n_cap)
     data = {"witness": w, "n_cap": args.n_cap}
     return (0 if w is not None else 3), _json_text(data)
 
@@ -285,31 +277,30 @@ def _cmd_bounds(args) -> tuple[int, str]:
 
 
 def _cmd_pipeline(args) -> tuple[int, str]:
-    with _budget_context(args):
-        if args.what == "s1":
-            report = pierce_via_transversal(_load_family(args.input), args.t, args.p)
-        elif args.what == "s2":
-            report = pierce_via_free_family(
-                _load_family(args.input), _parse_index_list(args.b_indices),
-                args.p, args.q,
-            )
-        elif args.what == "main":
-            report = pierce_via_projection(
-                _load_family(args.input), _parse_index_list(args.compact_indices),
-                args.p, args.q,
-            )
-        elif args.what == "counterexample":
-            spec = _spec(args)
-            candidates = None
-            if args.points is not None:
-                candidates = [_load_points(args.points)]
-            report = verify_counterexample(
-                spec, args.k_max, candidate_point_sets=candidates, n_cap=args.n_cap
-            )
-        else:
-            fam = _load_family(args.input)
-            box = set_from_json(_load_json(args.box))
-            report = verify_projection_equivalence(fam, box, args.max_subset)
+    if args.what == "s1":
+        report = pierce_via_transversal(_load_family(args.input), args.t, args.p)
+    elif args.what == "s2":
+        report = pierce_via_free_family(
+            _load_family(args.input), _parse_index_list(args.b_indices),
+            args.p, args.q,
+        )
+    elif args.what == "main":
+        report = pierce_via_projection(
+            _load_family(args.input), _parse_index_list(args.compact_indices),
+            args.p, args.q,
+        )
+    elif args.what == "counterexample":
+        spec = _spec(args)
+        candidates = None
+        if args.points is not None:
+            candidates = [_load_points(args.points)]
+        report = verify_counterexample(
+            spec, args.k_max, candidate_point_sets=candidates, n_cap=args.n_cap
+        )
+    else:
+        fam = _load_family(args.input)
+        box = set_from_json(_load_json(args.box))
+        report = verify_projection_equivalence(fam, box, args.max_subset)
     data = report_to_json(report)
     text = _pipeline_csv(data) if args.format == "csv" else _json_text(data)
     if not report.exhaustive:
@@ -483,7 +474,8 @@ def cmd_dispatch(argv) -> int:
         _emit(_json_text({"error": str(exc)}), None)
         return 2
     try:
-        code, text = _HANDLERS[args.command](args)
+        with _budget_context(args):  # every LP of the command, file loading included
+            code, text = _HANDLERS[args.command](args)
     except (MalformedInputError, EmptySetError, CatalogError) as exc:
         code, text = 2, _json_text({"error": str(exc)})
     except (BudgetExhaustedError, SearchLimitError) as exc:

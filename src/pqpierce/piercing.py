@@ -216,12 +216,17 @@ class PiercingSolution:
     optimal: bool
 
 
-def _verify_solution(fam: Family, sol: PiercingSolution) -> None:
-    for i, pi in sol.assignment.items():
+def _verified_solution(
+    fam: Family, points: Iterable[Point], assignment: dict[int, int], optimal: bool
+) -> PiercingSolution:
+    """The solution, once each member is seen to contain its assigned point."""
+    sol = PiercingSolution(tuple(points), assignment, optimal)
+    for i, pi in assignment.items():
         if not contains_point(fam.sets[i], sol.points[pi]):
             raise AssertionError(
                 f"{fam.sets[i].label} does not contain its assigned point"
             )
+    return sol
 
 
 def _require_members_nonempty(fam: Family) -> None:
@@ -241,13 +246,12 @@ def piercing_number(fam: Family, limit: Optional[int] = None) -> PiercingSolutio
     _require_members_nonempty(fam)
     oracle = IntersectionOracle(fam)
     parts, optimal = min_partition(oracle, range(len(fam)), limit)
-    sol = PiercingSolution(
-        tuple(map(oracle.witness, parts)),
+    return _verified_solution(
+        fam,
+        map(oracle.witness, parts),
         {i: c for c, part in enumerate(parts) for i in part},
         optimal,
     )
-    _verify_solution(fam, sol)
-    return sol
 
 
 def piercing_to_json(sol: PiercingSolution) -> dict:

@@ -2,9 +2,13 @@
 
 Each pipeline verifies its mathematical hypotheses on the concrete
 input, then assembles a certified piercing; reports carry every check,
-its witness, and the claimed bound. A report never contains piercing
-points unless all hypothesis checks passed, and every point is
-re-verified by exact membership in each set it serves.
+its witness, and the claimed bound.
+
+Every pipeline runs through one `_Run`: it holds the run's intersection
+oracle, adds the rows, places the piercing points and ends the run
+with its report. A failed row ends the run with no points: the report
+names the first failed row. Otherwise every point is re-verified by
+exact membership in each set it serves.
 
 The minimum-partition step stands in for the nonconstructive partition
 arguments: for finite families, a subfamily is intersecting exactly
@@ -17,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bounds import catalog_lookup
 from .constructions import (
@@ -32,9 +36,8 @@ from .piercing import (
     IntersectionOracle,
     PiercingSolution,
     _require_members_nonempty,
-    _verify_solution,
+    _verified_solution,
     build_GF,
-    has_pq_property,
     min_partition,
     piercing_to_json,
     pq_property_scan,
@@ -113,61 +116,72 @@ def report_to_json(r: PipelineReport) -> dict:
     }
 
 
-def _failed(name, inputs, checks) -> PipelineReport:
-    bad = next(c.description for c in checks if not c.passed)
-    return PipelineReport(name, inputs, checks, None, None, f"hypothesis failed: {bad}")
+# ---------------------------------------------------------------------------
+# one run of a pipeline
 
+class _Run:
+    """One pipeline run on `fam`: its oracle, which a truncating box or
+    a selection's hull joins, its rows in order, and the points placed
+    so far with the members each serves."""
 
-def _labels(fam: Family, indices: Iterable[int]) -> list[str]:
-    return [fam.sets[i].label for i in indices]
+    def __init__(self, name: str, fam: Family, inputs: dict):
+        self.name, self.fam, self.inputs = name, fam, inputs
+        self.oracle = IntersectionOracle(fam)
+        self.rows: list[HypothesisCheck] = []
+        self.points: list[Point] = []
+        self.assignment: dict[int, int] = {}
 
+    def labels(self, indices: Iterable[int]) -> list[str]:
+        return [self.fam.sets[i].label for i in indices]
 
-def _pq_check(fam: Family, p: int, q: int, oracle: IntersectionOracle) -> HypothesisCheck:
-    prop = has_pq_property(fam, p, q, oracle)
-    return HypothesisCheck(
-        f"({p},{q})-property",
-        prop.holds,
-        None if prop.holds else {"violating": _labels(fam, prop.violating_tuple)},
-    )
+    def add(self, description: str, passed: bool, witness: object) -> bool:
+        self.rows.append(HypothesisCheck(description, passed, witness))
+        return passed
 
-
-def _finish(
-    name: str,
-    fam: Family,
-    oracle: IntersectionOracle,
-    inputs: dict,
-    checks: list[HypothesisCheck],
-    points: list[Point],
-    assignment: dict[int, int],
-    bound_claim: tuple[str, Optional[int]],
-    within: str,
-    selection: Sequence[int] = (),
-    limit: int = 0,
-) -> PipelineReport:
-    """Shared tail of the piercing routes: report the first failed row,
-    or pierce the selection (if any) exactly with at most `limit` points
-    placed after the given ones, re-check every point and report."""
-    if not all(c.passed for c in checks):
-        return _failed(name, inputs, checks)
-    if selection:
-        parts, _ = min_partition(oracle, selection)
-        checks.append(
-            HypothesisCheck(
-                f"selection pierced by at most {limit} points",
-                len(parts) <= limit,
-                {"used": len(parts)},
-            )
+    def scan(
+        self, description: str, members: Sequence[int], p: int, q: int,
+        query: Callable[[tuple[int, ...]], bool],
+        witness: Callable[[int, Optional[list[str]]], object],
+    ) -> bool:
+        """Add the row of the (p,q) scan of `members`. `query` takes
+        positions in `members`; witness(tuples seen, the violating
+        labels or None) gives the row's witness."""
+        holds, bad, checked = pq_property_scan(len(members), p, q, query)
+        return self.add(
+            description, holds, witness(checked, None if holds else self.labels(members[i] for i in bad))
         )
-        if not checks[-1].passed:
-            return _failed(name, inputs, checks)
-        for part in parts:
-            assignment.update((i, len(points)) for i in part)
-            points.append(oracle.witness(part))
-    sol = PiercingSolution(tuple(points), assignment, optimal=False)
-    _verify_solution(fam, sol)
-    return PipelineReport(
-        name, inputs, checks, sol, bound_claim, f"pierced by {len(points)} points{within}"
-    )
+
+    def pierce(self, members: Iterable[int], point: Point) -> None:
+        self.assignment.update((i, len(self.points)) for i in members)
+        self.points.append(point)
+
+    @property
+    def failed(self) -> Optional[str]:
+        """The first failed row's description; None while every row passed."""
+        return next((c.description for c in self.rows if not c.passed), None)
+
+    def report(
+        self, piercing: Optional[PiercingSolution], bound_claim: Optional[tuple[str, Optional[int]]],
+        conclusion: str, **extra,
+    ) -> PipelineReport:
+        return PipelineReport(self.name, self.inputs, self.rows, piercing, bound_claim, conclusion, **extra)
+
+    def stop(self) -> PipelineReport:
+        """The first failed row's report: no points, no bound."""
+        return self.report(None, None, f"hypothesis failed: {self.failed}")
+
+    def end(self, bound_claim: tuple[str, Optional[int]], within: str) -> PipelineReport:
+        """Stop at a failed row, or report the points placed, each
+        re-checked in every member it serves."""
+        if self.failed:
+            return self.stop()
+        sol = _verified_solution(self.fam, self.points, self.assignment, False)
+        return self.report(sol, bound_claim, f"pierced by {len(self.points)} points{within}")
+
+
+def _violation(checked: int, bad: Optional[list[str]]) -> Optional[dict]:
+    """A piercing route's (p,q) row shows only a violation."""
+    return None if bad is None else {"violating": bad}
 
 
 # ---------------------------------------------------------------------------
@@ -185,123 +199,60 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
     if p - t < d + 1:
         raise MalformedInputError("need p - t >= dim + 1")
     _require_members_nonempty(fam)
-    inputs = {"t": t, "p": p, "q": p - t, "dim": d, "size": len(fam)}
-    oracle = IntersectionOracle(fam)
-    checks: list[HypothesisCheck] = []
+    run = _Run("s1", fam, {"t": t, "p": p, "q": p - t, "dim": d, "size": len(fam)})
 
     bounded = [i for i in range(len(fam)) if is_bounded(fam.sets[i])]
-    checks.append(
-        HypothesisCheck(
-            f"at least {t + 1} bounded members",
-            len(bounded) >= t + 1,
-            {"bounded": _labels(fam, bounded)},
-        )
-    )
-    checks.append(_pq_check(fam, p, p - t, oracle))
-    gf = build_GF(fam, oracle)
+    run.add(f"at least {t + 1} bounded members", len(bounded) >= t + 1, {"bounded": run.labels(bounded)})
+    run.scan(f"({p},{p - t})-property", range(len(fam)), p, p - t, run.oracle.intersecting, _violation)
+    gf = build_GF(fam, run.oracle)
     beta, cover = transversal_number(gf)
-    checks.append(
-        HypothesisCheck(
-            f"transversal of the empty-tuple hypergraph has size at most {t}",
-            beta <= t,
-            {"beta": beta, "transversal": _labels(fam, cover), "edges": len(gf.edges)},
-        )
+    run.add(
+        f"transversal of the empty-tuple hypergraph has size at most {t}",
+        beta <= t,
+        {"beta": beta, "transversal": run.labels(cover), "edges": len(gf.edges)},
     )
-    if not all(c.passed for c in checks):
-        return _failed("s1", inputs, checks)
+    if run.failed:
+        return run.stop()
 
     rest = [i for i in range(len(fam)) if i not in set(cover)]
-    points: list[Point] = []
-    assignment: dict[int, int] = {}
     if rest:
         if len(rest) >= d + 1:
-            holds, violating, _ = pq_property_scan(
-                len(rest), d + 1, d + 1,
-                lambda sub: oracle.intersecting(rest[i] for i in sub),
+            run.scan(
+                f"remaining members satisfy the ({d + 1},{d + 1})-property", rest, d + 1, d + 1,
+                lambda sub: run.oracle.intersecting(rest[i] for i in sub), _violation,
             )
-            checks.append(
-                HypothesisCheck(
-                    f"remaining members satisfy the ({d + 1},{d + 1})-property",
-                    holds,
-                    None if holds else {"violating": _labels(fam, [rest[i] for i in violating])},
-                )
-            )
-        helly_point = oracle.witness(rest)
-        checks.append(
-            HypothesisCheck(
-                "remaining members share a common point",
-                helly_point is not None,
-                None if helly_point is None else {"point": helly_point},
-            )
+        helly_point = run.oracle.witness(rest)
+        run.add(
+            "remaining members share a common point",
+            helly_point is not None,
+            None if helly_point is None else {"point": helly_point},
         )
-        if not all(c.passed for c in checks):
-            return _failed("s1", inputs, checks)
-        points.append(helly_point)
-        assignment.update((i, 0) for i in rest)
+        if run.failed:
+            return run.stop()
+        run.pierce(rest, helly_point)
     for i in cover:
-        points.append(some_point(fam.sets[i]))
-        assignment[i] = len(points) - 1
-    return _finish(
-        "s1", fam, oracle, inputs, checks, points, assignment,
-        (f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}",
-    )
+        run.pierce([i], some_point(fam.sets[i]))
+    return run.end((f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}")
 
 
 # ---------------------------------------------------------------------------
 # free-selection and projection routes: a selection set aside, the rest
 # partitioned into intersecting parts
 
-def _part_rows(
-    fam: Family,
-    oracle: IntersectionOracle,
-    selection: Sequence[int],
-    checks: list[HypothesisCheck],
-    q: Optional[int] = None,
-) -> tuple[list[Point], dict[int, int]]:
-    """Join the selection's hull to the oracle, partition the other
-    members into intersecting parts and add a row per part: without q
-    its point must also lie in the hull; with q it is the part's own
-    point, and a truncated-scan row against the hull follows."""
-    hull = oracle.join(convex_hull_union(fam, selection))
-    rest = [i for i in range(len(fam)) if i not in set(selection)]
-    parts, _ = min_partition(oracle, rest)
-    points: list[Point] = []
-    assignment: dict[int, int] = {}
-    for j, part in enumerate(parts):
-        if q is None:
-            w = oracle.witness(part + [hull])
-            description = f"part {j} and the joined selection have a common point"
-        else:
-            w = oracle.witness(part)
-            description = f"part {j} has a common point"
-        checks.append(
-            HypothesisCheck(description, w is not None, {"part": _labels(fam, part), "point": w})
-        )
-        if q is not None:
-            checks.append(_truncated_scan_row(oracle, part, hull, q, f"part {j}"))
-        if w is not None:
-            points.append(w)
-            assignment.update((i, j) for i in part)
-    return points, assignment
+def _hull_and_parts(run: _Run, selection: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """Join the selection's hull to the run's oracle, and partition the
+    other members into the fewest intersecting parts."""
+    hull = run.oracle.join(convex_hull_union(run.fam, selection))
+    parts, _ = min_partition(run.oracle, [i for i in range(len(run.fam)) if i not in selection])
+    return hull, parts
 
 
-def _truncated_scan_row(
-    oracle: IntersectionOracle, members: Sequence[int], box: int, q: int, label: str
-) -> HypothesisCheck:
-    """Among any q-1 members truncated by the member `box`, some dim of
-    them intersect."""
-    d = oracle.fam.dim
-    description = f"{label}: truncated members satisfy the ({q - 1},{d})-property"
-    if len(members) < q - 1:
-        return HypothesisCheck(description, True, {"tuples": 0})
-    holds, violating, checked = pq_property_scan(
-        len(members), q - 1, d,
-        lambda sub: oracle.intersecting([members[i] for i in sub] + [box]),
-    )
-    witness = {"tuples": checked}
-    if not holds:
-        witness["violating"] = _labels(oracle.fam, [members[i] for i in violating])
-    return HypothesisCheck(description, holds, witness)
+def _pierce_selection(run: _Run, selection: Sequence[int], limit: int) -> None:
+    """Pierce the selection exactly, with at most `limit` points."""
+    parts, _ = min_partition(run.oracle, selection)
+    if run.add(f"selection pierced by at most {limit} points", len(parts) <= limit, {"used": len(parts)}):
+        for part in parts:
+            run.pierce(part, run.oracle.witness(part))
 
 
 def pierce_via_free_family(
@@ -313,7 +264,7 @@ def pierce_via_free_family(
     exactly with at most p-q+1 points."""
     d = fam.dim
     b = sorted(set(b_indices))
-    fam.select(b)
+    selection = [s.label for s in fam.select(b)]
     if len(b) != p - d:
         raise MalformedInputError("selection size must be p - dim")
     if q < d + 1:
@@ -321,29 +272,36 @@ def pierce_via_free_family(
     if p > len(fam) or p < q:
         raise MalformedInputError("need family size >= p >= q")
     _require_members_nonempty(fam)
-    inputs = {"p": p, "q": q, "dim": d, "size": len(fam), "selection": _labels(fam, b)}
-    oracle = IntersectionOracle(fam)
-    checks: list[HypothesisCheck] = []
+    run = _Run("s2", fam, {"p": p, "q": q, "dim": d, "size": len(fam), "selection": selection})
 
     m = q - d
     unbounded = [i for i in b if not is_bounded(fam.sets[i])]
-    witness = {"unbounded": _labels(fam, unbounded)} if unbounded else None
+    witness = {"unbounded": run.labels(unbounded)} if unbounded else None
     if not unbounded:
-        bad = next((sub for sub in combinations(b, m + 1) if oracle.intersecting(sub)), None)
-        witness = None if bad is None else {"intersecting": _labels(fam, bad)}
-    checks.append(HypothesisCheck(f"selection is {m}-free", witness is None, witness))
-    checks.append(_pq_check(fam, p, q, oracle))
-    if not all(c.passed for c in checks):
-        return _failed("s2", inputs, checks)
+        bad = next((sub for sub in combinations(b, m + 1) if run.oracle.intersecting(sub)), None)
+        witness = None if bad is None else {"intersecting": run.labels(bad)}
+    run.add(f"selection is {m}-free", witness is None, witness)
+    run.scan(f"({p},{q})-property", range(len(fam)), p, q, run.oracle.intersecting, _violation)
+    if run.failed:
+        return run.stop()
 
-    points, assignment = _part_rows(fam, oracle, b, checks)
+    hull, parts = _hull_and_parts(run, b)
+    for j, part in enumerate(parts):
+        w = run.oracle.witness(part + [hull])
+        run.add(
+            f"part {j} and the joined selection have a common point",
+            w is not None,
+            {"part": run.labels(part), "point": w},
+        )
+        run.pierce(part, w)  # a part with no point fails its row, and the run stops
+    if run.failed:
+        return run.stop()
+    _pierce_selection(run, b, p - q + 1)
     entry = catalog_lookup("xi", (p, q, d))
     numeric = None if entry is None else entry.value + p - q + 1
-    return _finish(
-        "s2", fam, oracle, inputs, checks, points, assignment,
+    return run.end(
         (f"xi({p},{q},{d}) + {p - q + 1}", numeric),
         "" if numeric is None else f", within the bound {numeric}",
-        selection=b, limit=p - q + 1,
     )
 
 
@@ -356,7 +314,7 @@ def pierce_via_projection(
     on every part, matching the projection argument this realizes."""
     d = fam.dim
     comp = sorted(set(compact_indices))
-    fam.select(comp)
+    selection = [s.label for s in fam.select(comp)]
     if len(comp) != p - q + 1:
         raise MalformedInputError("selection size must be p - q + 1")
     if q < p - q + d + 1:
@@ -364,33 +322,44 @@ def pierce_via_projection(
     if p > len(fam):
         raise MalformedInputError("p exceeds family size")
     _require_members_nonempty(fam)
-    inputs = {"p": p, "q": q, "dim": d, "size": len(fam), "selection": _labels(fam, comp)}
-    oracle = IntersectionOracle(fam)
-    checks: list[HypothesisCheck] = []
+    run = _Run("main", fam, {"p": p, "q": q, "dim": d, "size": len(fam), "selection": selection})
 
     unbounded = [i for i in comp if not is_bounded(fam.sets[i])]
-    checks.append(
-        HypothesisCheck(
-            "selected members are bounded",
-            not unbounded,
-            None if not unbounded else {"unbounded": _labels(fam, unbounded)},
-        )
+    run.add(
+        "selected members are bounded",
+        not unbounded,
+        {"unbounded": run.labels(unbounded)} if unbounded else None,
     )
-    checks.append(_pq_check(fam, p, q, oracle))
-    if not all(c.passed for c in checks):
-        return _failed("main", inputs, checks)
+    run.scan(f"({p},{q})-property", range(len(fam)), p, q, run.oracle.intersecting, _violation)
+    if run.failed:
+        return run.stop()
 
-    points, assignment = _part_rows(fam, oracle, comp, checks, q)
+    hull, parts = _hull_and_parts(run, comp)
+    for j, part in enumerate(parts):
+        w = run.oracle.witness(part)
+        run.add(f"part {j} has a common point", w is not None, {"part": run.labels(part), "point": w})
+        # among any q-1 members of the part truncated by the hull, some d intersect
+        truncated = f"part {j}: truncated members satisfy the ({q - 1},{d})-property"
+        if len(part) < q - 1:
+            run.add(truncated, True, {"tuples": 0})
+        else:
+            run.scan(
+                truncated, part, q - 1, d,
+                lambda sub: run.oracle.intersecting([part[i] for i in sub] + [hull]),
+                lambda checked, bad: {"tuples": checked}
+                if bad is None
+                else {"tuples": checked, "violating": bad},
+            )
+        run.pierce(part, w)
+    if run.failed:
+        return run.stop()
+    _pierce_selection(run, comp, p - q + 1)
     inner = catalog_lookup("xi", (q - 1, d, d - 1))
     outer = catalog_lookup("xi", (p, q, d))
     numeric = None
     if inner is not None and outer is not None:
         numeric = inner.value * outer.value + p - q + 1
-    return _finish(
-        "main", fam, oracle, inputs, checks, points, assignment,
-        (f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "",
-        selection=comp, limit=p - q + 1,
-    )
+    return run.end((f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "")
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +413,14 @@ def verify_counterexample(
     fam = counterexample_family(spec)
     d = spec.d
     n_unbounded = spec.n_max - 1
-    inputs = {
+    run = _Run("counterexample", fam, {
         "d": d,
         "n_max": spec.n_max,
         "n_bounded": spec.n_bounded,
         "margin": rat_str(spec.bounded_margin),
         "k_max": k_max,
         "n_cap": n_cap,
-    }
-    oracle = IntersectionOracle(fam)
-    checks: list[HypothesisCheck] = []
+    })
     case_totals: dict[str, int] = {"1": 0, "2": 0, "3": 0}
     exhaustive = True
     try:
@@ -463,64 +430,44 @@ def verify_counterexample(
                 raise MalformedInputError(
                     f"k = {k} needs tuples of size {p} but the family has {len(fam)} members"
                 )
-            prop = has_pq_property(fam, p, q, oracle)
-            checks.append(
-                HypothesisCheck(
-                    f"({p},{q})-property",
-                    prop.holds,
-                    {"tuples": prop.checked_tuples}
-                    if prop.holds
-                    else {"violating": _labels(fam, prop.violating_tuple)},
-                )
+            run.scan(
+                f"({p},{q})-property", range(len(fam)), p, q, run.oracle.intersecting,
+                lambda checked, bad: {"tuples": checked} if bad is None else {"violating": bad},
             )
             counts, first_bad = _classification_sweep(fam, p, d, k, n_unbounded)
             for c, v in counts.items():
                 case_totals[c] += v
-            checks.append(
-                HypothesisCheck(
-                    f"case analysis confirmed on all size-{p} tuples",
-                    first_bad is None,
-                    {"cases": counts}
-                    if first_bad is None
-                    else {"tuple": _labels(fam, first_bad)},
-                )
+            run.add(
+                f"case analysis confirmed on all size-{p} tuples",
+                first_bad is None,
+                {"cases": counts} if first_bad is None else {"tuple": run.labels(first_bad)},
             )
         candidates = candidate_point_sets
         if candidates is None:
             far = tuple([spec.n_max] + [0] * d)
             candidates = [[far]]
-        escapes = []
         for idx, cand in enumerate(candidates):
             w = escape_witness(spec, cand, n_cap)
-            escapes.append(w)
-            checks.append(
-                HypothesisCheck(
-                    f"candidate point set {idx} escaped",
-                    w is not None,
-                    {"witness": w, "points": len(list(cand))}
-                    if w is not None
-                    else {"exhausted_at": n_cap},
-                )
+            run.add(
+                f"candidate point set {idx} escaped",
+                w is not None,
+                {"witness": w, "points": len(list(cand))}
+                if w is not None
+                else {"exhausted_at": n_cap},
             )
             if w is None:
                 exhaustive = False
     except BudgetExhaustedError:
         exhaustive = False
-        checks.append(
-            HypothesisCheck("resource budget covered the sweep", False, None)
-        )
-    passed = all(c.passed for c in checks)
+        run.add("resource budget covered the sweep", False, None)
     conclusion = (
-        "all properties verified; every candidate set escapes"
-        if passed and exhaustive
-        else "partial verification (budget or cap exhausted)"
+        "partial verification (budget or cap exhausted)"
         if not exhaustive
-        else f"failed: {next(c.description for c in checks if not c.passed)}"
+        else f"failed: {run.failed}"
+        if run.failed
+        else "all properties verified; every candidate set escapes"
     )
-    return PipelineReport(
-        "counterexample",
-        inputs,
-        checks,
+    return run.report(
         None,
         ("piercing number unbounded over the full escaping family", None),
         conclusion,
@@ -560,56 +507,33 @@ def verify_projection_equivalence(
     _require_compact_box(box)
     if box.dim != d:
         raise MalformedInputError("box dimension mismatch")
-    inputs = {"dim": d, "size": len(fam), "max_subset": max_subset, "box": box.label}
-    checks: list[HypothesisCheck] = []
+    run = _Run("corollary52", fam, {"dim": d, "size": len(fam), "max_subset": max_subset, "box": box.label})
     e_last = tuple(Fraction(1 if i == d - 1 else 0) for i in range(d))
     bad = [s.label for s in fam.sets if not direction_in_recession_cone(s, e_last)]
-    checks.append(
-        HypothesisCheck(
-            "every member recedes along the last axis",
-            not bad,
-            None if not bad else {"members": bad},
-        )
-    )
-    if bad:
-        return _failed("corollary52", inputs, checks)
+    if not run.add("every member recedes along the last axis", not bad, {"members": bad} if bad else None):
+        return run.stop()
 
-    oracle = IntersectionOracle(fam)
-    box_index = oracle.join(box)
+    box_index = run.oracle.join(box)
     total = 0
     for size in range(1, min(max_subset, len(fam)) + 1):
-        agree = True
-        witness: object = None
+        witness = None
         count = 0
         for sub in combinations(range(len(fam)), size):
             count += 1
-            direct = oracle.intersecting(sub + (box_index,))
+            direct = run.oracle.intersecting(sub + (box_index,))
             shadow = lifted_projection_witness(fam.select(sub), box)[0]
             if direct != shadow:
-                agree = False
-                witness = {
-                    "subset": _labels(fam, sub),
-                    "direct": direct,
-                    "shadow": shadow,
-                }
+                witness = {"subset": run.labels(sub), "direct": direct, "shadow": shadow}
                 break
         total += count
-        checks.append(
-            HypothesisCheck(
-                f"size-{size} subsets: direct and shadow tests agree",
-                agree,
-                witness if witness is not None else {"subsets": count},
-            )
+        run.add(
+            f"size-{size} subsets: direct and shadow tests agree",
+            witness is None,
+            witness or {"subsets": count},
         )
-    passed = all(c.passed for c in checks)
-    return PipelineReport(
-        "corollary52",
-        inputs,
-        checks,
+    return run.report(
         None,
         None,
-        "projection preserves every intersection pattern"
-        if passed
-        else "projection equivalence failed",
+        "projection equivalence failed" if run.failed else "projection preserves every intersection pattern",
         extras={"subsets_checked": total},
     )

@@ -103,7 +103,8 @@ class VRep:
         gens = [_int_row([*p, -1]) for p in self.points] + [_int_row([*r, 0]) for r in self.rays]
         lin, ext = _cone(gens, len(gens[0]))
         rows = [((1 << len(gens)) - 1, y) for e in lin for y in (e, [-c for c in e])]
-        rows += [(on, y) for on, y in ext if any(y[:-1])]  # not 0 <= 1
+        # a face holds a point: drop the face at infinity, e_n modulo lineality
+        rows += [(on, y) for on, y in ext if on & (1 << len(self.points)) - 1]
         rows.sort(key=lambda row: [i for i in range(len(gens)) if row[0] >> i & 1])
         return tuple(Halfspace(tuple(y[:-1]), y[-1]) for _, y in rows)
 

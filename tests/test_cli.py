@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, schema conformance, and
 byte-identical determinism."""
+import argparse
 import io
 import json
 import time
@@ -201,13 +202,11 @@ class TestCheckAndSolve:
             assert "error" in json.loads(out)
 
     def test_budget_exhaustion_exit_three(self, counterexample_path, capsys):
-        code, out = run(
-            ["check", "pq", "--p", "4", "--q", "3", "--input", counterexample_path,
-             "--budget", "2"],
-            capsys,
-        )
-        assert code == 3
-        assert "error" in json.loads(out)
+        for argv, budget in ((["check", "pq", "--p", "4", "--q", "3"], "2"), (["solve", "pierce"], "1"),
+                             (["analyze", "gf"], "1"), (["pipeline", "s1", "--t", "1", "--p", "4"], "1")):
+            code, out = run(argv + ["--input", counterexample_path, "--budget", budget], capsys)
+            assert code == 3, argv
+            assert "error" in json.loads(out)
 
 
 class TestAnalyze:
@@ -545,6 +544,44 @@ class TestPlumbing:
         code = cmd_dispatch(["solve", "pierce", "--input", "x.json",
                              "--format", "csv"])
         assert code == 2
+
+
+# --- the LP budget, read once for every command that takes it ----------------
+
+def budget_commands() -> dict[str, list[str]]:
+    """Every leaf command with a --budget flag, by name, with an argv
+    that parses: 1 for each required int flag, a missing file for the
+    other required flags."""
+    found = {}
+
+    def walk(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, sub in (subs[0].choices.items() if subs else ()):
+            walk(sub, path + [name])
+        if not subs and any("--budget" in a.option_strings for a in parser._actions):
+            found[" ".join(path)] = path + [
+                arg for a in parser._actions if a.required
+                for arg in (a.option_strings[-1], "1" if a.type is int else "/nonexistent.json")
+            ]
+
+    walk(cli._build_parser(), [])
+    return found
+
+
+def test_budget_commands_cover_every_lp_command():
+    assert sorted(budget_commands()) == [
+        "analyze gf", "analyze project", "analyze recession", "check pq", "escape",
+        "pipeline corollary52", "pipeline counterexample", "pipeline main", "pipeline s1",
+        "pipeline s2", "solve pierce",
+    ]
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("name", sorted(budget_commands()))
+def test_nonpositive_budget_exit_two_before_any_file(name, budget, capsys):
+    # the budget is read once, around the whole command
+    code, out = run(budget_commands()[name] + ["--budget", budget], capsys)
+    assert (code, json.loads(out)) == (2, {"error": "budget must be positive"})
 
 
 # --- every input file gets an exit code and JSON -----------------------------

@@ -2,6 +2,8 @@
 that file, joint-intersection LPs are asked only through the oracle,
 LP rows and systems are built only by the row builders, and point and
 direction tests substitute into the int rows cached on each set.
+Pipelines make their rows and their oracle only through `_Run`, and a
+piercing solution is built and verified by one routine.
 
 `__init__.py` re-exports by importing, and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -179,6 +181,25 @@ def test_one_oracle_per_pipeline_run():
     # a fixed set joins the run's oracle (IntersectionOracle.join), so a
     # pipeline builds neither a second oracle nor an augmented family
     assert extra_oracles((SRC / "pipelines.py").read_text(encoding="utf-8")) == []
+
+
+def test_pipelines_add_rows_and_ask_queries_only_through_the_run():
+    # every pipeline runs through pipelines._Run, which owns the oracle
+    # and makes every row
+    sites = construction_sites(
+        (SRC / "pipelines.py").read_text(encoding="utf-8"), ("HypothesisCheck", "IntersectionOracle")
+    )
+    assert {cls for cls, _, _ in sites} == {"HypothesisCheck", "IntersectionOracle"}
+    assert [s for s in sites if not s[1].startswith("_Run.")] == []
+
+
+def test_piercing_solutions_built_and_verified_by_one_routine():
+    sites = {
+        (path.stem, scope)
+        for path in SRC.glob("*.py")
+        for _, scope, _ in construction_sites(path.read_text(encoding="utf-8"), ("PiercingSolution",))
+    }
+    assert sites == {("piercing", "_verified_solution")}
 
 
 def test_fresh_imports_leave_no_stale_module_copies():

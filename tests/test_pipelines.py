@@ -487,3 +487,73 @@ def test_classification_sweep_matches_reference(monkeypatch, deny):
                     bad += got[1] is not None
                     k += 1
     assert (bad > 0) == deny  # no real spec reaches first_bad
+
+
+# --- failed reports: every row up to the failure, no points ------------------
+
+def failed_rows(report):
+    """The report's rows as (description, passed, witness) after
+    checking that a failed run ends with no points and no bound."""
+    data = report_to_json(report)
+    assert data["piercing"] is None and data["bound_claim"] is None
+    assert data["conclusion"] == "hypothesis failed: " + next(
+        c["description"] for c in data["hypothesis_checks"] if not c["passed"])
+    return [(c["description"], c["passed"], c["witness"]) for c in data["hypothesis_checks"]]
+
+
+def test_s1_fails_on_bounded_members_after_its_first_three_rows():
+    report = pierce_via_transversal(plane_instance_with_outlier(), t=3, p=6)
+    assert failed_rows(report) == [
+        ("at least 4 bounded members", False, {"bounded": ["lone", "sq1", "sq2"]}),
+        ("(6,3)-property", True, None),
+        ("transversal of the empty-tuple hypergraph has size at most 3", True,
+         {"beta": 1, "edges": 15, "transversal": ["lone"]}),
+    ]
+
+
+def test_main_fails_on_an_unbounded_selection():
+    report = pierce_via_projection(TestProjectionPipeline().build(), [0, 2], p=5, q=4)
+    assert report.inputs["selection"] == ["c1", "ray1"]
+    assert failed_rows(report) == [
+        ("selected members are bounded", False, {"unbounded": ["ray1"]}),
+        ("(5,4)-property", True, None),
+    ]
+
+
+def test_main_fails_on_a_truncated_scan(monkeypatch):
+    # a (p,q)-family always passes this row, so a hull far from every
+    # member stands in for the selection's
+    far = vrep_set("far", [(-9,), (-8,)])
+    monkeypatch.setattr(pqpierce.pipelines, "convex_hull_union", lambda fam, sel: far)
+    report = pierce_via_projection(TestProjectionPipeline().build(), [0, 1], p=5, q=4)
+    assert failed_rows(report) == [
+        ("selected members are bounded", True, None),
+        ("(5,4)-property", True, None),
+        ("part 0 has a common point", True, {"part": ["ray1", "ray2", "ray3"], "point": [3]}),
+        ("part 0: truncated members satisfy the (3,1)-property", False,
+         {"tuples": 1, "violating": ["ray1", "ray2", "ray3"]}),
+    ]
+
+
+def test_counterexample_pq_row_fails_with_its_violation_alone(monkeypatch):
+    import pqpierce.piercing
+
+    monkeypatch.setattr(pqpierce.piercing.IntersectionOracle, "intersecting", lambda self, idx: False)
+    data = report_to_json(verify_counterexample(CounterexampleSpec(d=1, n_max=4, n_bounded=1), k_max=0))
+    assert data["piercing"] is None and data["conclusion"] == "failed: (2,2)-property"
+    assert [(c["description"], c["passed"], c["witness"]) for c in data["hypothesis_checks"]] == [
+        ("(2,2)-property", False, {"violating": ["A_2", "A_3"]}),
+        ("case analysis confirmed on all size-2 tuples", True, {"cases": {"1": 3, "2": 0, "3": 3}}),
+        ("candidate point set 0 escaped", True, {"points": 1, "witness": 5}),
+    ]
+
+
+def test_corollary52_fails_on_its_recession_row():
+    spec = CounterexampleSpec(d=1, n_max=5, n_bounded=2)
+    report = verify_projection_equivalence(
+        family_A(spec), convex_hull_union(family_B(spec), [0, 1]), max_subset=3)
+    assert report.extras == {}
+    assert failed_rows(report) == [
+        ("every member recedes along the last axis", False,
+         {"members": ["A_2", "A_3", "A_4", "A_5"]}),
+    ]

@@ -566,3 +566,31 @@ def test_substitution_matches_the_fraction_reference():
             y = tuple(_frac(rng) for _ in range(d))
             assert contains_point(s, y) == reference_holds(rows, y)
             assert direction_in_recession_cone(s, y) == reference_holds(rows, y, direction=True)
+
+
+def test_every_vrep_row_is_tight_on_a_point():
+    # every face of the set holds one of its points, so a row tight on
+    # no point (the face at infinity) would only lengthen the LPs; the
+    # sets lie in random flats of every dimension, points and rays alike
+    rng = random.Random(11)
+    cases = [
+        ([(1, 2, 3)], []),
+        ([(Fraction(-7, 4), Fraction(-7, 9))], []),
+        ([(Fraction(-7, 9), Fraction(-1, 3), Fraction(-7, 3))], [(Fraction(3, 2), 0, 1)]),
+    ]
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        c = [_frac(rng) for _ in range(d)]
+        basis = [[_frac(rng) for _ in range(d)] for _ in range(rng.randint(0, d))]
+
+        def along(top):
+            coeffs = [_frac(rng, top) for _ in basis]
+            return [sum(a * b[i] for a, b in zip(coeffs, basis)) for i in range(d)]
+
+        pts = [tuple(x + y for x, y in zip(c, along(9))) for _ in range(rng.randint(1, len(basis) + 2))]
+        rays = [tuple(r) for r in (along(3) for _ in range(rng.randint(0, 2))) if any(r)]
+        cases.append((pts, rays))
+    for pts, rays in cases:
+        s = vrep_set("V", pts, rays)
+        for h in s.rep.rows:
+            assert any(dot(h.normal, p) == h.offset for p in s.rep.points), (pts, rays, h)
