@@ -37,6 +37,8 @@ from pqpierce.sets import (
     family,
     family_to_json,
     hrep_set,
+    project_drop_last,
+    set_to_json,
     vrep_set,
 )
 
@@ -143,6 +145,25 @@ def facets():
     return {"facets": out, "inverses": inverses}
 
 
+def project():
+    # fractional rows, last coefficients zero, positive and negative,
+    # rows equal after scaling (given, and derived), a zero row; an
+    # empty shadow, an unbounded one and a V-rep
+    sets = [
+        hrep_set("mixed", [
+            ((F(1, 2), F(1, 3), 1), 2), ((F(-2, 3), 1, F(-1, 2)), F(1, 5)),
+            ((3, 0, 0), 4), ((F(-3, 2), 0, 0), F(1, 2)), ((0, 0, 0), 1),
+            ((2, 4, -2), 6), ((1, 2, -1), 3), ((0, F(-1, 7), F(1, 3)), 0),
+            ((1, 1, 2), F(7, 4)), ((4, 4, 8), 7), ((0, -2, F(-5, 4)), F(-3, 2)),
+        ]),
+        hrep_set("empty", [((1, 0), 3), ((F(1, 2), F(1, 3)), 0), ((0, 0), 0), ((F(-3, 2), -1), -1)]),
+        hrep_set("unbounded", [((F(1, 3), F(2, 5)), 1), ((-1, 0), 2)]),
+        hrep_set("whole", [((0, 0, F(1, 4)), F(1, 2)), ((0, 0, 0), 0)]),
+        vrep_set("cone", [(1, 2, 3), (1, 2, 5), (0, F(1, 2), 3)], rays=[(0, 0, 1), (1, 0, -1), (1, 0, 2)]),
+    ]
+    return {s.label: set_to_json(project_drop_last(s)) for s in sets}
+
+
 CASES = {
     "s1": s1,
     "s2": s2,
@@ -152,6 +173,7 @@ CASES = {
     "corollary52": corollary52,
     "piercing": piercing,
     "facets": facets,
+    "project": project,
 }
 
 
