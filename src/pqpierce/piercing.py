@@ -16,7 +16,7 @@ from .errors import EmptySetError, MalformedInputError
 from .hypergraph import Hypergraph, hypergraph
 from .lp import _int_row
 from .rational import Point, point_json
-from .sets import ConvexSet, Family, HRep, _holds, contains_point, intersect_nonempty, is_bounded, is_empty
+from .sets import ConvexSet, Family, _holds, contains_point, intersect_nonempty, is_bounded, is_empty
 
 
 class IntersectionOracle:
@@ -231,7 +231,7 @@ def _verified_solution(
 
 def _require_members_nonempty(fam: Family) -> None:
     for s in fam.sets:
-        if isinstance(s.rep, HRep) and is_empty(s):
+        if is_empty(s):
             raise EmptySetError(f"cannot pierce empty set {s.label!r}")
 
 
@@ -285,7 +285,7 @@ def is_m_free(fam: Family, indices: Iterable[int], m: int) -> bool:
     idx = sorted(set(indices))
     members = fam.select(idx)
     for s in members:
-        if isinstance(s.rep, HRep) and is_empty(s):
+        if is_empty(s):
             continue  # empty members are vacuously compact
         if not is_bounded(s):
             return False

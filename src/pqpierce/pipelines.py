@@ -311,7 +311,14 @@ def pierce_via_projection(
     """Piercing with p-q+1 compact members set aside: the remainder is
     partitioned into intersecting parts; each part is pierced directly
     by its joint-LP point. The box-truncation counting step is verified
-    on every part, matching the projection argument this realizes."""
+    on every part, matching the projection argument this realizes.
+
+    That truncated-scan row cannot fail once the (p,q) row has passed:
+    q-1 members of a part and the p-q+1 selected members make p sets,
+    q of them meet, and since q >= p-q+d+1 these q include a selected
+    member and at least d of the q-1, which thus meet in the selection's
+    hull. The row is kept as an executed cross-check of the queries
+    that join the hull to the oracle."""
     d = fam.dim
     comp = sorted(set(compact_indices))
     selection = [s.label for s in fam.select(comp)]

@@ -10,10 +10,12 @@ One double-description routine, _cone, converts between the two. Every
 V-rep gets <= rows from its generators, once, when first used: its
 facets, and each equation of its affine hull as two rows. A bounded or
 unbounded H-rep gets generators the same way when a hull needs them.
+Either rep caches its int rows (`rows`; an H-rep's are its halfspaces
+scaled to ints), and they are the one row form any computation reads.
 Intersections are never materialized: every member joins every LP as
-<= rows over free coordinates, and membership and recession of a
-direction are one int substitution, _holds, into the rows either rep
-caches (`rows`; an H-rep's are its halfspaces scaled to ints).
+its rows over free coordinates, posed by one builder, _solve;
+membership and recession of a direction are one int substitution,
+_holds, into them; projection eliminates the last coordinate from them.
 """
 from __future__ import annotations
 
@@ -47,7 +49,8 @@ MAX_DIM = 1000
 # those tests. The largest box a CounterexampleSpec admits,
 # bounded_member(11, 1) with 4,096 corners in R^12, takes 1.9 M; the
 # hull of B_1 and B_2 takes 4.0 M for d = 9 and 10.5 M for d = 10; the
-# cross-polytope in R^12, with 4,096 facets, takes 5.8 M.
+# cross-polytope in R^12, with 4,096 facets, takes 5.8 M. A projection
+# (project_drop_last) counts d for each pair of rows it combines.
 DD_WORK_CAP = 8_000_000
 
 
@@ -55,7 +58,7 @@ DD_WORK_CAP = 8_000_000
 class Halfspace:
     """{x : normal . x <= offset}. A zero normal is only legal when the
     constraint is vacuous (offset >= 0). The `rows` of either rep hold
-    ints here in place of Fractions."""
+    ints here in place of Fractions. Unpacks as (normal, offset)."""
 
     normal: Point
     offset: Fraction
@@ -63,6 +66,9 @@ class Halfspace:
     def __post_init__(self):
         if is_zero(self.normal) and self.offset < 0:
             raise MalformedInputError("zero normal with negative offset")
+
+    def __iter__(self):
+        return iter((self.normal, self.offset))
 
 
 def halfspace(normal: Iterable[RatLike], offset: RatLike) -> Halfspace:
@@ -75,9 +81,9 @@ class HRep:
 
     @cached_property
     def rows(self) -> tuple[Halfspace, ...]:
-        """Each halfspace times the lcm of its denominators, in ints.
-        LPs take the halfspaces: the simplex weighs each artificial
-        variable by its row's scale, so these would move its pivots."""
+        """Each halfspace times the lcm of its denominators, in ints (an
+        integral halfspace is its own row): what every LP, membership
+        test and projection reads."""
         rows = (_int_row([*h.normal, h.offset]) for h in self.halfspaces)
         return tuple(Halfspace(tuple(y[:-1]), y[-1]) for y in rows)
 
@@ -290,45 +296,23 @@ def family(sets: Sequence[ConvexSet]) -> Family:
 
 
 # ---------------------------------------------------------------------------
-# LP assembly
+# LPs
 #
-# Every LP is <= rows over free variables. A set enters one as its rows
-# (_rows) over the ambient variables xs; a recession cone as the same
-# rows with zero offsets. Each row is an lp.Constraint over its nonzero
-# terms alone, and the simplex fills its tableau row from them: no
-# dense row is built.
+# Every LP is <= rows over free variables, and _solve alone poses one.
+# A set enters as its int rows over the variables of its coordinates.
+# Each row is an lp.Constraint over its nonzero terms alone, and the
+# simplex fills its tableau row from them: no dense row is built.
 
-
-class _SysBuilder:
-    def __init__(self):
-        self.nvars = 0
-        self.rows: list[Constraint] = []
-
-    def vars(self, k: int) -> list[int]:
-        new = list(range(self.nvars, self.nvars + k))
-        self.nvars += k
-        return new
-
-    def add(self, terms: dict[int, RatLike], rhs: RatLike):
-        self.rows.append(Constraint(terms, rhs))
-
-    def system(self) -> LinearSystem:
-        return LinearSystem(self.nvars, tuple(self.rows))
-
-
-def _rows(s: ConvexSet) -> tuple[Halfspace, ...]:
-    """The LP rows: an H-rep's halfspaces or a V-rep's rows."""
-    return s.rep.halfspaces if isinstance(s.rep, HRep) else s.rep.rows
-
-
-def _row_block(b: _SysBuilder, rows: Iterable[tuple[Point, RatLike]], xs: Sequence[int]) -> None:
-    """normal . x <= offset for each (normal, offset), x the variables xs."""
-    for normal, offset in rows:
-        b.add({x: a for x, a in zip(xs, normal) if a}, offset)
-
-
-def _member_rows(b: _SysBuilder, s: ConvexSet, xs: Sequence[int]) -> None:
-    _row_block(b, ((h.normal, h.offset) for h in _rows(s)), xs)
+def _solve(n: int, blocks: Iterable[tuple[Sequence[int], Iterable]]) -> Optional[Point]:
+    """A point of n free variables meeting every block, or None. A block
+    (xs, rows) is normal . x <= offset for each (normal, offset) in
+    rows, x the variables xs. The rows are listed first: tuple() of a
+    generator resizes its tuple, so freed systems would pile up on
+    CPython's tuple free lists, up to 2,000 per size, never reused."""
+    return lp_feasible(LinearSystem(n, tuple([
+        Constraint({x: a for x, a in zip(xs, normal) if a}, offset)
+        for xs, rows in blocks for normal, offset in rows
+    ])))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +335,7 @@ def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:
 
 
 def is_empty(s: ConvexSet) -> bool:
-    if isinstance(s.rep, VRep):
-        return False
-    b = _SysBuilder()
-    _member_rows(b, s, b.vars(s.dim))
-    ok, _ = lp_feasible(b.system())
-    return not ok
+    return isinstance(s.rep, HRep) and _solve(s.dim, [(range(s.dim), s.rep.rows)]) is None
 
 
 def some_point(s: ConvexSet) -> Point:
@@ -364,13 +343,10 @@ def some_point(s: ConvexSet) -> Point:
     for an H-rep. Raises EmptySetError when there is none."""
     if isinstance(s.rep, VRep):
         return s.rep.points[0]
-    b = _SysBuilder()
-    xs = b.vars(s.dim)
-    _member_rows(b, s, xs)
-    ok, sol = lp_feasible(b.system())
-    if not ok:
+    x = _solve(s.dim, [(range(s.dim), s.rep.rows)])
+    if x is None:
         raise EmptySetError(f"set {s.label!r} is empty")
-    return tuple(sol[j] for j in xs)
+    return x
 
 
 def intersect_nonempty(
@@ -385,14 +361,9 @@ def intersect_nonempty(
     if not idx:
         raise MalformedInputError("empty index list")
     members = fam.select(idx)
-    b = _SysBuilder()
-    xs = b.vars(fam.dim)
-    for s in members:
-        _member_rows(b, s, xs)
-    ok, sol = lp_feasible(b.system())
-    if not ok:
+    witness = _solve(fam.dim, [(range(fam.dim), s.rep.rows) for s in members])
+    if witness is None:
         return False, None
-    witness = tuple(sol[j] for j in xs)
     x = _int_row([*witness, -1])
     for s in members:
         if not _holds(s, x):
@@ -434,15 +405,13 @@ def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
     coordinate order, positive sign first, for a nonzero v in every
     member's recession cone; each probe is one LP over the other dim - 1
     coordinates, with v[axis] = sign substituted into every row."""
-    rows = [h.normal for s in members for h in _rows(s) if not is_zero(h.normal)]
+    rows = [h.normal for s in members for h in s.rep.rows if not is_zero(h.normal)]
     for axis in range(dim):
         for sign in (1, -1):
-            b = _SysBuilder()
-            vs = b.vars(dim - 1)
-            _row_block(b, ((n[:axis] + n[axis + 1:], -sign * n[axis]) for n in rows), vs)
-            ok, sol = lp_feasible(b.system())
-            if ok:
-                return sol[:axis] + (Fraction(sign),) + sol[axis:]
+            block = ((n[:axis] + n[axis + 1:], -sign * n[axis]) for n in rows)
+            v = _solve(dim - 1, [(range(dim - 1), block)])
+            if v is not None:
+                return v[:axis] + (Fraction(sign),) + v[axis:]
     return None
 
 
@@ -478,14 +447,6 @@ def is_bounded(s: ConvexSet) -> bool:
 # ---------------------------------------------------------------------------
 # projection
 
-def _canonical_row(coeffs: tuple[Fraction, ...], off: Fraction):
-    lead = next((a for a in coeffs if a != 0), None)
-    if lead is None:
-        return None  # vacuous or infeasible, caller inspects offset
-    scale = Fraction(1) / abs(lead)
-    return tuple(a * scale for a in coeffs), off * scale
-
-
 def _empty_hrep(dim: int) -> HRep:
     e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(dim))
     neg = tuple(-c for c in e1)
@@ -496,9 +457,11 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
     """Orthogonal projection forgetting the last coordinate.
 
     V-rep: generator-wise (the image of conv+cone is conv+cone of the
-    images). H-rep: one step of Fourier-Motzkin elimination with
-    structural deduplication after canonical rescaling; no LP-based
-    redundancy pruning here.
+    images). H-rep: one step of Fourier-Motzkin elimination on its int
+    rows, each derived row cut to a primitive int row, deduplicated and
+    written with its first nonzero coefficient +-1; no LP-based
+    redundancy pruning here. Raises MalformedInputError when the pairs
+    of rows to combine, times d, pass DD_WORK_CAP.
     """
     if s.dim < 2:
         raise MalformedInputError("cannot project a 1-dimensional ambient space")
@@ -517,35 +480,32 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
                 rays.append(q)
         return ConvexSet(label, d - 1, VRep(tuple(pts), tuple(rays)))
 
-    keep: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    pos: list[tuple[tuple[Fraction, ...], Fraction, Fraction]] = []
-    neg: list[tuple[tuple[Fraction, ...], Fraction, Fraction]] = []
-    for h in s.rep.halfspaces:
-        c = h.normal[d - 1]
-        head = h.normal[: d - 1]
+    derived: list[list[int]] = []  # [*normal, offset], the last coordinate gone
+    pos: list[Halfspace] = []
+    neg: list[Halfspace] = []
+    for h in s.rep.rows:
+        c = h.normal[-1]
         if c == 0:
-            keep.append((head, h.offset))
-        elif c > 0:
-            pos.append((head, h.offset, c))
+            derived.append([*h.normal[:-1], h.offset])
         else:
-            neg.append((head, h.offset, c))
-    derived = list(keep)
-    for np_, bp, cp in pos:
-        for nn, bn, cn in neg:
-            coeffs = tuple((-cn) * a + cp * b for a, b in zip(np_, nn))
-            derived.append((coeffs, (-cn) * bp + cp * bn))
+            (pos if c > 0 else neg).append(h)
+    if len(pos) * len(neg) * d > DD_WORK_CAP:
+        raise _over_cap(len(s.rep.rows), d)
+    for hp in pos:
+        cp = hp.normal[-1]
+        for hn in neg:
+            cn = -hn.normal[-1]
+            y = [cn * a + cp * b for a, b in zip(hp.normal, hn.normal)]
+            y[-1] = cn * hp.offset + cp * hn.offset  # in place of the eliminated 0
+            derived.append(y)
 
-    seen = set()
     rows: list[Halfspace] = []
-    for coeffs, off in derived:
-        canon = _canonical_row(coeffs, off)
-        if canon is None:
-            if off < 0:  # 0 <= negative: the projection is empty
-                return ConvexSet(label, d - 1, _empty_hrep(d - 1))
-            continue
-        if canon not in seen:
-            seen.add(canon)
-            rows.append(Halfspace(*canon))
+    for y in dict.fromkeys(tuple(_reduced(y)) for y in derived):  # primitive, in first order
+        lead = next((abs(a) for a in y[:-1] if a), 0)
+        if lead:
+            rows.append(Halfspace(tuple(Fraction(a, lead) for a in y[:-1]), Fraction(y[-1], lead)))
+        elif y[-1] < 0:  # 0 <= negative: the projection is empty
+            return ConvexSet(label, d - 1, _empty_hrep(d - 1))
     return ConvexSet(label, d - 1, HRep(tuple(rows)))
 
 
@@ -596,16 +556,13 @@ def lifted_projection_witness(
             raise MalformedInputError("dimension mismatch with box")
     if d < 2:
         raise MalformedInputError("need ambient dimension >= 2")
-    b = _SysBuilder()
-    xs = b.vars(d - 1)
-    for s in sets:
-        coords = xs + b.vars(1)
-        _member_rows(b, s, coords)
-        _member_rows(b, box, coords)
-    ok, sol = lp_feasible(b.system())
-    if not ok:
-        return False, None
-    return True, tuple(sol[j] for j in xs)
+    xs = list(range(d - 1))
+    blocks = []
+    for j, s in enumerate(sets):  # x, then the height of member j
+        coords = xs + [d - 1 + j]
+        blocks += [(coords, s.rep.rows), (coords, box.rep.rows)]
+    x = _solve(d - 1 + len(sets), blocks)
+    return (False, None) if x is None else (True, x[: d - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 from importlib import resources
 
@@ -496,6 +497,24 @@ class TestPlumbing:
             assert (code, set(json.loads(out))) == (2, {"error"})
             assert "work cap" in json.loads(out)["error"]
             assert time.perf_counter() - start < 10
+
+    def test_projection_over_the_work_cap_exit_two(self, tmp_path, capsys):
+        # 1,700 rows with a positive last coefficient and 1,700 with a
+        # negative one in R^3: 1,700^2 pairs times 3 pass the work cap.
+        # It is checked before any pair is combined: the run's peak
+        # stays a few MB, where the 2.9 M combined rows take hundreds
+        rows = [{"normal": [i, 1, s], "offset": 1} for i in range(1700) for s in (1, -1)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dimension": 3, "sets": [{"label": "W", "dim": 3, "hrep": rows}]}))
+        tracemalloc.start()
+        try:
+            code, out = run(["analyze", "project", "--input", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, set(json.loads(out))) == (2, {"error"})
+        assert "work cap" in json.loads(out)["error"]
+        assert peak < 32 * 2**20
 
     def test_overlong_margin_exit_two(self, capsys):
         code, out = run(["construct", "counterexample", "--d", "1", "--n-max", "4",

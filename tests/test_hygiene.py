@@ -1,7 +1,8 @@
 """Source hygiene: every name a module or test file imports is used in
 that file, joint-intersection LPs are asked only through the oracle,
 LP rows and systems are built only by the row builders, and point and
-direction tests substitute into the int rows cached on each set.
+direction tests, LPs and projection read the int rows cached on each
+set, not an H-representation's own halfspaces.
 Pipelines make their rows and their oracle only through `_Run`, and a
 piercing solution is built and verified by one routine.
 
@@ -74,47 +75,56 @@ def test_joint_intersection_only_through_the_oracle(path):
     assert joint_lp_references(path.read_text(encoding="utf-8")) == []
 
 
-def construction_sites(
-    source: str, classes: tuple[str, ...] = ("Constraint", "LinearSystem")
-) -> list[tuple[str, str, int]]:
-    """(class, enclosing def or class path, line) for every call that
-    constructs one of `classes`; the path is "" at module level."""
-    sites = []
+def scoped_nodes(source: str) -> list[tuple[ast.AST, str]]:
+    """(node, enclosing def or class path) for every node below a def or
+    class statement or the module; the path is "" at module level."""
+    out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in classes:
-                    sites.append((name, scope, child.lineno))
+            out.append((child, scope))
             visit(child, scope)
 
     visit(ast.parse(source), "")
+    return out
+
+
+def construction_sites(
+    source: str, classes: tuple[str, ...] = ("Constraint", "LinearSystem")
+) -> list[tuple[str, str, int]]:
+    """(class, enclosing def or class path, line) for every call that
+    constructs one of `classes`."""
+    sites = []
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in classes:
+                sites.append((name, scope, node.lineno))
     return sites
 
 
 def test_detector_flags_a_row_construction():
     source = (
         "def le(c, r): return Constraint(c, r)\n"
-        "class _SysBuilder:\n"
+        "class Builder:\n"
         "    def system(self):\n"
         "        return lp.LinearSystem(0, ())\n"
         "row = Constraint({}, 0)\n"
     )
     assert construction_sites(source) == [
-        ("Constraint", "le", 1), ("LinearSystem", "_SysBuilder.system", 4), ("Constraint", "", 5),
+        ("Constraint", "le", 1), ("LinearSystem", "Builder.system", 4), ("Constraint", "", 5),
     ]
 
 
 # the one path of an LP row: dense lists through lp.le, set blocks
-# through sets._SysBuilder, whose system() alone makes a LinearSystem
+# through sets._solve, which alone makes a LinearSystem
 ROW_BUILDERS = {
-    "Constraint": ("lp.le", "sets._SysBuilder"),
-    "LinearSystem": ("sets._SysBuilder.system",),
+    "Constraint": ("lp.le", "sets._solve"),
+    "LinearSystem": ("sets._solve",),
 }
 
 
@@ -123,6 +133,35 @@ def test_lp_rows_built_only_by_the_row_builders(path):
     for cls, scope, line in construction_sites(path.read_text(encoding="utf-8")):
         where = f"{path.stem}.{scope}"
         assert any(where == b or where.startswith(b + ".") for b in ROW_BUILDERS[cls]), (cls, where, line)
+
+
+def attribute_reads(source: str, attr: str) -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) for every `x.<attr>`."""
+    return [
+        (scope, node.lineno)
+        for node, scope in scoped_nodes(source)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
+def test_detector_flags_an_attribute_read():
+    source = "class HRep:\n    def rows(self):\n        return self.halfspaces\nhs = s.rep.halfspaces\n"
+    assert attribute_reads(source, "halfspaces") == [("HRep.rows", 3), ("", 4)]
+
+
+# every computation reads the int rows (HRep.rows); an H-rep's own
+# halfspaces serve only its validation, its recession cone, coordinate
+# changes and JSON
+HALFSPACE_READERS = {
+    "sets.HRep.rows", "sets.ConvexSet.__post_init__", "sets.recession_cone",
+    "sets.change_coordinates", "sets.set_to_json",
+}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_halfspaces_read_only_where_rows_cannot_serve(path):
+    for scope, line in attribute_reads(path.read_text(encoding="utf-8"), "halfspaces"):
+        assert f"{path.stem}.{scope}" in HALFSPACE_READERS, (scope, line)
 
 
 def imported_names(source: str) -> set[str]:

@@ -92,12 +92,15 @@ def test_intersect_mixed_reps():
     assert w[0] >= 2 and 0 <= w[1] <= 1
 
 
-def test_joint_lp_takes_the_halfspaces_not_the_scaled_rows():
-    # the simplex weighs each artificial variable by its row's scale:
-    # the int rows of HRep.rows, scaled per row, would end at (4/3, -5/3)
+def test_joint_lp_takes_the_int_rows():
+    # h0 enters the LP as HRep.rows, each halfspace times the lcm of its
+    # denominators; the simplex weighs each artificial variable by its
+    # row's scale, so the witness is the int rows' own
     h0 = hrep_set("h0", [((-1, 0), "-3/4"), ((3, 2), "2/3")])
     h1 = hrep_set("h1", [((1, 2), -2), ((-1, 2), 2)])
-    assert intersect_nonempty(family([h0, h1]), [0, 1]) == (True, point(("3/4", "-11/8")))
+    ok, w = intersect_nonempty(family([h0, h1]), [0, 1])
+    assert (ok, w) == (True, point(("4/3", "-5/3")))
+    assert contains_point(h0, w) and contains_point(h1, w)
 
 
 def test_intersect_empty_indices_rejected():
@@ -231,6 +234,32 @@ def test_project_unbounded_hrep():
     p = project_drop_last(s)
     assert contains_point(p, (1,)) and contains_point(p, (-100,))
     assert not contains_point(p, ("11/10",))
+
+
+def test_projection_holds_the_points_whose_line_meets_the_set():
+    # x' lies in the shadow exactly when the line through (x', 0) along
+    # the last axis meets the set: random H-reps with fractional rows
+    # through a point c, some of them empty, probed near c
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(120):
+        d = rng.randint(2, 4)
+        c = [_frac(rng) for _ in range(d)]
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            normal = [_frac(rng, 4) if rng.random() < 0.8 else 0 for _ in range(d)]
+            if any(normal):
+                rows.append((normal, dot(point(normal), point(c)) + Fraction(rng.randint(-2, 6), 3)))
+        s = hrep_set("S", rows, dim=d)
+        shadow = project_drop_last(s)
+        up = tuple(int(i == d - 1) for i in range(d))
+        for _ in range(4):
+            x = tuple(a + Fraction(rng.randint(-6, 6), 4) for a in c[:-1])
+            line = vrep_set("L", [(*x, 0)], rays=[up, tuple(-a for a in up)])
+            inside = contains_point(shadow, x)
+            assert inside == intersect_nonempty(family([s, line]), [0, 1])[0], (rows, x)
+            seen.add(inside)
+    assert seen == {True, False}
 
 
 def test_project_rejects_dim_one():
