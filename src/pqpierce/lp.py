@@ -1,20 +1,22 @@
 """Exact linear programming and linear algebra over the rationals.
 
 Feasibility of systems of <= rows over free variables, the one LP form
-the package builds. The engine is the first phase of a dense primal
-simplex with Bland's rule, so it never cycles and is fully
-deterministic. A constraint's row stays sparse, terms from variable
-index to nonzero coefficient, from the set block that builds it to the
-simplex's tableau row; coefficients and right-hand sides are ints or
-Fractions, witnesses Fractions. One fraction-free elimination step
-(Edmonds 1967; Bareiss 1968), _pivot, serves the simplex tableau and
-matrix inverses: rows are plain ints, cut by their gcd after every
-pivot, so the simplex makes exactly the pivots and returns exactly the
-witnesses of a Fraction tableau.
+the package builds. The engine is the first phase of a primal simplex
+with Bland's rule, so it never cycles and is fully deterministic. A
+constraint's row stays sparse, terms from variable index to nonzero
+coefficient, from the set block that builds it to the simplex's
+tableau row; coefficients and right-hand sides are ints or Fractions,
+witnesses Fractions. The tableau is fraction-free (Edmonds 1967;
+Bareiss 1968) and compact: int rows over the nonbasic variables only,
+each with its own denominator and cut by its gcd after every pivot, a
+free variable's x- read as its negated x+. So the simplex makes exactly
+the pivots and returns exactly the witnesses of a full Fraction
+tableau. _pivot, the same step on full rows, serves matrix inverses.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -67,35 +69,35 @@ class LpBudget:
         self.remaining -= 1
 
 
-_active_budget: Optional[LpBudget] = None
+_active_budget: ContextVar[Optional[LpBudget]] = ContextVar("lp_budget", default=None)
 
 
 @contextmanager
 def lp_budget(max_calls: int):
     """Limit the number of simplex invocations inside the with-block."""
-    global _active_budget
-    prev = _active_budget
-    _active_budget = LpBudget(max_calls)
+    budget = LpBudget(max_calls)
+    token = _active_budget.set(budget)
     try:
-        yield _active_budget
+        yield budget
     finally:
-        _active_budget = prev
+        _active_budget.reset(token)
 
 
 def _charge_budget() -> None:
-    if _active_budget is not None:
-        _active_budget.charge()
+    budget = _active_budget.get()
+    if budget is not None:
+        budget.charge()
 
 
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 #
-# _pivot is the package's one row elimination: the simplex and
-# invert_matrix pivot through it, and sets._cone combines rays the same
-# way. A row of ints stands for itself over a nonzero scale; a gcd cut
-# is a positive one, so it moves no ratio or sign. Rows are reduced in loops,
-# not by gcd(*row): a starred call leaves its argument tuple on
-# CPython's free list.
+# _pivot clears a column for invert_matrix; the simplex's _exchange does
+# the same on its compact rows, and sets._cone combines rays the same
+# way. A row of ints stands for itself over a nonzero scale; _reduced,
+# the one gcd cut, divides by a positive one, so it moves no ratio or
+# sign. Rows are reduced in loops, not by gcd(*row): a starred call
+# leaves its argument tuple on CPython's free list.
 
 def _reduced(row: list[int]) -> list[int]:
     """The row divided by the gcd of its entries."""
@@ -131,101 +133,122 @@ def _int_row(values) -> list[int]:
 # ---------------------------------------------------------------------------
 # simplex engine
 #
-# Each tableau row is a list of int numerators with the right-hand side
-# last. Its denominator is its entry in its basic column, always > 0, so
-# the rows hold exactly the rationals of a Fraction tableau and every
-# sign test and ratio comparison, hence every pivot, is the same. The
-# reduced costs of the phase-1 objective are the last row; _pivot
-# multiplies rows by the pivot, which is > 0, so no sign moves.
+# The tableau stores only the columns of nonbasic variables, one slot
+# each: a row is [*slots, rhs, den], ints, where den > 0 is the row's
+# entry in its basic variable's column (0 in every other row, so not
+# stored). A free x_j = x_j+ - x_j- has one slot while both halves are
+# nonbasic, holding the one that left the basis last (x_j+ at first);
+# the other's column is its negation. The last row holds the reduced
+# costs of the phase-1 objective, -objective as its rhs and den 0. Each
+# row is the row of the full Fraction tableau, less its unit and
+# negated columns, times a positive scale, so every sign test and ratio
+# comparison, hence every pivot, is the same.
+
+def _exchange(T: list[list[int]], basis: list[int], slots: list[int], r: int, c: int) -> None:
+    """Pivot on row r and slot c: the variable in slot c enters the basis
+    at row r and the leaving variable takes slot c. Every other row
+    becomes row * p - f * T[r], with -f * den_r in slot c and its den
+    times p, cut by its gcd; row r gets den_r in slot c and p as its den
+    (p = T[r][c], f the row's own entry in slot c)."""
+    rowr = T[r]
+    p, den = rowr[c], rowr[-1]
+    piv = rowr[:]
+    piv[c] += den  # f * p - f * (p + den) = -f * den
+    piv[-1] = 0  # den * p - f * 0
+    for k, row in enumerate(T):
+        f = row[c]
+        if f and k != r:
+            T[k] = _reduced([a * p - f * b for a, b in zip(row, piv)])
+    rowr[c], rowr[-1] = den, p
+    basis[r], slots[c] = slots[c], basis[r]
+
+
 def _simplex(system: LinearSystem) -> Optional[Point]:
     """Phase-1 simplex: a feasible point of the system, or None.
 
     Minimizes the sum of the artificial variables; the system is
     feasible exactly when that minimum is zero. Bland's rule (lowest
-    eligible column enters; among minimum-ratio rows the one whose basic
-    variable has the lowest index leaves) guarantees termination on
-    degenerate systems.
+    eligible variable enters; among minimum-ratio rows the one whose
+    basic variable has the lowest index leaves) guarantees termination
+    on degenerate systems.
     """
     _charge_budget()
     d = system.dim
     cons = system.constraints
-
-    # columns: x_j = x_j+ - x_j-, at 2j and 2j + 1; the slack of row i
-    # at 2d + i; an artificial for each row with rhs < 0
     m = len(cons)
-    base_cols = 2 * d + m
-    art_rows = [i for i, c in enumerate(cons) if c.rhs < 0]
-    art_col = {i: base_cols + k for k, i in enumerate(art_rows)}
-    total_cols = base_cols + len(art_rows)
 
-    # each row scaled by the lcm of its denominators, negated when its
-    # rhs is negative; an artificial's entry is that scale, so its value is 1
+    # variables, numbered as the full tableau's columns: x_j+ and x_j- at
+    # 2j and 2j + 1; the slack of row i at 2d + i; an artificial for each
+    # row with rhs < 0, from 2d + m on. The slots hold each x_j+ and the
+    # slack of each artificial row.
+    art_rows = [i for i, c in enumerate(cons) if c.rhs < 0]
+    slots = list(range(0, 2 * d, 2))
+    n = d + len(art_rows)
+
+    # each row scaled by the lcm of its denominators, negated when its rhs
+    # is negative; den, that lcm, is the entry of its basic slack or artificial
     T: list[list[int]] = []
-    basis: list[int] = [-1] * m
+    basis: list[int] = []
     for i, c in enumerate(cons):
         den = c.rhs.denominator
         for a in c.terms.values():
             den = lcm(den, a.denominator)
         scale = -den if c.rhs < 0 else den
-        row = [0] * (total_cols + 1)
+        row = [0] * (n + 2)
         for j, a in c.terms.items():
-            v = a.numerator * (scale // a.denominator)
-            row[2 * j] = v
-            row[2 * j + 1] = -v
-        row[2 * d + i] = scale
-        row[-1] = c.rhs.numerator * (scale // c.rhs.denominator)
-        k = art_col.get(i)
-        if k is None:
-            basis[i] = 2 * d + i
+            row[j] = a.numerator * (scale // a.denominator)
+        row[-2:] = c.rhs.numerator * (scale // c.rhs.denominator), den
+        if scale < 0:
+            row[len(slots)] = scale
+            basis.append(2 * d + m + len(slots) - d)
+            slots.append(2 * d + i)
         else:
-            row[k] = den
-            basis[i] = k
+            basis.append(2 * d + i)
         T.append(row)
 
-    # the last tableau row T[m]: reduced costs of the sum of artificials
-    # with -objective last, over the common denominator of the artificial
-    # rows (a positive scale)
+    # reduced costs of the sum of artificials, over the common denominator
+    # of the artificial rows (a positive scale)
     common = 1
     for i in art_rows:
-        common = lcm(common, T[i][basis[i]])
-    r = [0] * (total_cols + 1)
+        common = lcm(common, T[i][-1])
+    r = [0] * (n + 2)
     for i in art_rows:
-        f = common // T[i][basis[i]]
+        f = common // T[i][-1]
         r = [a - f * c for a, c in zip(r, T[i])]
-    for k in art_col.values():
-        r[k] = 0
+    r[-1] = 0
     T.append(_reduced(r))
 
     while True:
-        enter = -1
-        r = T[m]
-        for j in range(total_cols):
-            if r[j] < 0:
-                enter = j
-                break
-        if enter < 0:
+        # the lowest variable with a negative reduced cost enters; a free
+        # slot's other half has the negated one
+        eligible = [(v ^ 1 if a > 0 else v, k) for k, (a, v) in enumerate(zip(T[m], slots))
+                    if a < 0 or (a > 0 and v < 2 * d)]
+        if not eligible:
             break
+        enter, c = min(eligible)
+        if enter != slots[c]:  # the other half enters: negate the slot
+            slots[c] = enter
+            for row in T:
+                row[c] = -row[c]
         # min ratio rhs/a over rows with a > 0, compared as cross products
         leave = -1
         for i in range(m):
-            a = T[i][enter]
+            a = T[i][c]
             if a > 0:
                 if leave < 0:
-                    leave, best_b, best_a = i, T[i][-1], a
+                    leave, best_b, best_a = i, T[i][-2], a
                     continue
-                lhs = T[i][-1] * best_a
+                lhs = T[i][-2] * best_a
                 rhs = best_b * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, best_b, best_a = i, T[i][-1], a
-        # the phase-1 objective is bounded below by 0, so some row leaves;
-        # the pivot row stays as it is, with its entry as its new denominator
-        _pivot(T, leave, enter)
-        basis[leave] = enter
-    if T[m][-1]:
+                    leave, best_b, best_a = i, T[i][-2], a
+        # the phase-1 objective is bounded below by 0, so some row leaves
+        _exchange(T, basis, slots, leave, c)
+    if T[m][-2]:
         return None
 
     # artificials still basic sit at value 0; the point reads off the rest
-    val = {basis[i]: Fraction(T[i][-1], T[i][basis[i]]) for i in range(m)}
+    val = {basis[i]: Fraction(T[i][-2], T[i][-1]) for i in range(m)}
     zero = Fraction(0)
     return tuple(val.get(2 * j, zero) - val.get(2 * j + 1, zero) for j in range(d))
 

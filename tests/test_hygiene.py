@@ -2,7 +2,8 @@
 that file, joint-intersection LPs are asked only through the oracle,
 LP rows and systems are built only by the row builders, and point and
 direction tests, LPs and projection read the int rows cached on each
-set, not an H-representation's own halfspaces.
+set, not an H-representation's own halfspaces. math.gcd is called only
+by the one row cut, lp._reduced.
 Pipelines make their rows and their oracle only through `_Run`, and a
 piercing solution is built and verified by one routine.
 
@@ -162,6 +163,30 @@ HALFSPACE_READERS = {
 def test_halfspaces_read_only_where_rows_cannot_serve(path):
     for scope, line in attribute_reads(path.read_text(encoding="utf-8"), "halfspaces"):
         assert f"{path.stem}.{scope}" in HALFSPACE_READERS, (scope, line)
+
+
+def call_sites(source: str, name: str) -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) for every call of `name` or
+    `x.<name>`."""
+    return [
+        (scope, node.lineno)
+        for node, scope in scoped_nodes(source)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
+def test_detector_flags_a_gcd_call():
+    source = "def _reduced(row):\n    return gcd(*row)\nclass C:\n    def f(self):\n        math.gcd(4, 6)\n"
+    assert call_sites(source, "gcd") == [("_reduced", 2), ("C.f", 5)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_gcd_only_in_the_one_row_cut(path):
+    # the simplex, invert_matrix, sets._cone and project_drop_last all cut
+    # their int rows through lp._reduced
+    for scope, line in call_sites(path.read_text(encoding="utf-8"), "gcd"):
+        assert f"{path.stem}.{scope}" == "lp._reduced", (scope, line)
 
 
 def imported_names(source: str) -> set[str]:

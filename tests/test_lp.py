@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pqpierce import lp
 from pqpierce.errors import BudgetExhaustedError, MalformedInputError
 from pqpierce.lp import (
     Constraint,
@@ -68,6 +70,23 @@ def test_budget_exhaustion_raises():
     # budget gone after the with-block
     ok, _ = lp_feasible(sys)
     assert ok
+
+
+def test_nested_budget_restores_the_outer_one():
+    sys = LinearSystem(1, (le([1], 1),))
+    with lp_budget(5) as outer:
+        lp_feasible(sys)
+        with lp_budget(3) as inner:
+            lp_feasible(sys)
+        assert (outer.remaining, inner.remaining) == (4, 2)
+        with pytest.raises(BudgetExhaustedError):
+            with lp_budget(1) as inner:
+                lp_feasible(sys)
+                lp_feasible(sys)
+        lp_feasible(sys)
+        assert (outer.remaining, inner.remaining) == (3, 0)
+    for _ in range(6):  # no budget after the outer block
+        lp_feasible(sys)
 
 
 # --- the sparse row format ----------------------------------------------------
@@ -174,9 +193,10 @@ def test_single_halfspace_witness_property(coeffs, rhs):
 # --- differential test against a Fraction tableau ----------------------------
 
 def _fraction_simplex(system: LinearSystem):
-    """Reference: the phase-1 simplex with Bland's rule on a Fraction
-    tableau. The engine must make the same pivots, hence return the
-    same witness."""
+    """Reference: the phase-1 simplex with Bland's rule on a full
+    Fraction tableau, one column per variable. Returns the witness (or
+    None) and the (entering, leaving) variables of every pivot, which the
+    engine must match."""
     d = system.dim
     col_pos = [2 * j for j in range(d)]
     col_neg = [2 * j + 1 for j in range(d)]
@@ -214,6 +234,7 @@ def _fraction_simplex(system: LinearSystem):
         T[i][base_cols + k] = F(1)
         basis[i] = base_cols + k
 
+    pivots = []
     r = [F(0)] * total_cols
     for k in range(nart):
         r[base_cols + k] = F(1)
@@ -233,6 +254,7 @@ def _fraction_simplex(system: LinearSystem):
                 ratio = b[i] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best, leave = ratio, i
+        pivots.append((enter, basis[leave]))
         inv = 1 / T[leave][enter]
         T[leave] = [a * inv for a in T[leave]]
         b[leave] *= inv
@@ -246,9 +268,23 @@ def _fraction_simplex(system: LinearSystem):
         obj += f * b[leave]
         basis[leave] = enter
     if obj != 0:
-        return None
+        return None, pivots
     val = {basis[i]: b[i] for i in range(m)}
-    return tuple(val.get(col_pos[j], F(0)) - val.get(col_neg[j], F(0)) for j in range(d))
+    return tuple(val.get(col_pos[j], F(0)) - val.get(col_neg[j], F(0)) for j in range(d)), pivots
+
+
+def _engine_pivots(system: LinearSystem):
+    """lp_feasible's answer and the (entering, leaving) variables of
+    every pivot it makes, numbered as the reference tableau's columns."""
+    pivots = []
+    exchange = lp._exchange
+
+    def recording(T, basis, slots, r, c):
+        pivots.append((slots[c], basis[r]))
+        exchange(T, basis, slots, r, c)
+
+    with mock.patch.object(lp, "_exchange", recording):
+        return lp_feasible(system), pivots
 
 
 # few distinct values and many zeros, so ratio-test ties (where Bland's
@@ -279,9 +315,14 @@ def _systems(draw):
 # row 1, whose slack has the lower index, and ends at (3/2, -1), not (0, -1)
 # (the last row, x >= 0, keeps the tie of the free x)
 @example(LinearSystem(2, (le([-1, 2], -1), le([2, 1], 2), le([0, 1], -1), le([-1, 0], 0))))
+# x- enters: the witness is (-3,)
+@example(LinearSystem(1, (le([2], -2), le([1], -3))))
+# a free variable leaves the basis: the witness is (-1, -3/2)
+@example(LinearSystem(2, (le([-1, 2], -2), le([0, 2], -3))))
 def test_witness_equals_fraction_tableau(system):
-    ok, x = lp_feasible(system)
-    expected = _fraction_simplex(system)
+    (ok, x), pivots = _engine_pivots(system)
+    expected, expected_pivots = _fraction_simplex(system)
+    assert pivots == expected_pivots
     assert ok == (expected is not None)
     assert x == expected
     if ok:
