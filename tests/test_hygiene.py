@@ -97,7 +97,7 @@ def construction_sites(
     source: str, classes: tuple[str, ...] = ("Constraint", "LinearSystem")
 ) -> list[tuple[str, str, int]]:
     """(class, enclosing def or class path, line) for every call that
-    constructs one of `classes`."""
+    constructs one of `classes`, or calls a function of that name."""
     sites = []
     for node, scope in scoped_nodes(source):
         if isinstance(node, ast.Call):
@@ -165,27 +165,11 @@ def test_halfspaces_read_only_where_rows_cannot_serve(path):
         assert f"{path.stem}.{scope}" in HALFSPACE_READERS, (scope, line)
 
 
-def call_sites(source: str, name: str) -> list[tuple[str, int]]:
-    """(enclosing def or class path, line) for every call of `name` or
-    `x.<name>`."""
-    return [
-        (scope, node.lineno)
-        for node, scope in scoped_nodes(source)
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
-    ]
-
-
-def test_detector_flags_a_gcd_call():
-    source = "def _reduced(row):\n    return gcd(*row)\nclass C:\n    def f(self):\n        math.gcd(4, 6)\n"
-    assert call_sites(source, "gcd") == [("_reduced", 2), ("C.f", 5)]
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_gcd_only_in_the_one_row_cut(path):
     # the simplex, invert_matrix, sets._cone and project_drop_last all cut
     # their int rows through lp._reduced
-    for scope, line in call_sites(path.read_text(encoding="utf-8"), "gcd"):
+    for _, scope, line in construction_sites(path.read_text(encoding="utf-8"), ("gcd",)):
         assert f"{path.stem}.{scope}" == "lp._reduced", (scope, line)
 
 
