@@ -8,10 +8,10 @@ coefficient, from the set block that builds it to the simplex's
 tableau row; coefficients and right-hand sides are ints or Fractions,
 witnesses Fractions. The tableau is fraction-free (Edmonds 1967;
 Bareiss 1968) and compact: int rows over the nonbasic variables only,
-each with its own denominator and cut by its gcd after every pivot, a
-free variable's x- read as its negated x+. So the simplex makes exactly
-the pivots and returns exactly the witnesses of a full Fraction
-tableau. _pivot, the same step on full rows, serves matrix inverses.
+each with its own denominator and cut by its gcd after every pivot;
+a free variable's two halves share one column, up to sign. So the
+simplex makes exactly the pivots and returns exactly the witnesses of
+a full Fraction tableau; _pivot does the same step for matrix inverses.
 """
 from __future__ import annotations
 
