@@ -1,17 +1,19 @@
 """Exact linear programming and linear algebra over the rationals.
 
 Feasibility of systems of <= rows over free variables, the one LP form
-the package builds. The engine is the first phase of a primal simplex
-with Bland's rule, so it never cycles and is fully deterministic. A
-constraint's row stays sparse, terms from variable index to nonzero
-coefficient, from the set block that builds it to the simplex's
-tableau row; coefficients and right-hand sides are ints or Fractions,
-witnesses Fractions. The tableau is fraction-free (Edmonds 1967;
-Bareiss 1968) and compact: int rows over the nonbasic variables only,
-each with its own denominator and cut by its gcd after every pivot;
-a free variable's two halves share one column, up to sign. So the
-simplex makes exactly the pivots and returns exactly the witnesses of
-a full Fraction tableau; _pivot does the same step for matrix inverses.
+the package builds, by the first phase of a primal simplex with Bland's
+rule, so it never cycles and is fully deterministic. A row is an int
+row (terms, rhs, den), sparse from the set block that builds it to the
+tableau: terms from variable index to nonzero int, den > 0 the entry of
+its slack. The sets hand theirs in with den 1; le scales a row of
+rationals once, with the lcm of its denominators as den. Only ints
+reach the tableau, which is fraction-free (Edmonds 1967; Bareiss 1968)
+and compact: rows over the nonbasic variables only, each with its own
+denominator and cut by its gcd after every pivot; a free variable's two
+halves share one column, up to sign. So the simplex makes exactly the
+pivots and returns exactly the witnesses (Fractions) of a full Fraction
+tableau over the rows divided by their dens; _pivot does the same step
+for matrix inverses.
 """
 from __future__ import annotations
 
@@ -19,41 +21,47 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping, Optional
+from math import gcd, lcm, prod
+from typing import Iterable, Optional
 
 from .errors import BudgetExhaustedError, MalformedInputError
 from .rational import Matrix, Point, RatLike, rat
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
-    """One linear constraint: the sum of a * x_j over terms {j: a} <= rhs.
+_q = int  # the number type of every tableau entry
 
-    Unnamed variables have coefficient 0; coefficients and rhs are ints
-    or Fractions. le builds one from a dense list, dropping zeros."""
-
-    terms: Mapping[int, int | Fraction]
-    rhs: int | Fraction
+# sum of a * x_j over terms {j: a} <= rhs, with den > 0 the slack's entry
+Row = tuple[dict[int, int], int, int]
 
 
-def le(coeffs: Iterable[RatLike], rhs: RatLike) -> Constraint:
-    return Constraint({j: a for j, c in enumerate(coeffs) if (a := rat(c))}, rat(rhs))
+def le(coeffs: Iterable[RatLike], rhs: RatLike) -> Row:
+    """A dense row of rationals as an int row: times the lcm of its
+    denominators, which is its den (the trailing 1), zeros dropped."""
+    *y, b, den = _int_row([*map(rat, coeffs), rat(rhs), 1])
+    return {j: a for j, a in enumerate(y) if a}, b, den
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A feasibility system of <= rows over `dim` free real variables."""
+    """A feasibility system of int <= rows over `dim` free real variables."""
 
     dim: int
-    constraints: tuple[Constraint, ...]
+    constraints: tuple[Row, ...]
 
     def __post_init__(self):
         if self.dim < 0:
             raise MalformedInputError("negative dimension")
-        for c in self.constraints:
-            if c.terms and not 0 <= min(c.terms) <= max(c.terms) < self.dim:
-                raise MalformedInputError(f"constraint names a variable outside 0..{self.dim - 1}")
+        names: set[int] = set()
+        total = 0  # a sum of ints is an int; a Fraction or float is not
+        for terms, rhs, den in self.constraints:
+            names.update(terms)
+            total += sum(terms.values(), rhs + den)
+            if den <= 0:
+                raise MalformedInputError("a row's den must be positive")
+        if names and not 0 <= min(names) <= max(names) < self.dim:
+            raise MalformedInputError(f"constraint names a variable outside 0..{self.dim - 1}")
+        if type(total) is not int:
+            raise MalformedInputError("a row's entries must be ints")
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +189,31 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
     # 2j and 2j + 1; the slack of row i at 2d + i; an artificial for each
     # row with rhs < 0, from 2d + m on. The slots hold each x_j+ and the
     # slack of each artificial row.
-    art_rows = [i for i, c in enumerate(cons) if c.rhs < 0]
+    art_rows = [i for i, c in enumerate(cons) if c[1] < 0]
     slots = list(range(0, 2 * d, 2))
     n = d + len(art_rows)
 
-    # each row scaled by the lcm of its denominators, negated when its rhs
-    # is negative; den, that lcm, is the entry of its basic slack or artificial
+    # each row negated when its rhs is negative; den is the entry of its
+    # basic slack or artificial
     T: list[list[int]] = []
     basis: list[int] = []
-    for i, c in enumerate(cons):
-        den = c.rhs.denominator
-        for a in c.terms.values():
-            den = lcm(den, a.denominator)
-        scale = -den if c.rhs < 0 else den
+    for i, (terms, rhs, den) in enumerate(cons):
+        sign = -1 if rhs < 0 else 1
         row = [0] * (n + 2)
-        for j, a in c.terms.items():
-            row[j] = a.numerator * (scale // a.denominator)
-        row[-2:] = c.rhs.numerator * (scale // c.rhs.denominator), den
-        if scale < 0:
-            row[len(slots)] = scale
+        for j, a in terms.items():
+            row[j] = sign * a
+        row[-2:] = sign * rhs, den
+        if sign < 0:
+            row[len(slots)] = -den
             basis.append(2 * d + m + len(slots) - d)
             slots.append(2 * d + i)
         else:
             basis.append(2 * d + i)
         T.append(row)
 
-    # reduced costs of the sum of artificials, over the common denominator
-    # of the artificial rows (a positive scale)
-    common = 1
-    for i in art_rows:
-        common = lcm(common, T[i][-1])
+    # reduced costs of the sum of artificials, over the product of the
+    # artificial rows' dens (a positive scale, which the gcd cut removes)
+    common = prod(T[i][-1] for i in art_rows)
     r = [0] * (n + 2)
     for i in art_rows:
         f = common // T[i][-1]

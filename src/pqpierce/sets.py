@@ -10,8 +10,8 @@ One double-description routine, _cone, converts between the two. Every
 V-rep gets <= rows from its generators, once, when first used: its
 facets, and each equation of its affine hull as two rows. A bounded or
 unbounded H-rep gets generators the same way when a hull needs them.
-Either rep caches its int rows (`rows`; an H-rep's are its halfspaces
-scaled to ints), and they are the one row form any computation reads.
+Either rep caches its int rows (`rows`, int (normal, offset) pairs; an
+H-rep's are its halfspaces scaled), the one row form any computation reads.
 Intersections are never materialized: every member joins every LP as
 its rows over free coordinates, posed by one builder, _solve;
 membership and recession of a direction are one int substitution,
@@ -26,7 +26,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
-from .lp import Constraint, LinearSystem, _int_row, _reduced, lp_feasible
+from .lp import LinearSystem, _int_row, _reduced, lp_feasible
 from .rational import (
     Matrix,
     Point,
@@ -57,8 +57,7 @@ DD_WORK_CAP = 8_000_000
 @dataclass(frozen=True, slots=True)
 class Halfspace:
     """{x : normal . x <= offset}. A zero normal is only legal when the
-    constraint is vacuous (offset >= 0). The `rows` of either rep hold
-    ints here in place of Fractions. Unpacks as (normal, offset)."""
+    constraint is vacuous (offset >= 0)."""
 
     normal: Point
     offset: Fraction
@@ -66,9 +65,6 @@ class Halfspace:
     def __post_init__(self):
         if is_zero(self.normal) and self.offset < 0:
             raise MalformedInputError("zero normal with negative offset")
-
-    def __iter__(self):
-        return iter((self.normal, self.offset))
 
 
 def halfspace(normal: Iterable[RatLike], offset: RatLike) -> Halfspace:
@@ -80,12 +76,12 @@ class HRep:
     halfspaces: tuple[Halfspace, ...]
 
     @cached_property
-    def rows(self) -> tuple[Halfspace, ...]:
+    def rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each halfspace times the lcm of its denominators, in ints (an
         integral halfspace is its own row): what every LP, membership
         test and projection reads."""
         rows = (_int_row([*h.normal, h.offset]) for h in self.halfspaces)
-        return tuple(Halfspace(tuple(y[:-1]), y[-1]) for y in rows)
+        return tuple((tuple(y[:-1]), y[-1]) for y in rows)
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class VRep:
                 raise MalformedInputError("zero ray in V-representation")
 
     @cached_property
-    def rows(self) -> tuple[Halfspace, ...]:
+    def rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The set as primitive int <= rows: its facets, and each
         equation of its affine hull as a row and its negation, sorted by
         the ascending tuple of the generators each row is tight on; ()
@@ -112,7 +108,7 @@ class VRep:
         # a face holds a point: drop the face at infinity, e_n modulo lineality
         rows += [(on, y) for on, y in ext if on & (1 << len(self.points)) - 1]
         rows.sort(key=lambda row: [i for i in range(len(gens)) if row[0] >> i & 1])
-        return tuple(Halfspace(tuple(y[:-1]), y[-1]) for _, y in rows)
+        return tuple((tuple(y[:-1]), y[-1]) for _, y in rows)
 
 
 def _cone(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[tuple[int, list[int]]]]:
@@ -190,7 +186,7 @@ def _generators(s: ConvexSet) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     EmptySetError for an empty H-rep, whose cone has no t > 0."""
     if isinstance(s.rep, VRep):
         return s.rep.points, s.rep.rays
-    rows = [[*h.normal, -h.offset] for h in s.rep.rows]
+    rows = [[*normal, -offset] for normal, offset in s.rep.rows]
     lin, ext = _cone(rows + [[0] * s.dim + [-1]], s.dim + 1)
     pts = tuple(tuple(Fraction(c, y[-1]) for c in y[:-1]) for _, y in ext if y[-1])
     if not pts:
@@ -300,8 +296,9 @@ def family(sets: Sequence[ConvexSet]) -> Family:
 #
 # Every LP is <= rows over free variables, and _solve alone poses one.
 # A set enters as its int rows over the variables of its coordinates.
-# Each row is an lp.Constraint over its nonzero terms alone, and the
-# simplex fills its tableau row from them: no dense row is built.
+# Each row goes to lp_feasible as an int row (terms, offset, 1) over its
+# nonzero terms alone, and the simplex fills its tableau row from them:
+# no dense row and no object per row is built.
 
 def _solve(n: int, blocks: Iterable[tuple[Sequence[int], Iterable]]) -> Optional[Point]:
     """A point of n free variables meeting every block, or None. A block
@@ -310,7 +307,7 @@ def _solve(n: int, blocks: Iterable[tuple[Sequence[int], Iterable]]) -> Optional
     generator resizes its tuple, so freed systems would pile up on
     CPython's tuple free lists, up to 2,000 per size, never reused."""
     return lp_feasible(LinearSystem(n, tuple([
-        Constraint({x: a for x, a in zip(xs, normal) if a}, offset)
+        ({x: a for x, a in zip(xs, normal) if a}, offset, 1)
         for xs, rows in blocks for normal, offset in rows
     ])))[1]
 
@@ -323,7 +320,7 @@ def _holds(s: ConvexSet, x: list[int]) -> bool:
     x = [*y, t]? A point p enters as _int_row([*p, -1]), a direction v
     as _int_row([*v, 0])."""
     t = x[-1]
-    return all(sum(map(mul, h.normal, x)) + h.offset * t <= 0 for h in s.rep.rows)
+    return all(sum(map(mul, normal, x)) + offset * t <= 0 for normal, offset in s.rep.rows)
 
 
 def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:
@@ -405,7 +402,7 @@ def _recession_probe(dim: int, members: Sequence[ConvexSet]) -> Optional[Point]:
     coordinate order, positive sign first, for a nonzero v in every
     member's recession cone; each probe is one LP over the other dim - 1
     coordinates, with v[axis] = sign substituted into every row."""
-    rows = [h.normal for s in members for h in s.rep.rows if not is_zero(h.normal)]
+    rows = [normal for s in members for normal, _ in s.rep.rows if any(normal)]
     for axis in range(dim):
         for sign in (1, -1):
             block = ((n[:axis] + n[axis + 1:], -sign * n[axis]) for n in rows)
@@ -481,22 +478,21 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
         return ConvexSet(label, d - 1, VRep(tuple(pts), tuple(rays)))
 
     derived: list[list[int]] = []  # [*normal, offset], the last coordinate gone
-    pos: list[Halfspace] = []
-    neg: list[Halfspace] = []
-    for h in s.rep.rows:
-        c = h.normal[-1]
+    pos, neg = [], []  # rows with a positive, a negative last coefficient
+    for normal, offset in s.rep.rows:
+        c = normal[-1]
         if c == 0:
-            derived.append([*h.normal[:-1], h.offset])
+            derived.append([*normal[:-1], offset])
         else:
-            (pos if c > 0 else neg).append(h)
+            (pos if c > 0 else neg).append((normal, offset))
     if len(pos) * len(neg) * d > DD_WORK_CAP:
         raise _over_cap(len(s.rep.rows), d)
-    for hp in pos:
-        cp = hp.normal[-1]
-        for hn in neg:
-            cn = -hn.normal[-1]
-            y = [cn * a + cp * b for a, b in zip(hp.normal, hn.normal)]
-            y[-1] = cn * hp.offset + cp * hn.offset  # in place of the eliminated 0
+    for hp, bp in pos:
+        cp = hp[-1]
+        for hn, bn in neg:
+            cn = -hn[-1]
+            y = [cn * a + cp * b for a, b in zip(hp, hn)]
+            y[-1] = cn * bp + cp * bn  # in place of the eliminated 0
             derived.append(y)
 
     rows: list[Halfspace] = []

@@ -10,7 +10,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqpierce import cli
@@ -637,16 +637,44 @@ def family_file(tmp_path_factory):
     return tmp_path_factory.mktemp("property") / "family.json"
 
 
+@pytest.fixture(scope="module")
+def box_file(tmp_path_factory):
+    # a planar box: families of another dimension must exit 2 against it
+    path = tmp_path_factory.mktemp("property") / "box.json"
+    path.write_text(json.dumps({"label": "w", "dim": 2,
+                                "vrep": {"points": [[-3, -3], [3, -3], [-3, 3], [3, 3]]}}))
+    return path
+
+
+# a line family on which every pipeline but corollary52 (planar only)
+# ends in a report: a box, a segment, a ray, and a far point that
+# breaks the (2,2)-property
+_LINE = [
+    {"label": "a", "dim": 1, "hrep": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 0}]},
+    {"label": "b", "dim": 1, "vrep": {"points": [[0], [2]]}},
+    {"label": "c", "dim": 1, "vrep": {"points": [["1/2"]], "rays": [[1]]}},
+]
+_FAR = {"label": "d", "dim": 1, "vrep": {"points": [[5]]}}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     content=st.one_of(_family_like(), _JSON_LIKE).map(lambda obj: json.dumps(obj).encode())
     | st.binary(max_size=40),
     pq=st.sampled_from([("1", "1"), ("2", "2"), ("3", "2")]),
 )
-def test_every_family_file_gets_exit_code_and_json(family_file, content, pq):
+@example(content=json.dumps({"dimension": 1, "sets": _LINE}).encode(), pq=("2", "2"))  # exit 0
+@example(content=json.dumps({"dimension": 1, "sets": _LINE + [_FAR]}).encode(), pq=("2", "2"))  # exit 1
+def test_every_family_file_gets_exit_code_and_json(family_file, box_file, content, pq):
     family_file.write_bytes(content)
+    # one selected member and p = q: s2 and main accept dims p - 1 and below
+    p_p = ["--p", pq[0], "--q", pq[0]]
     for command in (["check", "pq", "--p", pq[0], "--q", pq[1]], ["solve", "pierce"],
-                    ["analyze", "recession"], ["analyze", "project"], ["analyze", "gf"]):
+                    ["analyze", "recession"], ["analyze", "project"], ["analyze", "gf"],
+                    ["pipeline", "s1", "--t", "0", "--p", pq[0]],
+                    ["pipeline", "s2", "--b-indices", "0", *p_p],
+                    ["pipeline", "main", "--compact-indices", "0", *p_p],
+                    ["pipeline", "corollary52", "--box", str(box_file), "--max-subset", "2"]):
         out = io.StringIO()
         with redirect_stdout(out):
             code = cmd_dispatch(command + ["--input", str(family_file)])

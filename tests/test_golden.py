@@ -135,7 +135,7 @@ def facets():
         sets += [bounded_member(d, i, F(1, 2)) for i in (1, 2)]
     out = {}
     for s in sets:
-        out[f"{s.label}/{s.dim}"] = [[*h.normal, h.offset] for h in s.rep.rows]
+        out[f"{s.label}/{s.dim}"] = [[*normal, offset] for normal, offset in s.rep.rows]
     mats = [
         ((F(2, 3), F(-1, 2)), (F(1, 3), F(1, 2))),
         ((0, 1, F(-2, 3)), (F(1, 2), F(-1, 3), 2), (-1, 0, F(1, 2))),

@@ -1,9 +1,10 @@
 """Source hygiene: every name a module or test file imports is used in
 that file, joint-intersection LPs are asked only through the oracle,
-LP rows and systems are built only by the row builders, and point and
+LP systems are built only by the one LP builder, and point and
 direction tests, LPs and projection read the int rows cached on each
 set, not an H-representation's own halfspaces. math.gcd is called only
-by the one row cut, lp._reduced.
+by the one row cut, lp._reduced, and the simplex does no denominator
+work: rationals become int rows before it.
 Pipelines make their rows and their oracle only through `_Run`, and a
 piercing solution is built and verified by one routine.
 
@@ -94,7 +95,7 @@ def scoped_nodes(source: str) -> list[tuple[ast.AST, str]]:
 
 
 def construction_sites(
-    source: str, classes: tuple[str, ...] = ("Constraint", "LinearSystem")
+    source: str, classes: tuple[str, ...] = ("LinearSystem",)
 ) -> list[tuple[str, str, int]]:
     """(class, enclosing def or class path, line) for every call that
     constructs one of `classes`, or calls a function of that name."""
@@ -116,15 +117,14 @@ def test_detector_flags_a_row_construction():
         "        return lp.LinearSystem(0, ())\n"
         "row = Constraint({}, 0)\n"
     )
-    assert construction_sites(source) == [
+    assert construction_sites(source, ("Constraint", "LinearSystem")) == [
         ("Constraint", "le", 1), ("LinearSystem", "Builder.system", 4), ("Constraint", "", 5),
     ]
 
 
-# the one path of an LP row: dense lists through lp.le, set blocks
-# through sets._solve, which alone makes a LinearSystem
+# the one path of an LP: set blocks through sets._solve, which alone
+# makes a LinearSystem (dense rows of rationals become int rows in lp.le)
 ROW_BUILDERS = {
-    "Constraint": ("lp.le", "sets._solve"),
     "LinearSystem": ("sets._solve",),
 }
 
@@ -171,6 +171,20 @@ def test_gcd_only_in_the_one_row_cut(path):
     # their int rows through lp._reduced
     for _, scope, line in construction_sites(path.read_text(encoding="utf-8"), ("gcd",)):
         assert f"{path.stem}.{scope}" == "lp._reduced", (scope, line)
+
+
+# the steps that turn rationals into int rows; the simplex and the sets'
+# LPs receive ints and read no denominator
+RATIONALS_TO_INTS = {"lp.le", "lp._int_row", "lp.invert_matrix"}
+
+
+def test_denominators_only_where_rationals_become_int_rows():
+    source = (SRC / "lp.py").read_text(encoding="utf-8")
+    sites = [(scope, line) for _, scope, line in construction_sites(source, ("lcm",))]
+    sites += attribute_reads(source, "denominator")
+    assert sites  # _int_row's own lcm, so the detector sees the calls
+    for scope, line in sites:
+        assert f"lp.{scope}" in RATIONALS_TO_INTS, (scope, line)
 
 
 def imported_names(source: str) -> set[str]:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from pqpierce import lp
 from pqpierce.errors import BudgetExhaustedError, MalformedInputError
 from pqpierce.lp import (
-    Constraint,
     LinearSystem,
     completed_basis_matrix,
     invert_matrix,
@@ -89,21 +88,36 @@ def test_nested_budget_restores_the_outer_one():
         lp_feasible(sys)
 
 
-# --- the sparse row format ----------------------------------------------------
+# --- the int row format -------------------------------------------------------
 
 @pytest.mark.parametrize("var", [-1, 2])
 def test_system_rejects_a_term_outside_its_variables(var):
     with pytest.raises(MalformedInputError):
-        LinearSystem(2, (Constraint({0: F(1), var: F(1)}, F(0)),))
+        LinearSystem(2, (({0: 1, var: 1}, 0, 1),))
+
+
+@pytest.mark.parametrize("row", [
+    ({0: F(1, 2)}, 0, 1),  # a Fraction coefficient
+    ({0: 1}, F(1, 2), 1),  # a Fraction rhs
+    ({0: 1}, 0, F(1, 2)),  # a Fraction den
+    ({0: F(2)}, 0, 1),  # integral, still a Fraction
+    ({0: 1.0}, 0, 1),  # a float
+    ({0: 1}, 0, 0),  # den 0
+    ({0: 1}, -1, -1),  # negative den
+])
+def test_system_rejects_a_non_int_entry_or_den(row):
+    with pytest.raises(MalformedInputError):
+        LinearSystem(1, (({0: 1}, 1, 1), row))
 
 
 def test_dense_rows_drop_zeros_and_match_terms():
     dense = (le([0, 2, 0, -1], F(1, 2)), le([F(1, 3), 0, 0, 1], -1), le([0, 0, -1, 0], 0))
-    assert [c.terms for c in dense] == [{1: 2, 3: -1}, {0: F(1, 3), 3: 1}, {2: -1}]
-    sparse = (  # int coefficients where the dense rows hold Fractions
-        Constraint({1: 2, 3: -1}, F(1, 2)),
-        Constraint({0: F(1, 3), 3: 1}, -1),
-        Constraint({2: -1}, 0),
+    # each row times the lcm of its denominators, which is its den
+    assert dense == (({1: 4, 3: -2}, 1, 2), ({0: 1, 3: 3}, -3, 3), ({2: -1}, 0, 1))
+    sparse = (  # the same inequalities as int rows with den 1
+        ({1: 4, 3: -2}, 1, 1),
+        ({0: 1, 3: 3}, -3, 1),
+        ({2: -1}, 0, 1),
     )
     ok, x = lp_feasible(LinearSystem(4, dense))
     assert ok and lp_feasible(LinearSystem(4, sparse)) == (True, x)
@@ -143,7 +157,7 @@ def _random_system(rng: random.Random) -> LinearSystem:
 
 
 def _satisfies(sys: LinearSystem, x) -> bool:
-    return all(sum((a * x[j] for j, a in c.terms.items()), F(0)) <= c.rhs for c in sys.constraints)
+    return all(sum((a * x[j] for j, a in terms.items()), F(0)) <= rhs for terms, rhs, _ in sys.constraints)
 
 
 def test_random_witnesses_satisfy_every_constraint_exactly():
@@ -194,9 +208,9 @@ def test_single_halfspace_witness_property(coeffs, rhs):
 
 def _fraction_simplex(system: LinearSystem):
     """Reference: the phase-1 simplex with Bland's rule on a full
-    Fraction tableau, one column per variable. Returns the witness (or
-    None) and the (entering, leaving) variables of every pivot, which the
-    engine must match."""
+    Fraction tableau, one column per variable, each int row divided by
+    its den. Returns the witness (or None) and the (entering, leaving)
+    variables of every pivot, which the engine must match."""
     d = system.dim
     col_pos = [2 * j for j in range(d)]
     col_neg = [2 * j + 1 for j in range(d)]
@@ -205,15 +219,15 @@ def _fraction_simplex(system: LinearSystem):
     base_cols = 2 * d + m
 
     T, b = [], []
-    for i, c in enumerate(system.constraints):
+    for i, (terms, rhs, den) in enumerate(system.constraints):
         row = [F(0)] * base_cols
-        for j, a in c.terms.items():
+        for j, a in terms.items():
             if a:
-                row[col_pos[j]] = a
-                row[col_neg[j]] = -a
+                row[col_pos[j]] = F(a, den)
+                row[col_neg[j]] = -F(a, den)
         row[slack_col[i]] = F(1)
         T.append(row)
-        b.append(c.rhs)
+        b.append(F(rhs, den))
     for i in range(m):
         if b[i] < 0:
             T[i] = [-a for a in T[i]]

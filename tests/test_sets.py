@@ -15,9 +15,7 @@ from pqpierce.lp import LinearSystem, completed_basis_matrix, invert_matrix, le,
 from pqpierce.rational import dot, point, rat
 from pqpierce.sets import (
     MAX_DIM,
-    ConvexSet,
     Family,
-    HRep,
     VRep,
     change_coordinates,
     common_recession_direction,
@@ -461,25 +459,25 @@ def test_facets_agree_with_the_multiplier_lp(case):
                 for i in range(d) for sign in (1, -1))
     assert (rows == ()) == whole
     assert len(set(rows)) == len(rows)
-    for h in rows:
+    for normal, offset in rows:
         g = 0
-        for a in h.normal + (h.offset,):
+        for a in normal + (offset,):
             assert isinstance(a, int)
             g = gcd(g, a)
         assert g == 1
-        assert all(dot(h.normal, p) <= h.offset for p in s.rep.points)
-        assert all(dot(h.normal, r) <= 0 for r in s.rep.rays)
-    negated = {(tuple(-a for a in h.normal), -h.offset) for h in rows}
-    equations = [h for h in rows if (h.normal, h.offset) in negated]
+        assert all(dot(normal, p) <= offset for p in s.rep.points)
+        assert all(dot(normal, r) <= 0 for r in s.rep.rays)
+    negated = {(tuple(-a for a in normal), -offset) for normal, offset in rows}
+    equations = [h for h in rows if h in negated]
     # one equation, as two rows, per dimension the generators do not span
     assert len(equations) == 2 * (d + 1 - rank(gens))
-    for h in equations:
-        assert all(dot(h.normal, p) == h.offset for p in s.rep.points)
-        assert all(dot(h.normal, r) == 0 for r in s.rep.rays)
-    for h in rows:
-        if h not in equations:
+    for normal, offset in equations:
+        assert all(dot(normal, p) == offset for p in s.rep.points)
+        assert all(dot(normal, r) == 0 for r in s.rep.rays)
+    for normal, offset in rows:
+        if (normal, offset) not in equations:
             # a facet: its generators span a flat one less than the set's
-            on = [g for g in gens if dot(h.normal, g[:d]) == h.offset * g[d]]
+            on = [g for g in gens if dot(normal, g[:d]) == offset * g[d]]
             assert rank(on) == rank(gens) - 1
     # a point of the set, seen by a lower-dimensional set too
     inside = tuple(Fraction(sum(c), len(pts)) for c in zip(*pts))
@@ -517,7 +515,7 @@ def test_hrep_to_vrep_and_back_keeps_membership(case):
     for y in probes:
         assert contains_point(v, y) == contains_point(h, y)
     # the V-rep's rows describe the same set as the H-rep
-    again = ConvexSet("H2", d, HRep(v.rep.rows))
+    again = hrep_set("H2", v.rep.rows, d)
     for y in (*probes, *v.rep.points):
         assert contains_point(again, y) == contains_point(h, y)
 
@@ -530,9 +528,10 @@ def test_largest_counterexample_box_converts_under_the_work_cap():
 
 # --- int substitution against the Fraction reference --------------------------
 
-def reference_holds(halfspaces, x, direction=False):
-    """The Fraction test: normal . x <= offset (<= 0 for a direction)."""
-    return all(dot(h.normal, point(x)) <= (0 if direction else h.offset) for h in halfspaces)
+def reference_holds(rows, x, direction=False):
+    """The Fraction test: normal . x <= offset (<= 0 for a direction),
+    over (normal, offset) pairs."""
+    return all(dot(normal, point(x)) <= (0 if direction else offset) for normal, offset in rows)
 
 
 def _frac(rng, top=9):
@@ -558,7 +557,7 @@ def test_substitution_matches_the_fraction_reference():
         j = rng.randrange(len(normals))
         offsets = [dot(n, c) + (0 if i == j else abs(_frac(rng))) for i, n in enumerate(normals)]
         s = hrep_set("H", list(zip(normals, offsets)))
-        hs = s.rep.halfspaces
+        hs = [(h.normal, h.offset) for h in s.rep.halfspaces]
         assert contains_point(s, c) and reference_holds(hs, c)
         den = rng.randint(2, 10 ** 9)
         out = _moved_out(c, normals[j], den)
@@ -583,14 +582,14 @@ def test_substitution_matches_the_fraction_reference():
         rows = s.rep.rows
         assert all(contains_point(s, p) and reference_holds(rows, p) for p in pts)
         assert all(direction_in_recession_cone(s, r) for r in rays)
-        for h in rows:
+        for normal, offset in rows:
             den = rng.randint(2, 10 ** 9)
-            on = [p for p in pts if dot(h.normal, p) == h.offset]
-            along = [r for r in rays if dot(h.normal, r) == 0]
+            on = [p for p in pts if dot(normal, p) == offset]
+            along = [r for r in rays if dot(normal, r) == 0]
             for p in on:
-                assert not contains_point(s, _moved_out(p, h.normal, den))
+                assert not contains_point(s, _moved_out(p, normal, den))
             for r in along:
-                assert not direction_in_recession_cone(s, _moved_out(r, h.normal, den))
+                assert not direction_in_recession_cone(s, _moved_out(r, normal, den))
         for _ in range(4):
             y = tuple(_frac(rng) for _ in range(d))
             assert contains_point(s, y) == reference_holds(rows, y)
@@ -621,5 +620,5 @@ def test_every_vrep_row_is_tight_on_a_point():
         cases.append((pts, rays))
     for pts, rays in cases:
         s = vrep_set("V", pts, rays)
-        for h in s.rep.rows:
-            assert any(dot(h.normal, p) == h.offset for p in s.rep.points), (pts, rays, h)
+        for normal, offset in s.rep.rows:
+            assert any(dot(normal, p) == offset for p in s.rep.points), (pts, rays, normal, offset)
