@@ -249,8 +249,6 @@ def _cmd_analyze(args) -> tuple[int, str]:
         data = {"direction": None if v is None else point_json(v)}
         return (0 if v is not None else 1), _json_text(data)
     if args.what == "project":
-        if fam.dim < 2:
-            raise MalformedInputError("projection needs dimension >= 2")
         shadows = Family(fam.dim - 1, tuple(project_drop_last(s) for s in fam.sets))
         return 0, _json_text(family_to_json(shadows))
     gf = build_GF(fam)

@@ -8,14 +8,14 @@ points must be nonempty, always a nonempty set.
 
 One double-description routine, _cone, converts between the two. Every
 V-rep gets <= rows from its generators, once, when first used: its
-facets, and each equation of its affine hull as two rows. A bounded or
-unbounded H-rep gets generators the same way when a hull needs them.
+facets, and each equation of its affine hull as two rows. An H-rep gets
+generators the same way when a hull or a projection needs them.
 Either rep caches its int rows (`rows`, int (normal, offset) pairs; an
 H-rep's are its halfspaces scaled), the one row form any computation reads.
 Intersections are never materialized: every member joins every LP as
 its rows over free coordinates, posed by one builder, _solve;
 membership and recession of a direction are one int substitution,
-_holds, into them; projection eliminates the last coordinate from them.
+_holds, into them. A projection drops the generators' last coordinate.
 """
 from __future__ import annotations
 
@@ -50,7 +50,8 @@ MAX_DIM = 1000
 # bounded_member(11, 1) with 4,096 corners in R^12, takes 1.9 M; the
 # hull of B_1 and B_2 takes 4.0 M for d = 9 and 10.5 M for d = 10; the
 # cross-polytope in R^12, with 4,096 facets, takes 5.8 M. A projection
-# (project_drop_last) counts d for each pair of rows it combines.
+# (project_drop_last) of an H-rep runs it twice, for the vertices and
+# for the image's facets: the 13-cube's 8,192 vertices pass the cap.
 DD_WORK_CAP = 8_000_000
 
 
@@ -451,58 +452,26 @@ def _empty_hrep(dim: int) -> HRep:
 
 
 def project_drop_last(s: ConvexSet) -> ConvexSet:
-    """Orthogonal projection forgetting the last coordinate.
-
-    V-rep: generator-wise (the image of conv+cone is conv+cone of the
-    images). H-rep: one step of Fourier-Motzkin elimination on its int
-    rows, each derived row cut to a primitive int row, deduplicated and
-    written with its first nonzero coefficient +-1; no LP-based
-    redundancy pruning here. Raises MalformedInputError when the pairs
-    of rows to combine, times d, pass DD_WORK_CAP.
+    """Orthogonal projection forgetting the last coordinate: the image
+    of the set's generators (an H-rep's from _generators), each point
+    and each nonzero ray with its last coordinate dropped, deduplicated
+    in first order. A V-rep maps to that image; an H-rep to the image's
+    facets, VRep.rows, or to _empty_hrep when it is empty. Raises
+    MalformedInputError past DD_WORK_CAP, in either conversion.
     """
     if s.dim < 2:
         raise MalformedInputError("cannot project a 1-dimensional ambient space")
     d = s.dim
     label = f"proj({s.label})"
+    try:
+        points, rays = _generators(s)
+    except EmptySetError:
+        return ConvexSet(label, d - 1, _empty_hrep(d - 1))
+    image = VRep(tuple(dict.fromkeys(p[:-1] for p in points)),
+                 tuple(dict.fromkeys(r[:-1] for r in rays if any(r[:-1]))))
     if isinstance(s.rep, VRep):
-        pts: list[Point] = []
-        for p in s.rep.points:
-            q = p[: d - 1]
-            if q not in pts:
-                pts.append(q)
-        rays: list[Point] = []
-        for r in s.rep.rays:
-            q = r[: d - 1]
-            if not is_zero(q) and q not in rays:
-                rays.append(q)
-        return ConvexSet(label, d - 1, VRep(tuple(pts), tuple(rays)))
-
-    derived: list[list[int]] = []  # [*normal, offset], the last coordinate gone
-    pos, neg = [], []  # rows with a positive, a negative last coefficient
-    for normal, offset in s.rep.rows:
-        c = normal[-1]
-        if c == 0:
-            derived.append([*normal[:-1], offset])
-        else:
-            (pos if c > 0 else neg).append((normal, offset))
-    if len(pos) * len(neg) * d > DD_WORK_CAP:
-        raise _over_cap(len(s.rep.rows), d)
-    for hp, bp in pos:
-        cp = hp[-1]
-        for hn, bn in neg:
-            cn = -hn[-1]
-            y = [cn * a + cp * b for a, b in zip(hp, hn)]
-            y[-1] = cn * bp + cp * bn  # in place of the eliminated 0
-            derived.append(y)
-
-    rows: list[Halfspace] = []
-    for y in dict.fromkeys(tuple(_reduced(y)) for y in derived):  # primitive, in first order
-        lead = next((abs(a) for a in y[:-1] if a), 0)
-        if lead:
-            rows.append(Halfspace(tuple(Fraction(a, lead) for a in y[:-1]), Fraction(y[-1], lead)))
-        elif y[-1] < 0:  # 0 <= negative: the projection is empty
-            return ConvexSet(label, d - 1, _empty_hrep(d - 1))
-    return ConvexSet(label, d - 1, HRep(tuple(rows)))
+        return ConvexSet(label, d - 1, image)
+    return ConvexSet(label, d - 1, HRep(tuple(halfspace(n, b) for n, b in image.rows)))
 
 
 def convex_hull_union(fam: Family, indices: Iterable[int]) -> ConvexSet:

@@ -3,8 +3,9 @@ that file, joint-intersection LPs are asked only through the oracle,
 LP systems are built only by the one LP builder, and point and
 direction tests, LPs and projection read the int rows cached on each
 set, not an H-representation's own halfspaces. math.gcd is called only
-by the one row cut, lp._reduced, and the simplex does no denominator
-work: rationals become int rows before it.
+by the one row cut, lp._reduced, which sets.py calls only in its one
+elimination routine, _cone, and the simplex does no denominator work:
+rationals become int rows before it.
 Pipelines make their rows and their oracle only through `_Run`, and a
 piercing solution is built and verified by one routine.
 
@@ -167,10 +168,18 @@ def test_halfspaces_read_only_where_rows_cannot_serve(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_gcd_only_in_the_one_row_cut(path):
-    # the simplex, invert_matrix, sets._cone and project_drop_last all cut
-    # their int rows through lp._reduced
+    # the simplex, invert_matrix and sets._cone all cut their int rows
+    # through lp._reduced
     for _, scope, line in construction_sites(path.read_text(encoding="utf-8"), ("gcd",)):
         assert f"{path.stem}.{scope}" == "lp._reduced", (scope, line)
+
+
+def test_one_elimination_routine_in_sets():
+    # sets.py combines rows or rays only in the double-description
+    # routine, _cone: a projection reads the generators it gives
+    sites = construction_sites((SRC / "sets.py").read_text(encoding="utf-8"), ("_reduced",))
+    assert sites  # _cone's own cuts, so the detector sees the calls
+    assert [(scope, line) for _, scope, line in sites if scope != "_cone"] == []
 
 
 # the steps that turn rationals into int rows; the simplex and the sets'

@@ -234,12 +234,9 @@ def test_project_unbounded_hrep():
     assert not contains_point(p, ("11/10",))
 
 
-def test_projection_holds_the_points_whose_line_meets_the_set():
-    # x' lies in the shadow exactly when the line through (x', 0) along
-    # the last axis meets the set: random H-reps with fractional rows
-    # through a point c, some of them empty, probed near c
-    rng = random.Random(7)
-    seen = set()
+def _random_hreps(rng):
+    """120 random H-reps in R^2-R^4 with fractional rows through a point
+    c, some of them empty, each drawn when asked for: (c, set)."""
     for _ in range(120):
         d = rng.randint(2, 4)
         c = [_frac(rng) for _ in range(d)]
@@ -248,16 +245,44 @@ def test_projection_holds_the_points_whose_line_meets_the_set():
             normal = [_frac(rng, 4) if rng.random() < 0.8 else 0 for _ in range(d)]
             if any(normal):
                 rows.append((normal, dot(point(normal), point(c)) + Fraction(rng.randint(-2, 6), 3)))
-        s = hrep_set("S", rows, dim=d)
+        yield c, hrep_set("S", rows, dim=d)
+
+
+def test_projection_holds_the_points_whose_line_meets_the_set():
+    # x' lies in the shadow exactly when the line through (x', 0) along
+    # the last axis meets the set, probed near c
+    rng = random.Random(7)
+    seen = set()
+    for c, s in _random_hreps(rng):
+        d = s.dim
         shadow = project_drop_last(s)
         up = tuple(int(i == d - 1) for i in range(d))
         for _ in range(4):
             x = tuple(a + Fraction(rng.randint(-6, 6), 4) for a in c[:-1])
             line = vrep_set("L", [(*x, 0)], rays=[up, tuple(-a for a in up)])
             inside = contains_point(shadow, x)
-            assert inside == intersect_nonempty(family([s, line]), [0, 1])[0], (rows, x)
+            assert inside == intersect_nonempty(family([s, line]), [0, 1])[0], (s, x)
             seen.add(inside)
     assert seen == {True, False}
+
+
+def test_projection_of_an_hrep_keeps_only_facets():
+    # row i of a shadow is a facet exactly when some x meets every other
+    # row and breaks row i: over (x, t), n_j . x - b_j t <= 0 for j != i,
+    # t >= 1 and n_i . x - b_i t >= 1, a homogeneous system, so a point
+    # breaking row i by any margin scales up to one breaking it by 1
+    checked = 0
+    for _, s in _random_hreps(random.Random(7)):
+        if is_empty(s):
+            continue
+        rows = project_drop_last(s).rep.rows
+        n = s.dim  # x in R^(d-1), then t
+        for i, (normal, offset) in enumerate(rows):
+            lp = [le([*a, -b], 0) for j, (a, b) in enumerate(rows) if j != i]
+            lp += [le([0] * (n - 1) + [-1], -1), le([-a for a in normal] + [offset], -1)]
+            assert lp_feasible(LinearSystem(n, tuple(lp)))[0], (s, normal, offset)
+            checked += 1
+    assert checked
 
 
 def test_project_rejects_dim_one():
