@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
@@ -120,19 +121,39 @@ class PqReport:
     checked_tuples: int
 
 
+# The most tuples one scan may visit: each q-subset of each p-tuple of a
+# (p,q) scan, each p-tuple of the counterexample's case sweep. Like
+# sets.DD_WORK_CAP, it ends a command that would run on with exit 2.
+TUPLE_CAP = 1_000_000
+
+
+def _tuples(n: int, p: int, visits: int = 1) -> Iterable[tuple[int, ...]]:
+    """The p-tuples of range(n) in lex order, once C(n, p) * visits is within TUPLE_CAP."""
+    if comb(n, p) * visits > TUPLE_CAP:
+        raise MalformedInputError(f"C({n}, {p}) tuples of {visits} visits each pass the tuple cap {TUPLE_CAP}")
+    return combinations(range(n), p)
+
+
 def pq_property_scan(
     n: int, p: int, q: int, query: Callable[[tuple[int, ...]], bool]
 ) -> tuple[bool, Optional[tuple[int, ...]], int]:
     """Core of every (p,q) check: among any p of n indices, do some q
-    satisfy the query? Returns (holds, lex-first violation, tuples seen)."""
+    satisfy the query? Returns (holds, lex-first violation, tuples seen).
+    Each q-subset is asked once, in the order of its first use; C(n, p)
+    * C(p, q) past TUPLE_CAP raises MalformedInputError."""
     if not (1 <= q <= p):
         raise MalformedInputError("need p >= q >= 1")
     if p > n:
         raise MalformedInputError(f"p = {p} exceeds family size {n}")
-    checked = 0
-    for tup in combinations(range(n), p):
-        checked += 1
-        if not any(query(sub) for sub in combinations(tup, q)):
+    known: dict[tuple[int, ...], bool] = {}
+    for checked, tup in enumerate(_tuples(n, p, comb(p, q)), 1):
+        for sub in combinations(tup, q):
+            hit = known.get(sub)
+            if hit is None:
+                hit = known[sub] = query(sub)
+            if hit:
+                break
+        else:
             return False, tup, checked
     return True, None, checked
 
@@ -272,7 +293,7 @@ def build_GF(fam: Family, oracle: Optional[IntersectionOracle] = None) -> Hyperg
     oracle = oracle or IntersectionOracle(fam)
     edges = [
         tup
-        for tup in combinations(range(len(fam)), d + 1)
+        for tup in _tuples(len(fam), d + 1)
         if not oracle.intersecting(tup)
     ]
     return hypergraph(len(fam), edges, arity=d + 1)

@@ -18,6 +18,7 @@ realizes the same conclusions with computable certificates.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +37,7 @@ from .piercing import (
     IntersectionOracle,
     PiercingSolution,
     _require_members_nonempty,
+    _tuples,
     _verified_solution,
     build_GF,
     min_partition,
@@ -372,39 +374,6 @@ def pierce_via_projection(
 # ---------------------------------------------------------------------------
 # counterexample verifier
 
-def _case_prediction(
-    fam: Family, tup: tuple[int, ...], n_unbounded: int, d: int, k: int, masks: dict
-) -> tuple[int, bool]:
-    """Classify one tuple by the number of escaping members it contains
-    and confirm the predicted intersecting subfamily, of at least
-    d + 1 + k members, by direct membership certificates. Returns
-    (case, confirmed). A case's point has an int key: the sorted
-    escaping indices whose simplices it is common to, or the far point's
-    n; masks maps it to the bitmask of the members holding the point,
-    which for a far point are tried among the escaping members only."""
-    a_idx = [i for i in tup if i < n_unbounded]
-    i = len(a_idx)
-    if i <= d:
-        # padded to d alphas with the largest, 1/(a_idx[0] + 2)
-        case, key, asked = 1, tuple(a_idx[:1] * (d - i) + a_idx), tup
-    elif i <= d + k:
-        case, key = 2, tuple(a_idx[:d])
-        asked = a_idx[:d] + [j for j in tup if j >= n_unbounded]
-    else:
-        case, key, asked = 3, a_idx[-1] + 2, a_idx
-    mask = masks.get(key)
-    if mask is None:
-        if case == 3:
-            pt: Point = (Fraction(key),) + (Fraction(0),) * d
-            members = range(n_unbounded)
-        else:
-            alphas = sorted(Fraction(1, j + 2) for j in key)
-            pt = (Fraction(0),) + (simplex_common_point(alphas) if key else (Fraction(0),) * d)
-            members = range(len(fam))
-        mask = masks[key] = sum(1 << j for j in members if contains_point(fam.sets[j], pt))
-    return case, all(mask >> j & 1 for j in asked)
-
-
 def verify_counterexample(
     spec: CounterexampleSpec,
     k_max: int,
@@ -486,13 +455,37 @@ def verify_counterexample(
 def _classification_sweep(
     fam: Family, p: int, d: int, k: int, n_unbounded: int
 ) -> tuple[dict[str, int], Optional[tuple[int, ...]]]:
+    """Classify every p-tuple by the number i of escaping members it
+    contains, tup[:i] as the tuple is sorted, and confirm the predicted
+    intersecting subfamily, of at least d + 1 + k members, by direct
+    membership certificates. Returns (tuples per case, the first
+    unconfirmed tuple or None). A case's point has an int key: the
+    sorted escaping indices whose simplices it is common to, or the far
+    point's n; missed maps it to the members that miss the point, which
+    for a far point are sought among the escaping members only."""
     counts = {"1": 0, "2": 0, "3": 0}
     first_bad = None
-    masks: dict = {}  # points repeat heavily across the tuples of one k
-    for tup in combinations(range(len(fam)), p):
-        case, ok = _case_prediction(fam, tup, n_unbounded, d, k, masks)
-        counts[str(case)] += 1
-        if not ok and first_bad is None:
+    missed: dict = {}  # points repeat heavily across the tuples of one k
+    for tup in _tuples(len(fam), p):
+        i = bisect_left(tup, n_unbounded)
+        if i <= d:  # padded to d alphas with the largest, 1/(tup[0] + 2)
+            case, key, asked = "1", tup[:1] * (d - i) + tup[:i] if i else (), tup
+        elif i <= d + k:
+            case, key, asked = "2", tup[:d], tup[:d] + tup[i:]
+        else:
+            case, key, asked = "3", tup[i - 1] + 2, tup[:i]
+        counts[case] += 1
+        out = missed.get(key)
+        if out is None:
+            if case == "3":
+                pt: Point = (Fraction(key),) + (Fraction(0),) * d
+                members = range(n_unbounded)
+            else:
+                alphas = sorted(Fraction(1, j + 2) for j in key)
+                pt = (Fraction(0),) + (simplex_common_point(alphas) if key else (Fraction(0),) * d)
+                members = range(len(fam))
+            out = missed[key] = frozenset(j for j in members if not contains_point(fam.sets[j], pt))
+        if first_bad is None and not out.isdisjoint(asked):
             first_bad = tup
     return counts, first_bad
 

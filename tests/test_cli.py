@@ -528,6 +528,27 @@ class TestPlumbing:
             {"normal": [0, 1], "offset": 1}, {"normal": [1699, 1], "offset": 1},
         ]
 
+    def test_scans_over_the_tuple_cap_exit_two(self, tmp_path, capsys):
+        # on the 34-member escaping family, the (6,4) scan of k = 2 would
+        # visit C(34, 6) * 15 = 20 M subsets and the (17,2) scan
+        # C(34, 17) * 136 = 317 G; 100 points in R^3 have C(100, 4) = 3.9 M
+        # quadruples for the empty-tuple hypergraph
+        spec = ["--d", "1", "--n-max", "30", "--n-bounded", "5"]
+        family = tmp_path / "fam.json"
+        assert run(["construct", "counterexample", *spec, "-o", str(family)], capsys)[0] == 0
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"dimension": 3, "sets": [
+            {"label": f"x{i}", "dim": 3, "vrep": {"points": [[i, i * i, 0]]}} for i in range(100)
+        ]}))
+        for command in (["pipeline", "counterexample", *spec, "--k-max", "8"],
+                        ["check", "pq", "--p", "17", "--q", "2", "--input", str(family)],
+                        ["analyze", "gf", "--input", str(points)]):
+            start = time.perf_counter()
+            code, out = run(command, capsys)
+            assert (code, set(json.loads(out))) == (2, {"error"}), command
+            assert "tuple cap" in json.loads(out)["error"]
+            assert time.perf_counter() - start < 10
+
     def test_overlong_margin_exit_two(self, capsys):
         code, out = run(["construct", "counterexample", "--d", "1", "--n-max", "4",
                          "--n-bounded", "1", "--margin", "9" * 5000], capsys)
@@ -692,3 +713,18 @@ def test_every_family_file_gets_exit_code_and_json(family_file, box_file, conten
             code = cmd_dispatch(command + ["--input", str(family_file)])
         assert code in (0, 1, 2, 3), (command, content)
         json.loads(out.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 2), n_max=st.integers(2, 6), n_bounded=st.integers(0, 3), k_max=st.integers(0, 2),
+    margin=st.sampled_from(["0", "1/2", "3", "-1", "1/0", "x", ""]) | st.text(max_size=6),
+)
+def test_every_counterexample_spec_gets_exit_code_and_json(d, n_max, n_bounded, k_max, margin):
+    argv = ["pipeline", "counterexample", "--d", str(d), "--n-max", str(n_max),
+            "--n-bounded", str(n_bounded), "--k-max", str(k_max), f"--margin={margin}"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cmd_dispatch(argv)
+    assert code in (0, 1, 2, 3), argv
+    json.loads(out.getvalue())

@@ -3,11 +3,13 @@ import gc
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pqpierce.piercing
 from pqpierce.constructions import gruenbaum_line, unbounded_member
 from pqpierce.errors import EmptySetError, MalformedInputError
 from pqpierce.piercing import (
@@ -146,6 +148,48 @@ def test_pq_scan_validation():
         pq_property_scan(3, 2, 3, lambda s: True)
     with pytest.raises(MalformedInputError):
         pq_property_scan(3, 4, 2, lambda s: True)
+
+
+def test_pq_scan_stops_past_the_tuple_cap(monkeypatch):
+    # the cap counts every q-subset of every p-tuple, checked before the scan
+    monkeypatch.setattr(pqpierce.piercing, "TUPLE_CAP", comb(6, 3) * comb(3, 2))
+    assert pq_property_scan(6, 3, 2, lambda s: True) == (True, None, 20)
+    for n, p, q in ((7, 3, 2), (6, 4, 2)):  # more tuples, more subsets each
+        with pytest.raises(MalformedInputError, match="tuple cap"):
+            pq_property_scan(n, p, q, lambda s: True)
+
+
+def reference_scan(n, p, q, query):
+    """The plain scan: each tuple asks its q-subsets afresh, up to the
+    first that holds."""
+    checked = 0
+    for tup in combinations(range(n), p):
+        checked += 1
+        if not any(query(sub) for sub in combinations(tup, q)):
+            return False, tup, checked
+    return True, None, checked
+
+
+@st.composite
+def scan_cases(draw):
+    """n, p, q and an answer for each q-subset, three in four true."""
+    n = draw(st.integers(1, 7))
+    p = draw(st.integers(1, n))
+    q = draw(st.integers(1, p))
+    subs = list(combinations(range(n), q))
+    answers = draw(st.lists(st.integers(0, 3).map(bool), min_size=len(subs), max_size=len(subs)))
+    return n, p, q, dict(zip(subs, answers))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_pq_scan_asks_each_subset_once_in_the_reference_order(case):
+    n, p, q, answers = case
+    asked, ref_asked = [], []
+    got = pq_property_scan(n, p, q, lambda sub: asked.append(sub) or answers[sub])
+    assert got == reference_scan(n, p, q, lambda sub: ref_asked.append(sub) or answers[sub])
+    assert len(set(asked)) == len(asked)
+    assert asked == list(dict.fromkeys(ref_asked))
 
 
 def test_piercing_shared_point():

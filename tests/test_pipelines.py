@@ -435,7 +435,51 @@ def test_counterexample_sweep_lp_count(monkeypatch):
     assert report.all_passed and report.exhaustive
     assert len(calls) <= 100
 
-# --- the case sweep against a reference without masks -------------------------
+# the joint LPs of two runs, in order, as recorded before the tuple scans
+# asked each q-subset once: the scans must not change which LPs run
+SWEEP_LPS = (
+    "0,1 0,4 0,7 0,10 0,11 1,4 1,8 2,4 2,9 3,4 3,10 3,11 4,10 5,10 5,11 6,10 "
+    "7,10 7,11 9,11 0,3,11 0,4,11 0,5,11 0,6,11 0,7,11 0,8,11 0,9,11 0,10,11 "
+    "1,3,11 1,4,11 1,5,11 1,6,11 1,7,11 1,8,11 1,8,12 1,9,11 1,9,12 1,10,11 "
+    "1,10,12 2,3,11 2,4,11 2,4,12 2,5,11 2,6,11 2,7,11 2,7,12 2,8,10 2,8,11 "
+    "2,8,12 2,9,11 2,9,12 2,10,11 2,10,12 3,5,11 3,6,11 3,7,11 3,7,12 3,8,11 "
+    "3,8,12 3,9,10 3,9,11 3,9,12 3,10,11 3,10,12 3,10,13 4,5,11 4,6,11 4,7,11 "
+    "4,8,11 4,8,12 4,9,11 4,9,12 4,10,11 4,10,12 4,10,13 5,7,11 5,8,11 5,8,12 "
+    "5,9,11 5,9,12 5,10,11 5,10,12 6,7,11 6,8,11 6,8,12 6,9,11 6,9,12 6,10,11 "
+    "6,10,12 7,9,11 7,10,11 7,10,12 8,9,11 8,10,11 8,10,12"
+)
+S1_LPS = (
+    "0,1,2,3 0,1,2,4 0,1,3,4 0,2,3,4 1,2,3,4 0,1,2,5 0,1,3,5 0,2,3,5 1,2,3,5 "
+    "0,1,2,6 0,1,3,6 0,2,3,6 0,1,2,7 0,1,3,7 0,2,3,7 1,2,3,7 0,1,2,8 0,1,3,8 "
+    "0,2,3,8 1,2,3,8 0,1,4,5 0,2,4,5 0,1,4,6 0,2,4,6 0,1,4,7 0,2,4,7 0,1,4,8 "
+    "0,2,4,8 0,1,5,6 0,2,5,6 0,1,5,7 0,2,5,7 1,2,5,7 0,1,5,8 0,2,5,8 1,2,5,8 "
+    "0,1,6,7 0,2,6,7 0,1,6,8 0,2,6,8 0,1,7,8 0,2,7,8 1,2,7,8 0,3,4,5 0,3,4,6 "
+    "0,3,4,7 0,3,4,8 0,3,5,6 0,3,5,7 0,3,5,8 0,3,6,7 0,3,6,8 0,3,7,8 0,4,5,6 "
+    "0,4,5,7 0,4,5,8 0,4,6,7 0,4,6,8 0,4,7,8 0,5,6,7 0,5,6,8 0,5,7,8 1,5,7,8 "
+    "0,6,7,8"
+)
+
+
+@pytest.mark.parametrize("run, want", [
+    (lambda: verify_counterexample(CounterexampleSpec(1, 12, 5), k_max=2), SWEEP_LPS),
+    (lambda: pierce_via_transversal(space_instance_with_outlier(), t=1, p=5), S1_LPS),
+], ids=["counterexample", "s1"])
+def test_joint_lps_keep_their_order(monkeypatch, run, want):
+    import pqpierce.piercing
+
+    real = pqpierce.piercing.intersect_nonempty
+    keys = []
+
+    def recording(fam, indices):
+        keys.append(",".join(map(str, indices)))
+        return real(fam, indices)
+
+    monkeypatch.setattr(pqpierce.piercing, "intersect_nonempty", recording)
+    assert run().all_passed
+    assert keys == want.split()
+
+
+# --- the case sweep against a reference without a cache -----------------------
 
 def reference_sweep(fam, p, d, k, n_unbounded):
     """The three-case classification of every p-tuple, each point built
@@ -466,15 +510,23 @@ def reference_sweep(fam, p, d, k, n_unbounded):
     return counts, first_bad
 
 
-@pytest.mark.parametrize("deny", [False, True])
+def case_of(tup, d, k, n_unbounded):
+    i = sum(j < n_unbounded for j in tup)
+    return 1 if i <= d else 2 if i <= d + k else 3
+
+
+# a denied member holds no point at all: True denies the last member, a
+# bounded box unless n_bounded = 0, and "first" an escaping one, so that
+# case 3, which asks only escaping members, fails first in 54 sweeps, not 10
+@pytest.mark.parametrize("deny", [False, True, "first"])
 def test_classification_sweep_matches_reference(monkeypatch, deny):
-    bad = 0
+    cases = set()  # the cases of the first unconfirmed tuples
     for d in (1, 2):
         for n_max in range(3, 7):
             for n_bounded in range(4):
                 fam = counterexample_family(CounterexampleSpec(d, n_max, n_bounded))
-                if deny:  # the last member holds no point at all
-                    denied = fam.sets[-1]
+                if deny:
+                    denied = fam.sets[0 if deny == "first" else -1]
                     monkeypatch.setattr(
                         pqpierce.pipelines, "contains_point",
                         lambda s, x: s is not denied and contains_point(s, x),
@@ -484,9 +536,10 @@ def test_classification_sweep_matches_reference(monkeypatch, deny):
                     args = (fam, d + 1 + 2 * k, d, k, n_max - 1)
                     got = _classification_sweep(*args)
                     assert got == reference_sweep(*args), (d, n_max, n_bounded, k)
-                    bad += got[1] is not None
+                    if got[1] is not None:
+                        cases.add(case_of(got[1], d, k, n_max - 1))
                     k += 1
-    assert (bad > 0) == deny  # no real spec reaches first_bad
+    assert cases == ({1, 2, 3} if deny else set())  # no real spec reaches first_bad
 
 
 # --- failed reports: every row up to the failure, no points ------------------
