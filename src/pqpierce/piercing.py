@@ -299,22 +299,26 @@ def build_GF(fam: Family, oracle: Optional[IntersectionOracle] = None) -> Hyperg
     return hypergraph(len(fam), edges, arity=d + 1)
 
 
+def _m_free_violation(oracle: IntersectionOracle, indices: Sequence[int], m: int) -> Optional[tuple[str, tuple]]:
+    """Why the members at `indices` (sorted; each a nonempty set) are
+    not m-free: ("unbounded", the unbounded members) or ("intersecting",
+    the lex-first m+1 members that meet), or None when they are. The
+    (m+1)-subsets are walked under TUPLE_CAP."""
+    unbounded = tuple(i for i in indices if not is_bounded(oracle.fam.sets[i]))
+    if unbounded:
+        return "unbounded", unbounded
+    for sub in _tuples(len(indices), m + 1):
+        members = tuple(indices[j] for j in sub)
+        if oracle.intersecting(members):
+            return "intersecting", members
+    return None
+
+
 def is_m_free(fam: Family, indices: Iterable[int], m: int) -> bool:
     """All indexed members compact and no m+1 of them intersecting."""
     if m < 1:
         raise MalformedInputError("need m >= 1")
     idx = sorted(set(indices))
-    members = fam.select(idx)
-    for s in members:
-        if is_empty(s):
-            continue  # empty members are vacuously compact
-        if not is_bounded(s):
-            return False
-    if len(idx) <= m:
-        return True
-    oracle = IntersectionOracle(fam)
-    return not any(
-        oracle.intersecting(sub) for sub in combinations(idx, m + 1)
-    )
-
-
+    # empty members are vacuously compact and meet no other member
+    nonempty = [i for i, s in zip(idx, fam.select(idx)) if not is_empty(s)]
+    return _m_free_violation(IntersectionOracle(fam), nonempty, m) is None

@@ -21,7 +21,8 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bounds import catalog_lookup
@@ -36,6 +37,8 @@ from .hypergraph import transversal_number
 from .piercing import (
     IntersectionOracle,
     PiercingSolution,
+    TUPLE_CAP,
+    _m_free_violation,
     _require_members_nonempty,
     _tuples,
     _verified_solution,
@@ -277,12 +280,8 @@ def pierce_via_free_family(
     run = _Run("s2", fam, {"p": p, "q": q, "dim": d, "size": len(fam), "selection": selection})
 
     m = q - d
-    unbounded = [i for i in b if not is_bounded(fam.sets[i])]
-    witness = {"unbounded": run.labels(unbounded)} if unbounded else None
-    if not unbounded:
-        bad = next((sub for sub in combinations(b, m + 1) if run.oracle.intersecting(sub)), None)
-        witness = None if bad is None else {"intersecting": run.labels(bad)}
-    run.add(f"selection is {m}-free", witness is None, witness)
+    bad = _m_free_violation(run.oracle, b, m)
+    run.add(f"selection is {m}-free", bad is None, None if bad is None else {bad[0]: run.labels(bad[1])})
     run.scan(f"({p},{q})-property", range(len(fam)), p, q, run.oracle.intersecting, _violation)
     if run.failed:
         return run.stop()
@@ -498,7 +497,8 @@ def verify_projection_equivalence(
 ) -> PipelineReport:
     """Boolean equality of direct and shadow intersection tests for
     every subset up to the given size, for families receding along the
-    last axis truncated by a compact box."""
+    last axis truncated by a compact box. Subsets past TUPLE_CAP, all
+    sizes counted, raise MalformedInputError before any LP."""
     d = fam.dim
     if d < 2:
         raise MalformedInputError("need ambient dimension >= 2")
@@ -507,6 +507,9 @@ def verify_projection_equivalence(
     _require_compact_box(box)
     if box.dim != d:
         raise MalformedInputError("box dimension mismatch")
+    sizes = range(1, min(max_subset, len(fam)) + 1)
+    if any(total > TUPLE_CAP for total in accumulate(comb(len(fam), size) for size in sizes)):
+        raise MalformedInputError(f"subsets of up to {max_subset} of {len(fam)} pass the tuple cap {TUPLE_CAP}")
     run = _Run("corollary52", fam, {"dim": d, "size": len(fam), "max_subset": max_subset, "box": box.label})
     e_last = tuple(Fraction(1 if i == d - 1 else 0) for i in range(d))
     bad = [s.label for s in fam.sets if not direction_in_recession_cone(s, e_last)]
@@ -515,7 +518,7 @@ def verify_projection_equivalence(
 
     box_index = run.oracle.join(box)
     total = 0
-    for size in range(1, min(max_subset, len(fam)) + 1):
+    for size in sizes:
         witness = None
         count = 0
         for sub in combinations(range(len(fam)), size):

@@ -10,8 +10,9 @@ One double-description routine, _cone, converts between the two. Every
 V-rep gets <= rows from its generators, once, when first used: its
 facets, and each equation of its affine hull as two rows. An H-rep gets
 generators the same way when a hull or a projection needs them.
-Either rep caches its int rows (`rows`, int (normal, offset) pairs; an
-H-rep's are its halfspaces scaled), the one row form any computation reads.
+An H-rep is its int rows (`rows`, (normal, offset) pairs of ints: each
+halfspace as given, times the lcm of its denominators, by _hrep); a
+V-rep caches its own. They are the one row form any computation reads.
 Intersections are never materialized: every member joins every LP as
 its rows over free coordinates, posed by one builder, _solve;
 membership and recession of a direction are one int substitution,
@@ -36,7 +37,6 @@ from .rational import (
     point,
     point_json,
     rat,
-    rat_str,
     vec_mat,
 )
 
@@ -55,34 +55,25 @@ MAX_DIM = 1000
 DD_WORK_CAP = 8_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class Halfspace:
-    """{x : normal . x <= offset}. A zero normal is only legal when the
-    constraint is vacuous (offset >= 0)."""
-
-    normal: Point
-    offset: Fraction
-
-    def __post_init__(self):
-        if is_zero(self.normal) and self.offset < 0:
-            raise MalformedInputError("zero normal with negative offset")
-
-
-def halfspace(normal: Iterable[RatLike], offset: RatLike) -> Halfspace:
-    return Halfspace(point(normal), rat(offset))
-
-
 @dataclass(frozen=True)
 class HRep:
-    halfspaces: tuple[Halfspace, ...]
+    """{x : normal . x <= offset for each of the rows}, each row ints:
+    what every LP, membership test and projection reads."""
 
-    @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each halfspace times the lcm of its denominators, in ints (an
-        integral halfspace is its own row): what every LP, membership
-        test and projection reads."""
-        rows = (_int_row([*h.normal, h.offset]) for h in self.halfspaces)
-        return tuple((tuple(y[:-1]), y[-1]) for y in rows)
+    rows: tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _hrep(halfspaces: Iterable[tuple[Iterable[RatLike], RatLike]]) -> HRep:
+    """The H-rep of rational (normal, offset) pairs, each times the lcm
+    of its denominators. A zero normal is only legal when the row is
+    vacuous (offset >= 0)."""
+    rows = []
+    for normal, offset in halfspaces:
+        y = _int_row([*point(normal), rat(offset)])
+        if not any(y[:-1]) and y[-1] < 0:
+            raise MalformedInputError("zero normal with negative offset")
+        rows.append((tuple(y[:-1]), y[-1]))
+    return HRep(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -208,17 +199,11 @@ class ConvexSet:
         if self.dim < 1:
             raise MalformedInputError("dimension must be >= 1")
         if isinstance(self.rep, VRep):
-            for p in self.rep.points + self.rep.rays:
-                if len(p) != self.dim:
-                    raise MalformedInputError(
-                        f"{self.label}: generator arity != dim {self.dim}"
-                    )
+            what, vectors = "generator", self.rep.points + self.rep.rays
         else:
-            for h in self.rep.halfspaces:
-                if len(h.normal) != self.dim:
-                    raise MalformedInputError(
-                        f"{self.label}: halfspace arity != dim {self.dim}"
-                    )
+            what, vectors = "halfspace", [normal for normal, _ in self.rep.rows]
+        if any(len(v) != self.dim for v in vectors):
+            raise MalformedInputError(f"{self.label}: {what} arity != dim {self.dim}")
 
 
 def vrep_set(
@@ -238,12 +223,12 @@ def hrep_set(
     halfspaces: Iterable[tuple[Iterable[RatLike], RatLike]],
     dim: Optional[int] = None,
 ) -> ConvexSet:
-    hs = tuple(Halfspace(point(n), rat(b)) for n, b in halfspaces)
+    rep = _hrep(halfspaces)
     if dim is None:
-        if not hs:
+        if not rep.rows:
             raise MalformedInputError("dimension required for empty H-rep")
-        dim = len(hs[0].normal)
-    return ConvexSet(label, dim, HRep(hs))
+        dim = len(rep.rows[0][0])
+    return ConvexSet(label, dim, rep)
 
 
 @dataclass(frozen=True)
@@ -383,10 +368,7 @@ def recession_cone(s: ConvexSet) -> ConvexSet:
         return ConvexSet(label, s.dim, VRep((origin,), s.rep.rays))
     if is_empty(s):
         raise EmptySetError(f"recession cone of empty set {s.label!r}")
-    return ConvexSet(label, s.dim, HRep(tuple(
-        Halfspace(h.normal, Fraction(0))
-        for h in s.rep.halfspaces if not is_zero(h.normal)
-    )))
+    return ConvexSet(label, s.dim, HRep(tuple((normal, 0) for normal, _ in s.rep.rows if any(normal))))
 
 
 def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
@@ -446,9 +428,8 @@ def is_bounded(s: ConvexSet) -> bool:
 # projection
 
 def _empty_hrep(dim: int) -> HRep:
-    e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(dim))
-    neg = tuple(-c for c in e1)
-    return HRep((Halfspace(e1, Fraction(-1)), Halfspace(neg, Fraction(0))))
+    e1 = (1,) + (0,) * (dim - 1)
+    return HRep(((e1, -1), (tuple(-c for c in e1), 0)))
 
 
 def project_drop_last(s: ConvexSet) -> ConvexSet:
@@ -471,7 +452,7 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
                  tuple(dict.fromkeys(r[:-1] for r in rays if any(r[:-1]))))
     if isinstance(s.rep, VRep):
         return ConvexSet(label, d - 1, image)
-    return ConvexSet(label, d - 1, HRep(tuple(halfspace(n, b) for n, b in image.rows)))
+    return ConvexSet(label, d - 1, HRep(image.rows))
 
 
 def convex_hull_union(fam: Family, indices: Iterable[int]) -> ConvexSet:
@@ -537,7 +518,8 @@ def change_coordinates(s: ConvexSet, forward: Matrix, inverse: Matrix) -> Convex
     """Apply y = forward . x to the set (inverse must be forward^-1).
 
     V-reps map generator-wise through `forward`; H-rep normals pull back
-    through `inverse` (n . x <= b becomes (n . inverse) . y <= b).
+    through `inverse` (n . x <= b becomes (n . inverse) . y <= b), and
+    the rows are scaled to ints again.
     """
     if isinstance(s.rep, VRep):
         rep: HRep | VRep = VRep(
@@ -545,10 +527,7 @@ def change_coordinates(s: ConvexSet, forward: Matrix, inverse: Matrix) -> Convex
             tuple(mat_vec(forward, r) for r in s.rep.rays),
         )
     else:
-        rep = HRep(tuple(
-            Halfspace(vec_mat(h.normal, inverse), h.offset)
-            for h in s.rep.halfspaces
-        ))
+        rep = _hrep((vec_mat(normal, inverse), offset) for normal, offset in s.rep.rows)
     return ConvexSet(s.label, s.dim, rep)
 
 
@@ -569,10 +548,7 @@ def set_to_json(s: ConvexSet) -> dict:
             "rays": [point_json(r) for r in s.rep.rays],
         }
     else:
-        out["hrep"] = [
-            {"normal": point_json(h.normal), "offset": rat_str(h.offset)}
-            for h in s.rep.halfspaces
-        ]
+        out["hrep"] = [{"normal": list(normal), "offset": offset} for normal, offset in s.rep.rows]
     return out
 
 
@@ -610,13 +586,10 @@ def set_from_json(obj) -> ConvexSet:
         pts = _json_points(v["points"], "vrep points")
         rays = _json_points(v.get("rays", []), "vrep rays")
         return ConvexSet(label, dim, VRep(pts, rays))
-    hs = []
-    for h in _json_list(obj["hrep"], "hrep"):
-        if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
-            raise MalformedInputError("halfspace needs normal and offset")
-        normal = point(_json_list(h["normal"], "halfspace normal"))
-        hs.append(Halfspace(normal, rat(h["offset"])))
-    return ConvexSet(label, dim, HRep(tuple(hs)))
+    hs = _json_list(obj["hrep"], "hrep")
+    if not all(isinstance(h, dict) and "normal" in h and "offset" in h for h in hs):
+        raise MalformedInputError("halfspace needs normal and offset")
+    return ConvexSet(label, dim, _hrep((_json_list(h["normal"], "halfspace normal"), h["offset"]) for h in hs))
 
 
 def family_to_json(fam: Family) -> dict:

@@ -1,8 +1,6 @@
 """Source hygiene: every name a module or test file imports is used in
 that file, joint-intersection LPs are asked only through the oracle,
-LP systems are built only by the one LP builder, and point and
-direction tests, LPs and projection read the int rows cached on each
-set, not an H-representation's own halfspaces. math.gcd is called only
+and LP systems are built only by the one LP builder. math.gcd is called only
 by the one row cut, lp._reduced, which sets.py calls only in its one
 elimination routine, _cone, and the simplex does no denominator work:
 rationals become int rows before it.
@@ -146,26 +144,6 @@ def attribute_reads(source: str, attr: str) -> list[tuple[str, int]]:
     ]
 
 
-def test_detector_flags_an_attribute_read():
-    source = "class HRep:\n    def rows(self):\n        return self.halfspaces\nhs = s.rep.halfspaces\n"
-    assert attribute_reads(source, "halfspaces") == [("HRep.rows", 3), ("", 4)]
-
-
-# every computation reads the int rows (HRep.rows); an H-rep's own
-# halfspaces serve only its validation, its recession cone, coordinate
-# changes and JSON
-HALFSPACE_READERS = {
-    "sets.HRep.rows", "sets.ConvexSet.__post_init__", "sets.recession_cone",
-    "sets.change_coordinates", "sets.set_to_json",
-}
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_halfspaces_read_only_where_rows_cannot_serve(path):
-    for scope, line in attribute_reads(path.read_text(encoding="utf-8"), "halfspaces"):
-        assert f"{path.stem}.{scope}" in HALFSPACE_READERS, (scope, line)
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_gcd_only_in_the_one_row_cut(path):
     # the simplex, invert_matrix and sets._cone all cut their int rows
@@ -215,7 +193,7 @@ def test_no_fraction_substitution(path):
 
 
 def test_the_oracle_keeps_no_row_copies():
-    # each set caches its own int rows (HRep.rows, VRep.rows)
+    # each set holds its own int rows (HRep.rows, VRep.rows)
     source = (SRC / "piercing.py").read_text(encoding="utf-8")
     assert "_int_rows" not in source and "_scaled_rows" not in source
 

@@ -315,6 +315,15 @@ def test_is_m_free():
     assert is_m_free(with_ray, [0], 1)  # below size m+1, compactness only
     with pytest.raises(MalformedInputError):
         is_m_free(apart, [0, 1], 0)
+    # an empty member is vacuously compact and meets no other member
+    void = hrep_set("E", [((1, 0), -1), ((-1, 0), 0)])
+    with_void = family([box2("A", 0, 2, 0, 2), box2("B", 1, 3, 1, 3), void])
+    assert is_m_free(with_void, [0, 2], 1)
+    assert not is_m_free(with_void, [0, 1, 2], 1)
+    # the C(30, 16) = 145 M subsets of 30 points pass the tuple cap
+    points = family([vrep_set(f"x{i}", [(i, 0)]) for i in range(30)])
+    with pytest.raises(MalformedInputError, match="tuple cap"):
+        is_m_free(points, range(30), 15)
 
 
 def test_piercing_json():

@@ -25,7 +25,6 @@ from pqpierce.sets import (
     family,
     family_from_json,
     family_to_json,
-    halfspace,
     hrep_set,
     intersect_nonempty,
     is_bounded,
@@ -389,8 +388,17 @@ def test_rep_invariants():
     with pytest.raises(MalformedInputError):
         vrep_set("Z", ["12"])  # a string is not a coordinate sequence
     with pytest.raises(MalformedInputError):
-        halfspace((0, 0), -1)
-    assert halfspace((0, 0), 0).offset == 0  # vacuous rows are fine
+        hrep_set("Z", [((0, 0), -1)])
+    with pytest.raises(MalformedInputError):
+        hrep_set("Z", [((0, 0), "-1/2")])
+    assert hrep_set("Z", [((0, 0), 0)]).rep.rows == (((0, 0), 0),)  # vacuous rows are fine
+
+
+def test_hrep_rows_are_the_halfspaces_scaled_to_ints():
+    s = hrep_set("F", [(("1/2", "1/3"), 1)])
+    assert s.rep.rows == (((3, 2), 6),)
+    assert set_to_json(s)["hrep"] == [{"normal": [3, 2], "offset": 6}]
+    assert set_from_json(set_to_json(s)) == s
 
 
 def test_set_json_roundtrip():
@@ -581,8 +589,8 @@ def test_substitution_matches_the_fraction_reference():
         normals = [n for n in normals if any(n)] or [(Fraction(1),) * d]
         j = rng.randrange(len(normals))
         offsets = [dot(n, c) + (0 if i == j else abs(_frac(rng))) for i, n in enumerate(normals)]
-        s = hrep_set("H", list(zip(normals, offsets)))
-        hs = [(h.normal, h.offset) for h in s.rep.halfspaces]
+        hs = list(zip(normals, offsets))
+        s = hrep_set("H", hs)
         assert contains_point(s, c) and reference_holds(hs, c)
         den = rng.randint(2, 10 ** 9)
         out = _moved_out(c, normals[j], den)
