@@ -7,6 +7,8 @@ run `PYTHONPATH=src python tests/test_golden.py` and commit the diff.
 """
 import json
 from fractions import Fraction as F
+from contextlib import chdir, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from pqpierce.cli import cmd_dispatch
 from pqpierce.constructions import (
     CounterexampleSpec,
     bounded_member,
+    counterexample_family,
     family_A,
     family_B,
     unbounded_member,
@@ -63,10 +66,14 @@ def s1():
     return report_to_json(pierce_via_transversal(plane_family(), t=1, p=4))
 
 
-def s2():
+def s2_family():
     sets = [box2("b1", 0, 1, 0, 1), box2("b2", 2, 3, 0, 1)]
     sets += [hrep_set(f"upper{n}", [((0, -1), n)]) for n in range(1, 5)]
-    return report_to_json(pierce_via_free_family(family(sets), [0, 1], p=4, q=3))
+    return family(sets)
+
+
+def s2():
+    return report_to_json(pierce_via_free_family(s2_family(), [0, 1], p=4, q=3))
 
 
 def s2_failed():
@@ -76,10 +83,14 @@ def s2_failed():
     return report_to_json(pierce_via_free_family(family(sets), [0, 1], p=4, q=3))
 
 
-def main():
+def main_family():
     sets = [vrep_set("c1", [(0,), (2,)]), vrep_set("c2", [(1,), (3,)])]
     sets += [hrep_set(f"ray{n}", [((-1,), -n)]) for n in range(1, 4)]
-    return report_to_json(pierce_via_projection(family(sets), [0, 1], p=5, q=4))
+    return family(sets)
+
+
+def main():
+    return report_to_json(pierce_via_projection(main_family(), [0, 1], p=5, q=4))
 
 
 def counterexample():
@@ -87,13 +98,17 @@ def counterexample():
     return report_to_json(verify_counterexample(spec, k_max=1))
 
 
-def corollary52():
+def corollary52_inputs():
     spec = CounterexampleSpec(d=1, n_max=5, n_bounded=2)
     box = convex_hull_union(family_B(spec), [0, 1])
     back = completed_basis_matrix((F(1), F(0)))
     forward = invert_matrix(back)
     fam = change_coordinates_family(family_A(spec), forward, back)
-    box = change_coordinates(box, forward, back)
+    return fam, change_coordinates(box, forward, back)
+
+
+def corollary52():
+    fam, box = corollary52_inputs()
     return report_to_json(verify_projection_equivalence(fam, box, max_subset=3))
 
 
@@ -113,6 +128,139 @@ def analyze_recession(tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(family_to_json(fam)))
     return cmd_dispatch(["analyze", "recession", "--input", str(path)])
+
+
+# every leaf command, each --format csv leaf, --limit, --budget, the
+# exit-1 and exit-3 answers and the usage and file errors, run in a
+# directory holding the files below
+CLI_ARGV = [
+    "construct simplex --d 2 --alphas 1/2,2/3",
+    "construct simplex --d 3 --count 4 --seed 7",
+    "construct simplex --d 2 --count 5 --max-den 4 --seed 3",
+    "construct simplex --d 1 --count 9 --max-den 5 --seed 1",
+    "construct simplex --d 2 --count 6 --max-den 4",
+    "construct simplex --d 2 --count 0",
+    "construct simplex --d 2 --count 1 --max-den 1",
+    "construct simplex --d 2",
+    "construct simplex --d 2 --alphas 1/2 --count 1",
+    "construct counterexample --d 1 --n-max 6 --n-bounded 3",
+    "construct counterexample --d 2 --n-max 4 --n-bounded 2 --margin 1/2",
+    "construct counterexample --d 1 --n-max 1 --n-bounded 0",
+    "construct gruenbaum --n-max 4 --copies 2",
+    "construct free-flats --d 2 --k 1 --count 4 --radius 5 --seed 3",
+    "check pq --p 4 --q 3 --input fam.json",
+    "check pq --p 6 --q 6 --input fam.json",
+    "check pq --p 4 --q 3 --input fam.json --format csv",
+    "check pq --p 6 --q 6 --input fam.json --format csv",
+    "check pq --p 4 --q 3 --input fam.json --budget 2",
+    "check pq --p 4 --q 3 --input fam.json --budget 0",
+    "check pq --p 2 --q 2 --input missing.json",
+    "check pq --p 2 --q 2 --input bad.json",
+    "check pq --p 2 --q 2 --input fam.json --format xml",
+    "solve pierce --input plane.json",
+    "solve pierce --input plane.json --limit 1",
+    "solve pierce --input plane.json --limit 0",
+    "solve pierce --input plane.json --budget 1",
+    "solve pierce --input plane.json --format csv",
+    "solve transversal --input tri.json",
+    "solve transversal --input tri.json --limit 1",
+    "solve transversal --input tri.json --limit -1",
+    "solve transversal --input fam.json",
+    "analyze recession --input fam.json",
+    "analyze recession --input plane.json",
+    "analyze project --input fam.json",
+    "analyze project --input main.json",
+    "analyze gf --input fam.json",
+    "analyze gf --input fam.json --budget 1",
+    "escape --d 1 --n-max 6 --n-bounded 3 --points pts.json",
+    "escape --d 1 --n-max 6 --n-bounded 3 --points far.json --n-cap 50",
+    "escape --d 1 --n-max 6 --n-bounded 3 --points bad.json",
+    "bounds eta --lam 3 --k 2",
+    "bounds eta --lam 5 --k 2",
+    "bounds eta --lam 4 --k 3",
+    "bounds eta --lam 1 --k 1",
+    "bounds eta --lam 1 --k 0",
+    "bounds eta --lam x --k 2",
+    "bounds xi --p 4 --q 3 --d 2",
+    "bounds xi --p 5 --q 3 --d 1",
+    "bounds xi --p 7 --q 7 --d 3",
+    "bounds xi --p 1 --q 5 --d 1",
+    "pipeline s1 --input plane.json --t 1 --p 4",
+    "pipeline s1 --input plane.json --t 1 --p 4 --format csv",
+    "pipeline s1 --input fam.json --t 0 --p 6",
+    "pipeline s1 --input fam.json --t 1 --p 4 --budget 1",
+    "pipeline s2 --input s2.json --b-indices 0,1 --p 4 --q 3",
+    "pipeline s2 --input s2.json --b-indices 0,1 --p 4 --q 3 --format csv",
+    "pipeline s2 --input s2.json --b-indices 0,x --p 4 --q 3",
+    "pipeline main --input main.json --compact-indices 0,1 --p 5 --q 4",
+    "pipeline main --input main.json --compact-indices 0,1 --p 5 --q 4 --format csv",
+    "pipeline counterexample --d 1 --n-max 6 --n-bounded 3 --k-max 1",
+    "pipeline counterexample --d 1 --n-max 6 --n-bounded 3 --k-max 0 --format csv",
+    "pipeline counterexample --d 1 --n-max 6 --n-bounded 3 --k-max 0 --points pts.json",
+    "pipeline counterexample --d 1 --n-max 6 --n-bounded 3 --k-max 0 --points far.json --n-cap 50",
+    "pipeline counterexample --d 1 --n-max 6 --n-bounded 3 --k-max 0 --jobs 2",
+    "pipeline corollary52 --input c52.json --box box.json --max-subset 3",
+    "pipeline corollary52 --input c52.json --box box.json --max-subset 3 --format csv",
+    "pipeline corollary52 --input c52.json --box box.json --max-subset 3 --budget 0",
+    "construct gruenbaum --n-max 3 -o out.json",
+    "bounds eta --lam 3 --k 2 -o missing/out.json",
+    "bounds eta --lam 3 --k 2 -o .",
+    "",
+    "frobnicate",
+    "construct",
+    "pipeline",
+    "check pq --p 2",
+    # each leaf with no flags: its required flags, named in order
+    "construct simplex",
+    "construct counterexample",
+    "construct gruenbaum",
+    "construct free-flats",
+    "check pq",
+    "solve pierce",
+    "solve transversal",
+    "analyze recession",
+    "analyze project",
+    "analyze gf",
+    "escape",
+    "bounds eta",
+    "bounds xi",
+    "pipeline s1",
+    "pipeline s2",
+    "pipeline main",
+    "pipeline counterexample",
+    "pipeline corollary52",
+]
+
+
+def cli_files(root):
+    c52, box = corollary52_inputs()
+    files = {
+        "fam.json": family_to_json(counterexample_family(CounterexampleSpec(d=1, n_max=6, n_bounded=3))),
+        "plane.json": family_to_json(plane_family()),
+        "s2.json": family_to_json(s2_family()),
+        "main.json": family_to_json(main_family()),
+        "c52.json": family_to_json(c52),
+        "box.json": set_to_json(box),
+        "tri.json": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+        "pts.json": {"points": [[6, 0]]},
+        "far.json": {"points": [[100, 0]]},
+    }
+    for name, obj in files.items():
+        (root / name).write_text(json.dumps(obj))
+    (root / "bad.json").write_text("{bad")
+
+
+def cli(root):
+    """[exit code, stdout] of each argv in CLI_ARGV."""
+    cli_files(root)
+    out = {}
+    with chdir(root):
+        for line in CLI_ARGV:
+            buf = StringIO()
+            with redirect_stdout(buf):
+                code = cmd_dispatch(line.split())
+            out[line] = [code, buf.getvalue()]
+    return out
 
 
 def facets():
@@ -192,10 +340,12 @@ def test_analyze_recession_matches_golden(tmp_path, capsys):
     assert {"exit": code, "stdout": out} == json.loads((GOLDEN / "analyze_recession.json").read_text())
 
 
+def test_cli_matches_golden(tmp_path):
+    assert _text(cli(tmp_path)) == (GOLDEN / "cli.json").read_text()
+
+
 if __name__ == "__main__":  # rewrite the golden files from the current code
     import tempfile
-    from contextlib import redirect_stdout
-    from io import StringIO
 
     GOLDEN.mkdir(exist_ok=True)
     for name, case in CASES.items():
@@ -204,3 +354,5 @@ if __name__ == "__main__":  # rewrite the golden files from the current code
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(buf):
         code = analyze_recession(Path(tmp))
     (GOLDEN / "analyze_recession.json").write_text(_text({"exit": code, "stdout": buf.getvalue()}))
+    with tempfile.TemporaryDirectory() as tmp:
+        (GOLDEN / "cli.json").write_text(_text(cli(Path(tmp))))
