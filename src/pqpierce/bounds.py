@@ -8,6 +8,7 @@ local-to-global transversal argument.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
@@ -27,11 +28,23 @@ class CatalogEntry:
     provenance: str
 
 
+def _check_printable(bits: int) -> None:
+    """Reject a bound below 2**bits before computing it when it could
+    pass the digits an int may print (sys.get_int_max_str_digits()):
+    such a bound could not be written out, and computing it can take
+    minutes. A number below 2**(3D) has at most D digits, as 8**D < 10**D."""
+    digits = sys.get_int_max_str_digits()
+    if digits and bits > 3 * digits:
+        raise MalformedInputError(f"the bound could have more than {digits} digits")
+
+
 def eta_tuza_bound(lam: int, k: int) -> int:
     """Binomial upper bound for eta(lam, k):
     C(lam+k-1, lam-1) + C(lam+k-2, lam-1) - 1."""
     if lam < 2 or k < 1:
         raise MalformedInputError("need lam >= 2 and k >= 1")
+    # both terms are at most C(n, r) <= n**r, with n = lam+k-1 and r = min(lam-1, k)
+    _check_printable(min(lam - 1, k) * (lam + k - 1).bit_length() + 1)
     return comb(lam + k - 1, lam - 1) + comb(lam + k - 2, lam - 1) - 1
 
 
@@ -119,6 +132,7 @@ def catalog_lookup(name: str, args: Sequence[int]) -> Optional[CatalogEntry]:
                 CatalogEntry("eta", key, eta_tuza_bound(lam, k), UPPER, _PROV_TUZA)
             )
         if lam >= 2 and k == 2:
+            _check_printable(2 * (lam + 2).bit_length())
             uppers.append(
                 CatalogEntry("eta", key, (lam + 2) ** 2 // 4, UPPER, _PROV_EG2)
             )

@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Every command prints machine-readable JSON (or CSV where supported) and
-maps outcomes onto five exit codes:
+Each leaf command is declared once, in `_build_parser`: its flags, its
+handler and, for `check pq` and the `pipeline` commands, a CSV
+renderer. A handler returns its exit code and its data; `cmd_dispatch`
+renders the data once, as JSON or, under `--format csv`, with the
+leaf's renderer. Outcomes map onto five exit codes:
 
     0  success, including "the property holds"
     1  the property or a pipeline hypothesis fails (witness in output)
@@ -31,6 +34,7 @@ from .constructions import (
     escape_witness,
     free_flats_family,
     gruenbaum_line,
+    sample_alphas,
     simplex_S,
 )
 from .errors import (
@@ -161,149 +165,84 @@ def _budget_context(args):
     return lp_budget(budget)
 
 
-def _add_spec_args(parser: argparse.ArgumentParser) -> None:
-    """The flags read by _spec: the fields of CounterexampleSpec."""
-    parser.add_argument("--d", type=int, required=True)
-    parser.add_argument("--n-max", type=int, required=True)
-    parser.add_argument("--n-bounded", type=int, required=True)
-    parser.add_argument("--margin", default="0")
-
-
 def _spec(args) -> CounterexampleSpec:
     return CounterexampleSpec(args.d, args.n_max, args.n_bounded, rat(args.margin))
 
 
-def _fractions_in_unit(max_den: int) -> int:
-    """Reduced fractions in (0,1) with denominator <= max_den: the sum
-    of Euler's totient over 2..max_den, by sieve."""
-    phi = list(range(max_den + 1))
-    for k in range(2, max_den + 1):
-        if phi[k] == k:  # k is prime
-            for m in range(k, max_den + 1, k):
-                phi[m] -= phi[m] // k
-    return sum(phi[2:])
-
-
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, output_text)
+# command handlers: each returns (exit_code, data)
 
-def _cmd_construct(args) -> tuple[int, str]:
-    if args.what == "simplex":
-        if (args.alphas is None) == (args.count is None):
-            raise MalformedInputError("give exactly one of --alphas or --count")
+def _family(fam: Family, **extra) -> tuple[int, dict]:
+    return 0, {**family_to_json(fam), **extra}
+
+
+def _report(report) -> tuple[int, dict]:
+    """A pipeline's exit code: 3 when its run was not exhaustive, else 0
+    when every hypothesis row passed, else 1."""
+    code = 3 if not report.exhaustive else 0 if report.all_passed else 1
+    return code, report_to_json(report)
+
+
+def _simplex(args) -> tuple[int, dict]:
+    if (args.alphas is None) == (args.count is None):
+        raise MalformedInputError("give exactly one of --alphas or --count")
+    if args.alphas is not None:
+        alphas = _parse_rat_list(args.alphas)
+        check_family_size(len(alphas) * args.d, args.d)
         extra = {}
-        if args.alphas is not None:
-            alphas = _parse_rat_list(args.alphas)
-            check_family_size(len(alphas) * args.d, args.d)
-        else:
-            if args.count < 1:
-                raise MalformedInputError("need --count >= 1")
-            if args.max_den < 2:
-                raise MalformedInputError("need --max-den >= 2")
-            check_family_size(args.count * args.d, args.d)  # bounds the sieve too
-            # the max_den - 1 fractions 1/n always exist; count the rest only if needed
-            if args.count >= args.max_den and args.count > _fractions_in_unit(args.max_den):
-                raise MalformedInputError(
-                    f"--count {args.count} exceeds the number of distinct alphas"
-                    f" with denominator <= {args.max_den}"
-                )
-            rng = random.Random(args.seed)
-            chosen: set[Fraction] = set()
-            while len(chosen) < args.count:
-                den = rng.randint(2, args.max_den)
-                chosen.add(Fraction(rng.randint(1, den - 1), den))
-            alphas = sorted(chosen)
-            extra = {"seed": args.seed}
-        sets = [simplex_S(a, args.d) for a in alphas]
-        fam = Family(args.d, tuple(sets))
-        return 0, _json_text({**family_to_json(fam), **extra})
-    if args.what == "counterexample":
-        return 0, _json_text(family_to_json(counterexample_family(_spec(args))))
-    if args.what == "gruenbaum":
-        fam = gruenbaum_line(args.n_max, args.copies)
-        return 0, _json_text(family_to_json(fam))
-    fam = free_flats_family(args.d, args.k, args.count, rat(args.radius), args.seed)
-    return 0, _json_text({**family_to_json(fam), "seed": args.seed})
+    else:
+        check_family_size(args.count * args.d, args.d)  # bounds the sampler's sieve too
+        alphas = sample_alphas(random.Random(args.seed), args.count, args.max_den)
+        extra = {"seed": args.seed}
+    return _family(Family(args.d, tuple(simplex_S(a, args.d) for a in alphas)), **extra)
 
 
-def _cmd_check_pq(args) -> tuple[int, str]:
+def _check_pq(args) -> tuple[int, dict]:
     report = has_pq_property(_load_family(args.input), args.p, args.q)
-    data = pq_report_to_json(report)
-    text = _pq_csv(data) if args.format == "csv" else _json_text(data)
-    return (0 if report.holds else 1), text
+    return (0 if report.holds else 1), pq_report_to_json(report)
 
 
-def _cmd_solve(args) -> tuple[int, str]:
-    if args.what == "pierce":
-        sol = piercing_number(_load_family(args.input), limit=args.limit)
-        return 0, _json_text(piercing_to_json(sol))
-    h = hypergraph_from_json(_load_json(args.input))
-    beta, cover = transversal_number(h, limit=args.limit)
-    return 0, _json_text({"beta": beta, "cover": list(cover)})
+def _transversal(args) -> tuple[int, dict]:
+    beta, cover = transversal_number(hypergraph_from_json(_load_json(args.input)), limit=args.limit)
+    return 0, {"beta": beta, "cover": list(cover)}
 
 
-def _cmd_analyze(args) -> tuple[int, str]:
+def _recession(args) -> tuple[int, dict]:
+    v = common_recession_direction(_load_family(args.input))
+    return (0 if v is not None else 1), {"direction": None if v is None else point_json(v)}
+
+
+def _project(args) -> tuple[int, dict]:
     fam = _load_family(args.input)
-    if args.what == "recession":
-        v = common_recession_direction(fam)
-        data = {"direction": None if v is None else point_json(v)}
-        return (0 if v is not None else 1), _json_text(data)
-    if args.what == "project":
-        shadows = Family(fam.dim - 1, tuple(project_drop_last(s) for s in fam.sets))
-        return 0, _json_text(family_to_json(shadows))
-    gf = build_GF(fam)
-    return 0, _json_text(hypergraph_to_json(gf))
+    return _family(Family(fam.dim - 1, tuple(project_drop_last(s) for s in fam.sets)))
 
 
-def _cmd_escape(args) -> tuple[int, str]:
+def _escape(args) -> tuple[int, dict]:
     w = escape_witness(_spec(args), _load_points(args.points), args.n_cap)
-    data = {"witness": w, "n_cap": args.n_cap}
-    return (0 if w is not None else 3), _json_text(data)
+    return (0 if w is not None else 3), {"witness": w, "n_cap": args.n_cap}
 
 
-def _cmd_bounds(args) -> tuple[int, str]:
-    if args.what == "eta":
-        if args.lam < 1 or args.k < 1:
-            raise MalformedInputError("need lam >= 1 and k >= 1")
-        entry = catalog_lookup("eta", (args.lam, args.k))
-    else:
-        if not 1 <= args.q <= args.p or args.d < 1:
-            raise MalformedInputError("need p >= q >= 1 and d >= 1")
-        entry = catalog_lookup("xi", (args.p, args.q, args.d))
-    data = {"entry": None if entry is None else entry_to_json(entry)}
-    return (0 if entry is not None else 1), _json_text(data)
+def _entry(entry) -> tuple[int, dict]:
+    return (0 if entry is not None else 1), {"entry": None if entry is None else entry_to_json(entry)}
 
 
-def _cmd_pipeline(args) -> tuple[int, str]:
-    if args.what == "s1":
-        report = pierce_via_transversal(_load_family(args.input), args.t, args.p)
-    elif args.what == "s2":
-        report = pierce_via_free_family(
-            _load_family(args.input), _parse_index_list(args.b_indices),
-            args.p, args.q,
-        )
-    elif args.what == "main":
-        report = pierce_via_projection(
-            _load_family(args.input), _parse_index_list(args.compact_indices),
-            args.p, args.q,
-        )
-    elif args.what == "counterexample":
-        spec = _spec(args)
-        candidates = None
-        if args.points is not None:
-            candidates = [_load_points(args.points)]
-        report = verify_counterexample(
-            spec, args.k_max, candidate_point_sets=candidates, n_cap=args.n_cap
-        )
-    else:
-        fam = _load_family(args.input)
-        box = set_from_json(_load_json(args.box))
-        report = verify_projection_equivalence(fam, box, args.max_subset)
-    data = report_to_json(report)
-    text = _pipeline_csv(data) if args.format == "csv" else _json_text(data)
-    if not report.exhaustive:
-        return 3, text
-    return (0 if report.all_passed else 1), text
+def _eta(args) -> tuple[int, dict]:
+    if args.lam < 1 or args.k < 1:
+        raise MalformedInputError("need lam >= 1 and k >= 1")
+    return _entry(catalog_lookup("eta", (args.lam, args.k)))
+
+
+def _xi(args) -> tuple[int, dict]:
+    if not 1 <= args.q <= args.p or args.d < 1:
+        raise MalformedInputError("need p >= q >= 1 and d >= 1")
+    return _entry(catalog_lookup("xi", (args.p, args.q, args.d)))
+
+
+def _counterexample(args):
+    candidates = None if args.points is None else [_load_points(args.points)]
+    return verify_counterexample(
+        _spec(args), args.k_max, candidate_point_sets=candidates, n_cap=args.n_cap
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +257,36 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(f"{self.prog}: {message}")
 
 
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+def _ints(*names):
+    """Required int flags."""
+    return tuple(_flag(name, type=int, required=True) for name in names)
+
+
+# flags shared by several leaves; a leaf lists its flags in the order of
+# its usage text and of argparse's "arguments are required" error
+_FAMILY = _flag("--input", required=True, help="family JSON file")
+_BUDGET = _flag("--budget", type=int, help="max LP calls")
+_LIMIT = _flag("--limit", type=int)
+_N_CAP = _flag("--n-cap", type=int, default=1000)
+_SPEC = (*_ints("--d", "--n-max", "--n-bounded"), _flag("--margin", default="0"))  # CounterexampleSpec
+_PQ = _ints("--p", "--q")
+_FORMAT = _flag("--format", choices=["json", "csv"], default="json")
+_OUTPUT = _flag("-o", "--output", help="write to file instead of stdout")
+
+
+def _leaf(sub, name, run, *flags, csv=None, **kwargs) -> None:
+    """A leaf command: its flags, then --format if it has a CSV
+    renderer, then -o; `cmd_dispatch` calls `run` and renders its data."""
+    parser = sub.add_parser(name, **kwargs)
+    for names, options in (*flags, *([_FORMAT] if csv else []), _OUTPUT):
+        parser.add_argument(*names, **options)
+    parser.set_defaults(run=run, csv=csv)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pqpierce",
@@ -326,140 +295,64 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
+    def group(name, help):
+        return top.add_parser(name, help=help).add_subparsers(dest="what", required=True)
 
-    def add_budget(p):
-        p.add_argument("--budget", type=int, default=None, help="max LP calls")
+    construct = group("construct", "emit a family as JSON")
+    _leaf(construct, "simplex", _simplex, *_ints("--d"),
+          _flag("--alphas", help="comma-separated rationals in (0,1]"),
+          _flag("--count", type=int, help="sample this many alphas"),
+          _flag("--seed", type=int, default=0), _flag("--max-den", type=int, default=1000))
+    _leaf(construct, "counterexample", lambda a: _family(counterexample_family(_spec(a))), *_SPEC)
+    _leaf(construct, "gruenbaum", lambda a: _family(gruenbaum_line(a.n_max, a.copies)),
+          *_ints("--n-max"), _flag("--copies", type=int, default=1))
+    _leaf(construct, "free-flats",
+          lambda a: _family(free_flats_family(a.d, a.k, a.count, rat(a.radius), a.seed), seed=a.seed),
+          *_ints("--d", "--k", "--count"), _flag("--radius", default="10"),
+          _flag("--seed", type=int, default=0))
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    check = group("check", "verify an intersection property")
+    _leaf(check, "pq", _check_pq, *_PQ, _FAMILY, _BUDGET, csv=_pq_csv)
 
-    construct = top.add_parser("construct", help="emit a family as JSON")
-    csub = construct.add_subparsers(dest="what", required=True)
-    p = csub.add_parser("simplex")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--alphas", default=None, help="comma-separated rationals in (0,1]")
-    p.add_argument("--count", type=int, default=None, help="sample this many alphas")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-den", type=int, default=1000)
-    add_output(p)
-    p = csub.add_parser("counterexample")
-    _add_spec_args(p)
-    add_output(p)
-    p = csub.add_parser("gruenbaum")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--copies", type=int, default=1)
-    add_output(p)
-    p = csub.add_parser("free-flats")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--radius", default="10")
-    p.add_argument("--seed", type=int, default=0)
-    add_output(p)
+    solve = group("solve", "exact solvers")
+    _leaf(solve, "pierce",
+          lambda a: (0, piercing_to_json(piercing_number(_load_family(a.input), limit=a.limit))),
+          _FAMILY, _LIMIT, _BUDGET)
+    _leaf(solve, "transversal", _transversal,
+          _flag("--input", required=True, help="hypergraph JSON file"), _LIMIT)
 
-    check = top.add_parser("check", help="verify an intersection property")
-    ksub = check.add_subparsers(dest="what", required=True)
-    p = ksub.add_parser("pq")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--input", required=True, help="family JSON file")
-    add_budget(p)
-    add_format(p)
-    add_output(p)
+    analyze = group("analyze", "structure extraction")
+    _leaf(analyze, "recession", _recession, _FAMILY, _BUDGET)
+    _leaf(analyze, "project", _project, _FAMILY, _BUDGET)
+    _leaf(analyze, "gf", lambda a: (0, hypergraph_to_json(build_GF(_load_family(a.input)))),
+          _FAMILY, _BUDGET)
 
-    solve = top.add_parser("solve", help="exact solvers")
-    ssub = solve.add_subparsers(dest="what", required=True)
-    p = ssub.add_parser("pierce")
-    p.add_argument("--input", required=True, help="family JSON file")
-    p.add_argument("--limit", type=int, default=None)
-    add_budget(p)
-    add_output(p)
-    p = ssub.add_parser("transversal")
-    p.add_argument("--input", required=True, help="hypergraph JSON file")
-    p.add_argument("--limit", type=int, default=None)
-    add_output(p)
+    _leaf(top, "escape", _escape, *_SPEC, _flag("--points", required=True, help="point-list JSON file"),
+          _N_CAP, _BUDGET, help="smallest member avoiding a point set")
 
-    analyze = top.add_parser("analyze", help="structure extraction")
-    asub = analyze.add_subparsers(dest="what", required=True)
-    for name in ("recession", "project", "gf"):
-        p = asub.add_parser(name)
-        p.add_argument("--input", required=True, help="family JSON file")
-        add_budget(p)
-        add_output(p)
+    bounds = group("bounds", "catalog of classical bounds")
+    _leaf(bounds, "eta", _eta, *_ints("--lam", "--k"))
+    _leaf(bounds, "xi", _xi, *_PQ, *_ints("--d"))
 
-    p = top.add_parser("escape", help="smallest member avoiding a point set")
-    _add_spec_args(p)
-    p.add_argument("--points", required=True, help="point-list JSON file")
-    p.add_argument("--n-cap", type=int, default=1000)
-    add_budget(p)
-    add_output(p)
+    pipeline = group("pipeline", "verified piercing arguments")
 
-    bounds = top.add_parser("bounds", help="catalog of classical bounds")
-    bsub = bounds.add_subparsers(dest="what", required=True)
-    p = bsub.add_parser("eta")
-    p.add_argument("--lam", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_output(p)
-    p = bsub.add_parser("xi")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_output(p)
+    def verified(name, run, *flags):
+        _leaf(pipeline, name, lambda a: _report(run(a)), *flags, _BUDGET, csv=_pipeline_csv)
 
-    pipeline = top.add_parser("pipeline", help="verified piercing arguments")
-    psub = pipeline.add_subparsers(dest="what", required=True)
-    p = psub.add_parser("s1")
-    p.add_argument("--input", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    add_budget(p)
-    add_format(p)
-    add_output(p)
-    p = psub.add_parser("s2")
-    p.add_argument("--input", required=True)
-    p.add_argument("--b-indices", required=True, help="comma-separated indices")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    add_budget(p)
-    add_format(p)
-    add_output(p)
-    p = psub.add_parser("main")
-    p.add_argument("--input", required=True)
-    p.add_argument("--compact-indices", required=True, help="comma-separated indices")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    add_budget(p)
-    add_format(p)
-    add_output(p)
-    p = psub.add_parser("counterexample")
-    _add_spec_args(p)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--points", default=None, help="candidate point-list JSON file")
-    p.add_argument("--n-cap", type=int, default=1000)
-    add_budget(p)
-    add_format(p)
-    add_output(p)
-    p = psub.add_parser("corollary52")
-    p.add_argument("--input", required=True)
-    p.add_argument("--box", required=True, help="set JSON file")
-    p.add_argument("--max-subset", type=int, required=True)
-    add_budget(p)
-    add_format(p)
-    add_output(p)
+    verified("s1", lambda a: pierce_via_transversal(_load_family(a.input), a.t, a.p),
+             _FAMILY, *_ints("--t", "--p"))
+    verified("s2", lambda a: pierce_via_free_family(
+        _load_family(a.input), _parse_index_list(a.b_indices), a.p, a.q),
+        _FAMILY, _flag("--b-indices", required=True, help="comma-separated indices"), *_PQ)
+    verified("main", lambda a: pierce_via_projection(
+        _load_family(a.input), _parse_index_list(a.compact_indices), a.p, a.q),
+        _FAMILY, _flag("--compact-indices", required=True, help="comma-separated indices"), *_PQ)
+    verified("counterexample", _counterexample, *_SPEC, *_ints("--k-max"),
+             _flag("--points", help="candidate point-list JSON file"), _N_CAP)
+    verified("corollary52", lambda a: verify_projection_equivalence(
+        _load_family(a.input), set_from_json(_load_json(a.box)), a.max_subset),
+        _FAMILY, _flag("--box", required=True, help="set JSON file"), *_ints("--max-subset"))
     return parser
-
-
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "check": _cmd_check_pq,
-    "solve": _cmd_solve,
-    "analyze": _cmd_analyze,
-    "escape": _cmd_escape,
-    "bounds": _cmd_bounds,
-    "pipeline": _cmd_pipeline,
-}
 
 
 def cmd_dispatch(argv) -> int:
@@ -473,7 +366,8 @@ def cmd_dispatch(argv) -> int:
         return 2
     try:
         with _budget_context(args):  # every LP of the command, file loading included
-            code, text = _HANDLERS[args.command](args)
+            code, data = args.run(args)
+        text = args.csv(data) if args.csv and args.format == "csv" else _json_text(data)
     except (MalformedInputError, EmptySetError, CatalogError) as exc:
         code, text = 2, _json_text({"error": str(exc)})
     except (BudgetExhaustedError, SearchLimitError) as exc:
@@ -482,13 +376,12 @@ def cmd_dispatch(argv) -> int:
         import traceback  # imported here: it costs 250 KB of RSS, and only a fault needs it
         traceback.print_exc()
         code, text = 4, _json_text({"error": f"internal error: {exc!r}"})
-    output = getattr(args, "output", None)
     try:
-        _emit(text, output)
+        _emit(text, args.output)
     except OSError as exc:
-        if output is None:
+        if args.output is None:
             raise
-        _emit(_json_text({"error": f"cannot write {output}: {exc}"}), None)
+        _emit(_json_text({"error": f"cannot write {args.output}: {exc}"}), None)
         return 2
     return code
 

@@ -262,13 +262,33 @@ def escape_witness(
     return None
 
 
-def sample_alphas(rng: random.Random, d: int, max_den: int = 1000) -> tuple[Fraction, ...]:
-    """d sorted random rationals in (0,1) with denominators <= max_den."""
-    if d < 1 or max_den < 2:
-        raise MalformedInputError("need d >= 1 and max_den >= 2")
-    draws = []
-    for _ in range(d):
+def _fractions_in_unit(max_den: int) -> int:
+    """Reduced fractions in (0,1) with denominator <= max_den: the sum
+    of Euler's totient over 2..max_den, by sieve."""
+    phi = list(range(max_den + 1))
+    for k in range(2, max_den + 1):
+        if phi[k] == k:  # k is prime
+            for m in range(k, max_den + 1, k):
+                phi[m] -= phi[m] // k
+    return sum(phi[2:])
+
+
+def sample_alphas(rng: random.Random, count: int, max_den: int = 1000) -> tuple[Fraction, ...]:
+    """count distinct sorted random rationals in (0,1) with denominators
+    <= max_den. Each draw takes a denominator, then a numerator; a
+    repeated alpha is drawn again. The caller bounds count: the check
+    that count alphas exist sieves to max_den only when count >= max_den."""
+    if count < 1:
+        raise MalformedInputError("need --count >= 1")
+    if max_den < 2:
+        raise MalformedInputError("need --max-den >= 2")
+    # the max_den - 1 fractions 1/n always exist; count the rest only if needed
+    if count >= max_den and count > _fractions_in_unit(max_den):
+        raise MalformedInputError(
+            f"--count {count} exceeds the number of distinct alphas with denominator <= {max_den}"
+        )
+    chosen: set[Fraction] = set()
+    while len(chosen) < count:
         den = rng.randint(2, max_den)
-        num = rng.randint(1, den - 1)
-        draws.append(Fraction(num, den))
-    return tuple(sorted(draws))
+        chosen.add(Fraction(rng.randint(1, den - 1), den))
+    return tuple(sorted(chosen))

@@ -298,6 +298,17 @@ class TestEscapeAndBounds:
         assert code == 2
         assert "error" in json.loads(out)
 
+    def test_bounds_eta_too_large_to_print_exit_two(self, capsys):
+        # these Tuza bounds pass the 4,300 digits an int may print; the
+        # second ran for over a minute before it was checked up front
+        for n in ("10000", "1000000", "10101010101010101010"):
+            start = time.perf_counter()
+            code, out = run(["bounds", "eta", "--lam", n, "--k", n], capsys)
+            assert (code, set(json.loads(out))) == (2, {"error"}), n
+            assert time.perf_counter() - start < 5
+        code, out = run(["bounds", "eta", "--lam", "2", "--k", "20000"], capsys)
+        assert (code, json.loads(out)["entry"]["value"]) == (0, 40000)
+
     def test_bounds_xi_miss_exit_one(self, capsys):
         code, out = run(["bounds", "xi", "--p", "7", "--q", "7", "--d", "3"], capsys)
         assert code == 1
@@ -577,13 +588,15 @@ class TestPlumbing:
         assert (code, set(json.loads(out))) == (2, {"error"})
 
     def test_internal_error_exit_four(self, monkeypatch, capsys):
-        def broken(args):
+        def broken(name, args):
             raise AssertionError("solver invariant broken")
 
-        monkeypatch.setitem(cli._HANDLERS, "bounds", broken)
-        code, out = run(["bounds", "eta", "--lam", "3", "--k", "2"], capsys)
-        assert code == 4
-        assert json.loads(out) == {"error": "internal error: AssertionError('solver invariant broken')"}
+        monkeypatch.setattr(cli, "catalog_lookup", broken)
+        assert cmd_dispatch(["bounds", "eta", "--lam", "3", "--k", "2"]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"error": "internal error: AssertionError('solver invariant broken')"}
+        assert captured.err.startswith("Traceback")
+        assert "AssertionError: solver invariant broken" in captured.err
 
     def test_malformed_point_file_exit_two(self, tmp_path, capsys):
         path = tmp_path / "pts.json"
@@ -622,24 +635,28 @@ class TestPlumbing:
 
 # --- the LP budget, read once for every command that takes it ----------------
 
+def leaf_commands(parser=None, path=()) -> dict[tuple, argparse.ArgumentParser]:
+    """Every leaf command's parser, by its argv path."""
+    parser = parser or cli._build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: parser}
+    return {leaf: p for name, sub in subs[0].choices.items()
+            for leaf, p in leaf_commands(sub, path + (name,)).items()}
+
+
 def budget_commands() -> dict[str, list[str]]:
     """Every leaf command with a --budget flag, by name, with an argv
     that parses: 1 for each required int flag, a missing file for the
     other required flags."""
-    found = {}
-
-    def walk(parser, path):
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        for name, sub in (subs[0].choices.items() if subs else ()):
-            walk(sub, path + [name])
-        if not subs and any("--budget" in a.option_strings for a in parser._actions):
-            found[" ".join(path)] = path + [
-                arg for a in parser._actions if a.required
-                for arg in (a.option_strings[-1], "1" if a.type is int else "/nonexistent.json")
-            ]
-
-    walk(cli._build_parser(), [])
-    return found
+    return {
+        " ".join(path): [*path] + [
+            arg for a in parser._actions if a.required
+            for arg in (a.option_strings[-1], "1" if a.type is int else "/nonexistent.json")
+        ]
+        for path, parser in leaf_commands().items()
+        if any("--budget" in a.option_strings for a in parser._actions)
+    }
 
 
 def test_budget_commands_cover_every_lp_command():
@@ -813,7 +830,90 @@ def test_every_construct_bounds_and_escape_flag_set_gets_exit_code_and_json(poin
     out = io.StringIO()
     with redirect_stdout(out):
         code = cmd_dispatch(argv)
-    # 4, an internal error, is allowed here: `bounds eta` on large
-    # arguments (--lam 10000 --k 10000) still ends in one
-    assert code in (0, 1, 2, 3, 4), argv
+    assert code in (0, 1, 2, 3), argv
     json.loads(out.getvalue())
+
+
+# --- arbitrary argv: any leaf, its own flags dropped, malformed or joined by an unknown one
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Fixed files for the file flags: good ones of each kind, a file
+    that is not JSON, a missing file and a directory; and the -o target."""
+    root = tmp_path_factory.mktemp("argv")
+    files = {
+        "line.json": {"dimension": 1, "sets": _LINE + [_FAR]},
+        "plane.json": {"dimension": 2, "sets": [
+            {"label": "a", "dim": 2, "vrep": {"points": [[0, 0], [2, 0], [0, 2]]}},
+            {"label": "b", "dim": 2, "hrep": [{"normal": [-1, 0], "offset": -1}]},
+            {"label": "c", "dim": 2, "vrep": {"points": [[1, 1]], "rays": [[0, 1]]}},
+        ]},
+        "tri.json": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+        "points.json": {"points": [[3, 0], ["1/2", "1/3"]]},
+        "points3.json": {"points": [[3, 0, 0]]},
+        "box.json": {"label": "w", "dim": 2, "vrep": {"points": [[-3, -3], [3, -3], [-3, 3], [3, 3]]}},
+    }
+    for name, obj in files.items():
+        (root / name).write_text(json.dumps(obj))
+    (root / "bad.json").write_text("{bad")
+    return root
+
+
+# valid values of the flags that take neither an int nor a file
+_STRINGS = {"--alphas": ["1/2", "2/3,1/3"], "--margin": ["0", "1/2"], "--radius": ["10", "1/2"],
+            "--b-indices": ["0", "0,1"], "--compact-indices": ["0", "0,1"]}
+_FILES = {"--input": ["line.json", "plane.json", "tri.json"], "--points": ["points.json", "points3.json"],
+          "--box": ["box.json"]}
+_BAD_FILES = ["bad.json", "missing.json", "."]
+_PATH_FLAGS = ("--input=", "--points=", "--box=", "--output=")
+
+
+@st.composite
+def _any_argv(draw):
+    """A leaf and its own flags, each valid, left out or malformed, and
+    maybe an unknown flag; file flags name the files of `argv_files`,
+    -o its output file or a directory, all relative to that directory."""
+    leaves = leaf_commands()
+    path = draw(st.sampled_from(sorted(leaves)))
+    argv = list(path)
+    for action in leaves[path]._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag in (None, "--help"):
+            continue
+        how = draw(st.sampled_from(["valid"] * 9 + ["drop", "malformed"] if action.required
+                                   else ["valid"] * 4 + ["drop"] * 4 + ["malformed"]))
+        if how == "drop":
+            continue
+        if flag == "--output":  # any name is well-formed: a directory is unwritable
+            value = "out.json" if how == "valid" else "."
+        elif flag in _FILES:
+            value = draw(st.sampled_from(_FILES[flag] if how == "valid" else _BAD_FILES))
+        elif how == "malformed":
+            value = draw(_BAD_FLAG)
+        elif action.choices:
+            value = draw(st.sampled_from(action.choices))
+        elif action.type is int:
+            value = draw(_ints(-2, 6))
+        else:
+            value = draw(st.sampled_from(_STRINGS[flag]))
+        argv.append(f"{flag}={value}")
+    if draw(st.integers(0, 5)) == 0:
+        unknown = draw(st.sampled_from(["--jobs=2", "--frobnicate", "x"]))
+        argv.insert(draw(st.integers(0, len(argv))), unknown)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_any_argv())
+def test_any_argv_gets_exit_code_and_json(argv_files, argv):
+    (argv_files / "out.json").unlink(missing_ok=True)
+    argv = [a.replace("=", f"={argv_files}/", 1) if a.startswith(_PATH_FLAGS) else a for a in argv]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cmd_dispatch(argv)
+    assert code in (0, 1, 2, 3), argv
+    text = out.getvalue() or (argv_files / "out.json").read_text()
+    if "--format=csv" in argv and not text.startswith("{"):
+        assert text.startswith(("p,q,", "name,index,")), argv
+    else:
+        json.loads(text)

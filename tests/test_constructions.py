@@ -221,6 +221,15 @@ def test_sample_alphas():
         assert all(a.denominator <= 100 for a in alphas)
 
 
+def test_sample_alphas_distinct_or_rejected():
+    # denominators <= 3 give exactly 1/3, 1/2 and 2/3, and seed 2
+    # draws 1/2 three times in its first three draws
+    assert sample_alphas(random.Random(2), 3, max_den=3) == (F(1, 3), F(1, 2), F(2, 3))
+    for count, max_den in ((0, 10), (1, 1), (4, 3), (12, 6)):
+        with pytest.raises(MalformedInputError):
+            sample_alphas(random.Random(0), count, max_den)
+
+
 def test_spec_validation():
     with pytest.raises(MalformedInputError):
         CounterexampleSpec(d=0, n_max=5, n_bounded=0)

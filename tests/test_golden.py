@@ -1,4 +1,4 @@
-"""Byte-identity gate: pipeline reports, a piercing and a CLI output on
+"""Byte-identity gate: pipeline reports, a piercing and CLI outputs on
 fixed small inputs must equal the JSON stored under tests/golden/.
 
 A change that is meant to keep every answer (a refactor, a faster LP
@@ -6,8 +6,9 @@ path) must leave these files alone. To record new answers on purpose,
 run `PYTHONPATH=src python tests/test_golden.py` and commit the diff.
 """
 import json
+import os
+from contextlib import redirect_stdout
 from fractions import Fraction as F
-from contextlib import chdir, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -254,12 +255,16 @@ def cli(root):
     """[exit code, stdout] of each argv in CLI_ARGV."""
     cli_files(root)
     out = {}
-    with chdir(root):
+    cwd = os.getcwd()
+    os.chdir(root)  # file names, and so error messages, stay relative
+    try:
         for line in CLI_ARGV:
             buf = StringIO()
             with redirect_stdout(buf):
                 code = cmd_dispatch(line.split())
             out[line] = [code, buf.getvalue()]
+    finally:
+        os.chdir(cwd)
     return out
 
 
