@@ -24,6 +24,7 @@ import random
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .bounds import catalog_lookup, entry_to_json
@@ -287,6 +288,7 @@ def _leaf(sub, name, run, *flags, csv=None, **kwargs) -> None:
     parser.set_defaults(run=run, csv=csv)
 
 
+@cache  # parse_args reads the parser and leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pqpierce",

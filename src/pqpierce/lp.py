@@ -2,18 +2,16 @@
 
 Feasibility of systems of <= rows over free variables, the one LP form
 the package builds, by the first phase of a primal simplex with Bland's
-rule, so it never cycles and is fully deterministic. A row is an int
-row (terms, rhs, den), sparse from the set block that builds it to the
-tableau: terms from variable index to nonzero int, den > 0 the entry of
-its slack. The sets hand theirs in with den 1; le scales a row of
-rationals once, with the lcm of its denominators as den. Only ints
-reach the tableau, which is fraction-free (Edmonds 1967; Bareiss 1968)
-and compact: rows over the nonbasic variables only, each with its own
+rule, so it never cycles and is fully deterministic. A row is the sets'
+own int row (terms, rhs), sparse from the set block that builds it to
+the tableau: terms from variable index to nonzero int. Only ints reach
+the tableau, which is fraction-free (Edmonds 1967; Bareiss 1968) and
+compact: rows over the nonbasic variables only, each with its own
 denominator and cut by its gcd after every pivot; a free variable's two
 halves share one column, up to sign. So the simplex makes exactly the
 pivots and returns exactly the witnesses (Fractions) of a full Fraction
-tableau over the rows divided by their dens; _pivot does the same step
-for matrix inverses.
+tableau over the same rows; _pivot does the same step for matrix
+inverses.
 """
 from __future__ import annotations
 
@@ -21,24 +19,17 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
-from typing import Iterable, Optional
+from math import gcd, lcm
+from typing import Optional
 
 from .errors import BudgetExhaustedError, MalformedInputError
-from .rational import Matrix, Point, RatLike, rat
+from .rational import Matrix, Point
 
 
 _q = int  # the number type of every tableau entry
 
-# sum of a * x_j over terms {j: a} <= rhs, with den > 0 the slack's entry
-Row = tuple[dict[int, int], int, int]
-
-
-def le(coeffs: Iterable[RatLike], rhs: RatLike) -> Row:
-    """A dense row of rationals as an int row: times the lcm of its
-    denominators, which is its den (the trailing 1), zeros dropped."""
-    *y, b, den = _int_row([*map(rat, coeffs), rat(rhs), 1])
-    return {j: a for j, a in enumerate(y) if a}, b, den
+# sum of a * x_j over terms {j: a} <= rhs
+Row = tuple[dict[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -53,11 +44,9 @@ class LinearSystem:
             raise MalformedInputError("negative dimension")
         names: set[int] = set()
         total = 0  # a sum of ints is an int; a Fraction or float is not
-        for terms, rhs, den in self.constraints:
+        for terms, rhs in self.constraints:
             names.update(terms)
-            total += sum(terms.values(), rhs + den)
-            if den <= 0:
-                raise MalformedInputError("a row's den must be positive")
+            total += sum(terms.values(), rhs)
         if names and not 0 <= min(names) <= max(names) < self.dim:
             raise MalformedInputError(f"constraint names a variable outside 0..{self.dim - 1}")
         if type(total) is not int:
@@ -193,31 +182,28 @@ def _simplex(system: LinearSystem) -> Optional[Point]:
     slots = list(range(0, 2 * d, 2))
     n = d + len(art_rows)
 
-    # each row negated when its rhs is negative; den is the entry of its
-    # basic slack or artificial
+    # each row negated when its rhs is negative; its basic slack or
+    # artificial has entry 1
     T: list[list[int]] = []
     basis: list[int] = []
-    for i, (terms, rhs, den) in enumerate(cons):
+    for i, (terms, rhs) in enumerate(cons):
         sign = -1 if rhs < 0 else 1
         row = [0] * (n + 2)
         for j, a in terms.items():
             row[j] = sign * a
-        row[-2:] = sign * rhs, den
+        row[-2:] = sign * rhs, 1
         if sign < 0:
-            row[len(slots)] = -den
+            row[len(slots)] = -1
             basis.append(2 * d + m + len(slots) - d)
             slots.append(2 * d + i)
         else:
             basis.append(2 * d + i)
         T.append(row)
 
-    # reduced costs of the sum of artificials, over the product of the
-    # artificial rows' dens (a positive scale, which the gcd cut removes)
-    common = prod(T[i][-1] for i in art_rows)
+    # reduced costs of the sum of artificials
     r = [0] * (n + 2)
     for i in art_rows:
-        f = common // T[i][-1]
-        r = [a - f * c for a, c in zip(r, T[i])]
+        r = [a - c for a, c in zip(r, T[i])]
     r[-1] = 0
     T.append(_reduced(r))
 

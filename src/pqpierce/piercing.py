@@ -17,7 +17,7 @@ from .errors import EmptySetError, MalformedInputError
 from .hypergraph import Hypergraph, hypergraph
 from .lp import _int_row
 from .rational import Point, point_json
-from .sets import ConvexSet, Family, _holds, contains_point, intersect_nonempty, is_bounded, is_empty
+from .sets import ConvexSet, Family, _holds, contains_point, intersect_nonempty, is_bounded, is_empty, some_point
 
 
 class IntersectionOracle:
@@ -107,10 +107,6 @@ class IntersectionOracle:
     def witness(self, indices: Iterable[int]) -> Optional[Point]:
         return self._answer(self._key(indices))
 
-    @property
-    def lp_results(self) -> int:
-        return len(self._masks) + sum(map(len, self._false_seeds.values()))
-
 
 @dataclass(frozen=True)
 class PqReport:
@@ -158,14 +154,9 @@ def pq_property_scan(
     return True, None, checked
 
 
-def has_pq_property(
-    fam: Family, p: int, q: int, oracle: Optional[IntersectionOracle] = None
-) -> PqReport:
+def has_pq_property(fam: Family, p: int, q: int) -> PqReport:
     """Exhaustive (p,q)-property verification with a memoized oracle."""
-    oracle = oracle or IntersectionOracle(fam)
-    holds, violating, checked = pq_property_scan(
-        len(fam), p, q, oracle.intersecting
-    )
+    holds, violating, checked = pq_property_scan(len(fam), p, q, IntersectionOracle(fam).intersecting)
     return PqReport(p, q, holds, violating, checked)
 
 
@@ -250,10 +241,15 @@ def _verified_solution(
     return sol
 
 
-def _require_members_nonempty(fam: Family) -> None:
+def _require_members_nonempty(fam: Family) -> list[Point]:
+    """A point of each member, by sets.some_point."""
+    points = []
     for s in fam.sets:
-        if is_empty(s):
-            raise EmptySetError(f"cannot pierce empty set {s.label!r}")
+        try:
+            points.append(some_point(s))
+        except EmptySetError:
+            raise EmptySetError(f"cannot pierce empty set {s.label!r}") from None
+    return points
 
 
 def piercing_number(fam: Family, limit: Optional[int] = None) -> PiercingSolution:

@@ -57,7 +57,6 @@ from .sets import (
     direction_in_recession_cone,
     is_bounded,
     lifted_projection_witness,
-    some_point,
 )
 
 
@@ -203,7 +202,7 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
         raise MalformedInputError("p exceeds family size")
     if p - t < d + 1:
         raise MalformedInputError("need p - t >= dim + 1")
-    _require_members_nonempty(fam)
+    points = _require_members_nonempty(fam)
     run = _Run("s1", fam, {"t": t, "p": p, "q": p - t, "dim": d, "size": len(fam)})
 
     bounded = [i for i in range(len(fam)) if is_bounded(fam.sets[i])]
@@ -236,7 +235,7 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
             return run.stop()
         run.pierce(rest, helly_point)
     for i in cover:
-        run.pierce([i], some_point(fam.sets[i]))
+        run.pierce([i], points[i])
     return run.end((f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}")
 
 

@@ -256,12 +256,6 @@ class Family:
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.sets)
 
-    def index_of(self, label: str) -> int:
-        for i, s in enumerate(self.sets):
-            if s.label == label:
-                return i
-        raise MalformedInputError(f"no set labeled {label!r}")
-
     def select(self, indices: Iterable[int]) -> tuple[ConvexSet, ...]:
         out = []
         for i in indices:
@@ -282,7 +276,7 @@ def family(sets: Sequence[ConvexSet]) -> Family:
 #
 # Every LP is <= rows over free variables, and _solve alone poses one.
 # A set enters as its int rows over the variables of its coordinates.
-# Each row goes to lp_feasible as an int row (terms, offset, 1) over its
+# Each row goes to lp_feasible as an int row (terms, offset) over its
 # nonzero terms alone, and the simplex fills its tableau row from them:
 # no dense row and no object per row is built.
 
@@ -293,7 +287,7 @@ def _solve(n: int, blocks: Iterable[tuple[Sequence[int], Iterable]]) -> Optional
     generator resizes its tuple, so freed systems would pile up on
     CPython's tuple free lists, up to 2,000 per size, never reused."""
     return lp_feasible(LinearSystem(n, tuple([
-        ({x: a for x, a in zip(xs, normal) if a}, offset, 1)
+        ({x: a for x, a in zip(xs, normal) if a}, offset)
         for xs, rows in blocks for normal, offset in rows
     ])))[1]
 
@@ -457,23 +451,15 @@ def project_drop_last(s: ConvexSet) -> ConvexSet:
 
 def convex_hull_union(fam: Family, indices: Iterable[int]) -> ConvexSet:
     """conv of the union of the members: concatenate their generators,
-    an H-rep's from _generators. Raises EmptySetError for an empty
-    member."""
+    an H-rep's from _generators, deduplicated in first order. Raises
+    EmptySetError for an empty member."""
     members = fam.select(list(indices))
     if not members:
         raise MalformedInputError("empty index list")
-    pts: list[Point] = []
-    rays: list[Point] = []
-    for s in members:
-        points, directions = _generators(s)
-        for p in points:
-            if p not in pts:
-                pts.append(p)
-        for r in directions:
-            if r not in rays:
-                rays.append(r)
+    gens = [_generators(s) for s in members]
     label = "hull(" + ",".join(s.label for s in members) + ")"
-    return ConvexSet(label, members[0].dim, VRep(tuple(pts), tuple(rays)))
+    return ConvexSet(label, members[0].dim, VRep(tuple(dict.fromkeys(p for pts, _ in gens for p in pts)),
+                                                 tuple(dict.fromkeys(r for _, rays in gens for r in rays))))
 
 
 # ---------------------------------------------------------------------------

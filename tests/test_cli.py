@@ -613,6 +613,18 @@ class TestPlumbing:
         _, out2 = run(argv, capsys)
         assert out1 == out2
 
+    def test_one_parser_carries_nothing_between_commands(self, counterexample_path, tmp_path, capsys):
+        # the parser is built once; a command with other flags, a budget,
+        # an output file and a usage error between two runs of the first
+        # leaves the first's code and stdout as they were
+        first = ["check", "pq", "--p", "6", "--q", "6", "--input", counterexample_path]
+        code, out = run(first, capsys)
+        assert run(["check", "pq", "--p", "4", "--q", "3", "--input", counterexample_path,
+                    "--format", "csv", "--budget", "50", "-o", str(tmp_path / "pq.csv")], capsys)[0] == 0
+        assert run(["check", "pq", "--p", "6", "--input", counterexample_path], capsys)[0] == 2
+        assert run(first, capsys) == (code, out)
+        assert cli._build_parser() is cli._build_parser()
+
     def test_unwritable_output_exit_two(self, tmp_path, capsys):
         for target in (tmp_path / "missing" / "out.json", tmp_path):
             code, out = run(["bounds", "eta", "--lam", "3", "--k", "2", "-o", str(target)], capsys)

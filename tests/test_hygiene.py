@@ -5,7 +5,8 @@ by the one row cut, lp._reduced, which sets.py calls only in its one
 elimination routine, _cone, and the simplex does no denominator work:
 rationals become int rows before it.
 Pipelines make their rows and their oracle only through `_Run`, and a
-piercing solution is built and verified by one routine.
+piercing solution is built and verified by one routine. Every function
+and public method in the package is exported or used.
 
 `__init__.py` re-exports by importing, and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -78,19 +79,81 @@ def test_joint_intersection_only_through_the_oracle(path):
 
 def scoped_nodes(source: str) -> list[tuple[ast.AST, str]]:
     """(node, enclosing def or class path) for every node below a def or
-    class statement or the module; the path is "" at module level."""
+    class statement or the module; the path is "" at module level. A def
+    or class statement is in the path of the nodes below it, not in its
+    own."""
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            out.append((child, scope))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}".lstrip("."))
-                continue
-            out.append((child, scope))
-            visit(child, scope)
+            else:
+                visit(child, scope)
 
     visit(ast.parse(source), "")
     return out
+
+
+def unreferenced_functions(
+    defining: dict[str, str], referring: dict[str, str], exported: set[str]
+) -> list[str]:
+    """`module.qualname` of every function and public method of the
+    `defining` sources (module -> source) that is not `exported` and
+    that no name or attribute of any source, `referring` ones included,
+    refers to outside the function's own body."""
+    refs: dict[str, list[tuple[str, str]]] = {}  # name -> (module, scope) of each use
+    defs = []
+    for mod, source in {**defining, **referring}.items():
+        nodes = scoped_nodes(source)
+        classes = {f"{scope}.{n.name}".lstrip(".") for n, scope in nodes if isinstance(n, ast.ClassDef)}
+        for node, scope in nodes:
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                refs.setdefault(name, []).append((mod, scope))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and mod in defining:
+                if not (scope in classes and node.name.startswith("_")):
+                    defs.append((mod, f"{scope}.{node.name}".lstrip("."), node.name))
+    return [
+        f"{mod}.{qual}"
+        for mod, qual, name in defs
+        if qual not in exported
+        and all(m == mod and (s == qual or s.startswith(qual + ".")) for m, s in refs.get(name, ()))
+    ]
+
+
+def test_detector_flags_an_unreferenced_function():
+    source = (
+        "def exported(): ...\n"
+        "def unused(): ...\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def used(): ...\n"
+        "class C:\n"
+        "    def method(self): return self.method()\n"
+        "    def called(self): ...\n"
+        "    def _private(self): ...\n"
+        "    def __len__(self): ...\n"
+        "def outer():\n"
+        "    def inner(): ...\n"
+        "    return used()\n"
+    )
+    other = "C().called(); outer()\n"
+    assert unreferenced_functions({"m": source}, {"o": other}, {"exported"}) == [
+        "m.unused", "m.recursive", "m.C.method", "m.outer.inner",
+    ]
+
+
+def test_every_function_is_exported_or_referenced():
+    # perfbench calls the package by name, so its uses count; its tracer
+    # wraps bindings it finds by walking the modules, and names none
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    referring = {
+        f"perfbench.{p.stem}": p.read_text(encoding="utf-8")
+        for p in sorted((SRC.parent.parent / "perfbench").glob("*.py"))
+    }
+    exported = imported_names(defining["__init__"])
+    assert unreferenced_functions(defining, referring, exported) == []
 
 
 def construction_sites(
@@ -122,7 +185,7 @@ def test_detector_flags_a_row_construction():
 
 
 # the one path of an LP: set blocks through sets._solve, which alone
-# makes a LinearSystem (dense rows of rationals become int rows in lp.le)
+# makes a LinearSystem, from the sets' own int rows
 ROW_BUILDERS = {
     "LinearSystem": ("sets._solve",),
 }
@@ -162,7 +225,7 @@ def test_one_elimination_routine_in_sets():
 
 # the steps that turn rationals into int rows; the simplex and the sets'
 # LPs receive ints and read no denominator
-RATIONALS_TO_INTS = {"lp.le", "lp._int_row", "lp.invert_matrix"}
+RATIONALS_TO_INTS = {"lp._int_row", "lp.invert_matrix"}
 
 
 def test_denominators_only_where_rationals_become_int_rows():

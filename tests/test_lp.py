@@ -15,7 +15,6 @@ from pqpierce.lp import (
     LinearSystem,
     completed_basis_matrix,
     invert_matrix,
-    le,
     lp_budget,
     lp_feasible,
 )
@@ -23,6 +22,13 @@ from pqpierce.rational import mat_vec, rat
 
 
 F = Fraction
+
+
+def le(coeffs, rhs):
+    """The sparse int row of a dense row of rationals: times the lcm of
+    its denominators, zeros dropped."""
+    *y, b = lp._int_row([*map(rat, coeffs), rat(rhs)])
+    return {j: a for j, a in enumerate(y) if a}, b
 
 
 def test_empty_system_feasible_at_origin():
@@ -93,41 +99,18 @@ def test_nested_budget_restores_the_outer_one():
 @pytest.mark.parametrize("var", [-1, 2])
 def test_system_rejects_a_term_outside_its_variables(var):
     with pytest.raises(MalformedInputError):
-        LinearSystem(2, (({0: 1, var: 1}, 0, 1),))
+        LinearSystem(2, (({0: 1, var: 1}, 0),))
 
 
 @pytest.mark.parametrize("row", [
-    ({0: F(1, 2)}, 0, 1),  # a Fraction coefficient
-    ({0: 1}, F(1, 2), 1),  # a Fraction rhs
-    ({0: 1}, 0, F(1, 2)),  # a Fraction den
-    ({0: F(2)}, 0, 1),  # integral, still a Fraction
-    ({0: 1.0}, 0, 1),  # a float
-    ({0: 1}, 0, 0),  # den 0
-    ({0: 1}, -1, -1),  # negative den
+    ({0: F(1, 2)}, 0),  # a Fraction coefficient
+    ({0: 1}, F(1, 2)),  # a Fraction rhs
+    ({0: F(2)}, 0),  # integral, still a Fraction
+    ({0: 1.0}, 0),  # a float
 ])
 def test_system_rejects_a_non_int_entry_or_den(row):
     with pytest.raises(MalformedInputError):
-        LinearSystem(1, (({0: 1}, 1, 1), row))
-
-
-def test_dense_rows_drop_zeros_and_match_terms():
-    dense = (le([0, 2, 0, -1], F(1, 2)), le([F(1, 3), 0, 0, 1], -1), le([0, 0, -1, 0], 0))
-    # each row times the lcm of its denominators, which is its den
-    assert dense == (({1: 4, 3: -2}, 1, 2), ({0: 1, 3: 3}, -3, 3), ({2: -1}, 0, 1))
-    sparse = (  # the same inequalities as int rows with den 1
-        ({1: 4, 3: -2}, 1, 1),
-        ({0: 1, 3: 3}, -3, 1),
-        ({2: -1}, 0, 1),
-    )
-    ok, x = lp_feasible(LinearSystem(4, dense))
-    assert ok and lp_feasible(LinearSystem(4, sparse)) == (True, x)
-
-
-def test_dense_row_longer_than_dim_with_trailing_zeros_is_accepted():
-    # a dense row names only the variables of its nonzero coefficients
-    assert lp_feasible(LinearSystem(1, (le([1, 0, 0], -1),))) == (True, (F(-1),))
-    with pytest.raises(MalformedInputError):
-        LinearSystem(1, (le([1, 0, 2], -1),))
+        LinearSystem(1, (({0: 1}, 1), row))
 
 
 def test_invert_matrix_roundtrip():
@@ -157,7 +140,7 @@ def _random_system(rng: random.Random) -> LinearSystem:
 
 
 def _satisfies(sys: LinearSystem, x) -> bool:
-    return all(sum((a * x[j] for j, a in terms.items()), F(0)) <= rhs for terms, rhs, _ in sys.constraints)
+    return all(sum((a * x[j] for j, a in terms.items()), F(0)) <= rhs for terms, rhs in sys.constraints)
 
 
 def test_random_witnesses_satisfy_every_constraint_exactly():
@@ -208,8 +191,8 @@ def test_single_halfspace_witness_property(coeffs, rhs):
 
 def _fraction_simplex(system: LinearSystem):
     """Reference: the phase-1 simplex with Bland's rule on a full
-    Fraction tableau, one column per variable, each int row divided by
-    its den. Returns the witness (or None) and the (entering, leaving)
+    Fraction tableau, one column per variable, over the int rows as
+    they are. Returns the witness (or None) and the (entering, leaving)
     variables of every pivot, which the engine must match."""
     d = system.dim
     col_pos = [2 * j for j in range(d)]
@@ -219,15 +202,15 @@ def _fraction_simplex(system: LinearSystem):
     base_cols = 2 * d + m
 
     T, b = [], []
-    for i, (terms, rhs, den) in enumerate(system.constraints):
+    for i, (terms, rhs) in enumerate(system.constraints):
         row = [F(0)] * base_cols
         for j, a in terms.items():
             if a:
-                row[col_pos[j]] = F(a, den)
-                row[col_neg[j]] = -F(a, den)
+                row[col_pos[j]] = F(a)
+                row[col_neg[j]] = -F(a)
         row[slack_col[i]] = F(1)
         T.append(row)
-        b.append(F(rhs, den))
+        b.append(F(rhs))
     for i in range(m):
         if b[i] < 0:
             T[i] = [-a for a in T[i]]

@@ -79,25 +79,38 @@ def random_family(rng, n):
     return family(sets)
 
 
-def test_oracle_memoizes_and_propagates():
+def joint_lps(monkeypatch) -> list[list[int]]:
+    """The index lists of the joint LPs the oracle asks from now on."""
+    asked = []
+    joint = pqpierce.piercing.intersect_nonempty
+
+    def recording(fam, indices):
+        asked.append(indices)
+        return joint(fam, indices)
+
+    monkeypatch.setattr("pqpierce.piercing.intersect_nonempty", recording)
+    return asked
+
+
+def test_oracle_memoizes_and_propagates(monkeypatch):
     fam = family([box2("A", 0, 2, 0, 2), box2("B", 1, 3, 0, 2), box2("C", 0, 2, 1, 3)])
     oracle = IntersectionOracle(fam)
+    asked = joint_lps(monkeypatch)
     assert oracle.intersecting([0, 1, 2])
-    lp_after_triple = oracle.lp_results
     # subsets certified by the triple: no further LP calls
     assert oracle.intersecting([0, 1]) and oracle.intersecting([2])
-    assert oracle.lp_results == lp_after_triple
     assert oracle.witness([0, 1, 2]) is not None
+    assert asked == [[0, 1, 2]]
 
 
-def test_oracle_condemns_supersets():
+def test_oracle_condemns_supersets(monkeypatch):
     fam = family([box2("A", 0, 1, 0, 1), box2("B", 2, 3, 0, 1), box2("C", 0, 3, 0, 1)])
     oracle = IntersectionOracle(fam)
+    asked = joint_lps(monkeypatch)
     assert not oracle.intersecting([0, 1])
-    before = oracle.lp_results
     assert not oracle.intersecting([0, 1, 2])
-    assert oracle.lp_results == before
     assert oracle.witness([0, 1]) is None
+    assert asked == [[0, 1]]
     with pytest.raises(MalformedInputError):
         oracle.intersecting([])
 
@@ -108,16 +121,11 @@ def test_false_seed_answers_a_key_past_its_lowest_member(monkeypatch):
     fam = family([hrep_set(f"I{i}", [((1,), hi), ((-1,), -lo)])
                   for i, (lo, hi) in enumerate([(0, 9), (0, 9), (0, 1), (0, 9), (0, 9), (2, 3)])])
     oracle = IntersectionOracle(fam)
+    asked = joint_lps(monkeypatch)
     assert not oracle.intersecting([2, 5])
-    assert oracle.lp_results == 1
-
-    def no_lp(fam, indices):
-        raise AssertionError(f"LP asked for {indices}")
-
-    monkeypatch.setattr("pqpierce.piercing.intersect_nonempty", no_lp)
     assert oracle.witness([0, 2, 5]) is None
     assert not oracle.intersecting([2, 3, 4, 5])
-    assert oracle.lp_results == 1
+    assert asked == [[2, 5]]
 
 
 def test_pq_property_identical_squares():
@@ -391,12 +399,12 @@ def test_oracle_matches_coordinate_comparison(case):
             oracle.witness(bad)
 
 
-def test_oracle_mask_takes_a_rowless_member_through_its_key():
+def test_oracle_mask_takes_a_rowless_member_through_its_key(monkeypatch):
     # the point {1} is a V-rep without rows: no witness is substituted
     # into it, but an LP key that holds it puts it in that witness's mask
     fam = family([hrep_set("I", [((1,), 2), ((-1,), 0)]), vrep_set("P", [(1,)])])
     oracle = IntersectionOracle(fam)
+    asked = joint_lps(monkeypatch)
     assert oracle.witness([0, 1]) == (Fraction(1),)
-    assert oracle.lp_results == 1
     assert oracle.intersecting([1]) and oracle.intersecting([0])
-    assert oracle.lp_results == 1
+    assert asked == [[0, 1]]
