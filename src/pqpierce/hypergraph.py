@@ -51,15 +51,27 @@ def hypergraph(
     return Hypergraph(n, tuple(canon), arity)
 
 
-def _cover_dfs(edges, budget: int, chosen: set) -> Optional[set]:
-    uncovered = next((e for e in edges if not chosen.intersection(e)), None)
-    if uncovered is None:
+# The most edges one cover search may scan over all its nodes: like
+# piercing.TUPLE_CAP, it ends a search that would run on, here with
+# exit 3. A node at depth j scans at least j + 1 edges, so it bounds depth.
+EDGE_SCAN_CAP = 5_000_000
+
+
+def _cover_dfs(edges, budget: int, chosen: set, scans: list[int]) -> Optional[set]:
+    """`chosen` plus at most `budget` vertices covering the edges, or None."""
+    for at, uncovered in enumerate(edges):
+        if chosen.isdisjoint(uncovered):
+            break
+    else:
         return set(chosen)
+    scans[0] += at + 1
+    if scans[0] > EDGE_SCAN_CAP:
+        raise SearchLimitError(f"the cover search passes the edge scan cap {EDGE_SCAN_CAP}")
     if budget == 0:
         return None
     for v in uncovered:
         chosen.add(v)
-        found = _cover_dfs(edges, budget - 1, chosen)
+        found = _cover_dfs(edges, budget - 1, chosen, scans)
         chosen.discard(v)
         if found is not None:
             return found
@@ -76,11 +88,10 @@ def transversal_number(
     """
     if limit is not None and limit < 0:
         raise MalformedInputError("need limit >= 0")
-    if not h.edges:
-        return 0, ()
     cap = h.n if limit is None else min(limit, h.n)
-    for k in range(1, cap + 1):
-        cover = _cover_dfs(h.edges, k, set())
+    scans = [0]  # edges scanned, over every depth
+    for k in range(cap + 1):
+        cover = _cover_dfs(h.edges, k, set(), scans)
         if cover is not None:
             return k, tuple(sorted(cover))
     if limit is not None and limit < h.n:
@@ -132,9 +143,7 @@ def verify_eg_equivalence(
 
 
 def _beta_at_most(edges, k: int) -> bool:
-    if not edges:
-        return True
-    return _cover_dfs(edges, k, set()) is not None
+    return _cover_dfs(edges, k, set(), [0]) is not None
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:

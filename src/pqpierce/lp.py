@@ -10,8 +10,8 @@ compact: rows over the nonbasic variables only, each with its own
 denominator and cut by its gcd after every pivot; a free variable's two
 halves share one column, up to sign. So the simplex makes exactly the
 pivots and returns exactly the witnesses (Fractions) of a full Fraction
-tableau over the same rows; _pivot does the same step for matrix
-inverses.
+tableau over the same rows. Matrix inverses take the same exchange
+step.
 """
 from __future__ import annotations
 
@@ -89,9 +89,9 @@ def _charge_budget() -> None:
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 #
-# _pivot clears a column for invert_matrix; the simplex's _exchange does
-# the same on its compact rows, and sets._cone combines rays the same
-# way. A row of ints stands for itself over a nonzero scale; _reduced,
+# The simplex and invert_matrix clear a column with _exchange, and
+# sets._cone combines rays the same way. A row of ints stands for
+# itself over a nonzero scale; _reduced,
 # the one gcd cut, divides by a positive one, so it moves no ratio or
 # sign. Rows are reduced in loops, not by gcd(*row): a starred call
 # leaves its argument tuple on CPython's free list.
@@ -105,18 +105,6 @@ def _reduced(row: list[int]) -> list[int]:
             if g == 1:
                 return row
     return [a // g for a in row] if g > 1 else row
-
-
-def _pivot(rows: list[list[int]], r: int, c: int) -> None:
-    """Clear column c outside row r, in place: every other row becomes
-    row * p - f * rows[r], cut by its gcd, where p = rows[r][c] and f is
-    the row's own entry in column c. Row r is left as it is."""
-    rowp = rows[r]
-    p = rowp[c]
-    for k, row in enumerate(rows):
-        f = row[c]
-        if f and k != r:
-            rows[k] = _reduced([a * p - f * b for a, b in zip(row, rowp)])
 
 
 def _int_row(values) -> list[int]:
@@ -252,20 +240,23 @@ def lp_feasible(system: LinearSystem) -> tuple[bool, Optional[Point]]:
 # exact dense linear algebra
 
 def invert_matrix(mat: Matrix) -> Matrix:
-    """Exact inverse of a square rational matrix: fraction-free
-    Gauss-Jordan on [mat | I], each row scaled to ints."""
+    """Exact inverse of a square rational matrix by the simplex's
+    exchange step on mat x + s = 0, each row scaled to ints: each x_j
+    enters the basis in place of the slack of the first row with a
+    nonzero entry in slot j. A negative pivot leaves a negative den."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         raise MalformedInputError("matrix not square")
-    aug = [_int_row([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(mat)]
-    for col in range(n):
-        sel = next((i for i in range(col, n) if aug[i][col]), -1)
-        if sel < 0:
+    T = [_int_row([*row, 1]) for row in mat]  # [*slots, den], no rhs
+    basis, slots = list(range(n, 2 * n)), list(range(n))  # x_j is j, slack i is n + i
+    for j in range(n):
+        r = next((i for i in range(n) if basis[i] >= n and T[i][j]), -1)
+        if r < 0:
             raise MalformedInputError("singular matrix")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        _pivot(aug, col, col)
-    # row i reads diag_i * (row i of the inverse)
-    return tuple(tuple(Fraction(a, row[i]) for a in row[n:]) for i, row in enumerate(aug))
+        _exchange(T, basis, slots, r, j)
+    # x_k's row reads den * x_k + sum over i of den * inverse[k][i] * s_i
+    row_of, slot_of = sorted(range(n), key=basis.__getitem__), sorted(range(n), key=slots.__getitem__)
+    return tuple(tuple(Fraction(T[r][c], T[r][-1]) for c in slot_of) for r in row_of)
 
 
 def completed_basis_matrix(v: Point) -> Matrix:

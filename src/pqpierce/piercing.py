@@ -173,26 +173,31 @@ def pq_report_to_json(r: PqReport) -> dict:
 # ---------------------------------------------------------------------------
 # partitions into intersecting parts
 
-def _assign(
-    oracle: IntersectionOracle, idx: Sequence[int], at: int, parts: int, classes: list[list[int]]
-) -> bool:
-    """Extend `classes` by idx[at:], each class staying intersecting,
-    with at most `parts` classes: classes are tried in creation order,
-    a new class last."""
-    if at == len(idx):
-        return True
-    i = idx[at]
-    for members in classes:
-        members.append(i)
-        if oracle.intersecting(members) and _assign(oracle, idx, at + 1, parts, classes):
-            return True
-        members.pop()
-    if len(classes) < parts and oracle.intersecting([i]):
-        classes.append([i])
-        if _assign(oracle, idx, at + 1, parts, classes):
-            return True
-        classes.pop()
-    return False
+def _assign(oracle: IntersectionOracle, idx: Sequence[int], parts: int) -> Optional[list[list[int]]]:
+    """A partition of idx into at most `parts` intersecting classes, or
+    None, by depth-first search: each member tries the classes in
+    creation order, a new class last."""
+    classes: list[list[int]] = []
+    joined: list[int] = []  # the class each placed member joined
+    c = 0  # the next class to try for idx[len(joined)]
+    while len(joined) < len(idx):
+        if c == len(classes) < parts:
+            classes.append([])  # a new class, tried last
+        if c < len(classes):
+            classes[c].append(idx[len(joined)])
+            if oracle.intersecting(classes[c]):
+                joined.append(c)
+                c = 0
+                continue
+        elif joined:  # no class takes the member: move the one before on
+            c = joined.pop()
+        else:
+            return None
+        classes[c].pop()
+        if not classes[c]:
+            classes.pop()
+        c += 1
+    return classes
 
 
 def min_partition(
@@ -200,24 +205,18 @@ def min_partition(
 ) -> tuple[list[list[int]], bool]:
     """Minimum partition of the indexed members into intersecting parts,
     by iterative deepening: (parts, optimal), each part a list of family
-    indices. With `limit` set and the minimum above it, a greedy
-    first-fit partition is returned instead, marked non-optimal."""
+    indices. With `limit` set and the minimum above it, the search's
+    first descent with no cap on parts, a first-fit partition, is
+    returned instead, marked non-optimal."""
     idx = list(indices)
     cap = len(idx) if limit is None else min(limit, len(idx))
     for parts in range(cap + 1):
-        classes: list[list[int]] = []
-        if _assign(oracle, idx, 0, parts, classes):
+        classes = _assign(oracle, idx, parts)
+        if classes is not None:
             return classes, True
-    if limit is None:
+    classes = None if limit is None else _assign(oracle, idx, len(idx))
+    if classes is None:
         raise MalformedInputError("a member is empty")
-    classes = []
-    for i in idx:
-        for members in classes:
-            if oracle.intersecting(members + [i]):
-                members.append(i)
-                break
-        else:
-            classes.append([i])
     return classes, False
 
 
@@ -256,7 +255,7 @@ def piercing_number(fam: Family, limit: Optional[int] = None) -> PiercingSolutio
     """Exact piercing number as a minimum intersecting partition.
 
     With `limit` set and the true number above it, falls back to a
-    greedy first-fit partition and marks the result non-optimal.
+    first-fit partition and marks the result non-optimal.
     """
     if limit is not None and limit < 1:
         raise MalformedInputError("need limit >= 1")

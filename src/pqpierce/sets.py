@@ -115,7 +115,7 @@ def _cone(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[tuple[in
     on it; otherwise two rays on opposite sides are combined when they
     are adjacent: no third ray is tight on every row both are. Vectors
     are ints, each a positive combination cut by its gcd, as in
-    lp._pivot. Raises MalformedInputError past DD_WORK_CAP."""
+    lp._exchange. Raises MalformedInputError past DD_WORK_CAP."""
     lin = [[int(i == j) for j in range(n)] for i in range(n)]
     rays: list[list[int]] = []
     tight: list[int] = []  # bitmask of the rows each ray is tight on

@@ -30,6 +30,10 @@ def validate(payload, schema_name):
     jsonschema.validate(payload, load_schema(schema_name))
 
 
+# 22 disjoint edges: the cover search deepens to 22 vertices, 2^22 leaves
+DISJOINT_PAIRS = {"n": 44, "edges": [[2 * i, 2 * i + 1] for i in range(22)]}
+
+
 @pytest.fixture()
 def counterexample_path(tmp_path, capsys):
     path = tmp_path / "fam.json"
@@ -582,6 +586,35 @@ class TestPlumbing:
         code, out = run([*corollary52, "--max-subset", "3"], capsys)
         assert (code, json.loads(out)["extras"]) == (0, {"subsets_checked": 4525})
 
+    def test_cover_searches_over_the_edge_scan_cap_exit_three(self, tmp_path, capsys):
+        # 22 disjoint pairs have a least cover of 22 vertices; 40 points of
+        # R^1 make all 780 pairs edges of the empty-pair hypergraph, whose
+        # least cover has 39, though the (2,2) row fails at its first tuple
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps(DISJOINT_PAIRS))
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"dimension": 1, "sets": [
+            {"label": f"x{i}", "dim": 1, "vrep": {"points": [[i]]}} for i in range(40)
+        ]}))
+        for command in (["solve", "transversal", "--input", str(pairs)],
+                        ["pipeline", "s1", "--t", "0", "--p", "2", "--input", str(points)]):
+            start = time.perf_counter()
+            code, out = run(command, capsys)
+            assert (code, set(json.loads(out))) == (3, {"error"}), command
+            assert "edge scan cap" in json.loads(out)["error"]
+            assert time.perf_counter() - start < 10
+
+    def test_pierce_of_many_members_exit_zero(self, tmp_path, capsys):
+        # the partition search places 1,200 members on its own stack, not
+        # one interpreter frame each
+        path = tmp_path / "segments.json"
+        path.write_text(json.dumps({"dimension": 1, "sets": [
+            {"label": f"s{i}", "dim": 1, "vrep": {"points": [[0], [1]]}} for i in range(1200)
+        ]}))
+        code, out = run(["solve", "pierce", "--input", str(path)], capsys)
+        data = json.loads(out)
+        assert (code, len(data["points"]), data["optimal"]) == (0, 1, True)
+
     def test_overlong_margin_exit_two(self, capsys):
         code, out = run(["construct", "counterexample", "--d", "1", "--n-max", "4",
                          "--n-bounded", "1", "--margin", "9" * 5000], capsys)
@@ -861,6 +894,7 @@ def argv_files(tmp_path_factory):
             {"label": "c", "dim": 2, "vrep": {"points": [[1, 1]], "rays": [[0, 1]]}},
         ]},
         "tri.json": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]},
+        "pairs.json": DISJOINT_PAIRS,
         "points.json": {"points": [[3, 0], ["1/2", "1/3"]]},
         "points3.json": {"points": [[3, 0, 0]]},
         "box.json": {"label": "w", "dim": 2, "vrep": {"points": [[-3, -3], [3, -3], [-3, 3], [3, 3]]}},
@@ -874,8 +908,8 @@ def argv_files(tmp_path_factory):
 # valid values of the flags that take neither an int nor a file
 _STRINGS = {"--alphas": ["1/2", "2/3,1/3"], "--margin": ["0", "1/2"], "--radius": ["10", "1/2"],
             "--b-indices": ["0", "0,1"], "--compact-indices": ["0", "0,1"]}
-_FILES = {"--input": ["line.json", "plane.json", "tri.json"], "--points": ["points.json", "points3.json"],
-          "--box": ["box.json"]}
+_FILES = {"--input": ["line.json", "plane.json", "tri.json", "pairs.json"],
+          "--points": ["points.json", "points3.json"], "--box": ["box.json"]}
 _BAD_FILES = ["bad.json", "missing.json", "."]
 _PATH_FLAGS = ("--input=", "--points=", "--box=", "--output=")
 
@@ -921,9 +955,11 @@ def test_any_argv_gets_exit_code_and_json(argv_files, argv):
     (argv_files / "out.json").unlink(missing_ok=True)
     argv = [a.replace("=", f"={argv_files}/", 1) if a.startswith(_PATH_FLAGS) else a for a in argv]
     out = io.StringIO()
+    start = time.perf_counter()
     with redirect_stdout(out):
         code = cmd_dispatch(argv)
     assert code in (0, 1, 2, 3), argv
+    assert time.perf_counter() - start < 10, argv  # every search ends, under a cap if need be
     text = out.getvalue() or (argv_files / "out.json").read_text()
     if "--format=csv" in argv and not text.startswith("{"):
         assert text.startswith(("p,q,", "name,index,")), argv

@@ -358,8 +358,29 @@ def _square_matrices(draw):
     return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_square_matrices())
+@st.composite
+def _invertible_or_singular(draw):
+    """L U with its rows permuted, L unit lower and U upper triangular
+    with a nonzero diagonal; or, half the time, such rows with one replaced
+    by a rational combination of the others."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from(_ENTRIES)
+    low = [[F(int(i == j)) if j >= i else draw(entry) for j in range(n)] for i in range(n)]
+    up = [[draw(entry.filter(bool)) if j == i else draw(entry) if j > i else F(0) for j in range(n)]
+          for i in range(n)]
+    rows = [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        coeffs = [draw(entry) for _ in range(n - 1)]
+        rows[-1] = [sum((c * row[j] for c, row in zip(coeffs, rows)), F(0)) for j in range(n)]
+    return tuple(map(tuple, draw(st.permutations(rows))))
+
+
+def _product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_square_matrices() | _invertible_or_singular())
 @example(((F(0), F(1), F(-2, 3)), (F(1, 2), F(-1, 3), F(2)), (F(-1), F(0), F(1, 2))))
 @example(((F(0), F(0), F(-3)), (F(0), F(-1, 2), F(1)), (F(-2, 5), F(1), F(0))))
 @example(((F(1), F(2)), (F(1, 2), F(1))))  # singular
@@ -372,3 +393,5 @@ def test_invert_matrix_equals_fraction_gauss_jordan(mat):
     got = invert_matrix(mat)
     assert got == expected
     assert all(type(a) is F for row in got for a in row)
+    identity = tuple(tuple(F(int(i == j)) for j in range(len(mat))) for i in range(len(mat)))
+    assert _product(got, mat) == identity == _product(mat, got)

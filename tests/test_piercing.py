@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -246,7 +247,7 @@ def test_piercing_leaves_no_reference_cycle():
 def test_piercing_limit_falls_back_to_greedy():
     sol = piercing_number(triangle_sides(), limit=1)
     assert not sol.optimal
-    assert len(sol.points) == 2  # greedy still finds a valid cover
+    assert len(sol.points) == 2  # first fit still finds a valid cover
 
 
 def test_piercing_vs_brute_force_random():
@@ -280,6 +281,80 @@ def test_min_partition_parts_are_family_indices():
     oracle = IntersectionOracle(fam)
     assert min_partition(oracle, [1, 3, 0, 2]) == ([[1], [3, 0], [2]], True)
     assert min_partition(oracle, []) == ([], True)
+
+
+def reference_partition(oracle, indices, limit=None):
+    """The recursive search with a greedy first-fit fallback that
+    min_partition replaced: (parts, optimal)."""
+    def assign(idx, at, parts, classes):
+        if at == len(idx):
+            return True
+        i = idx[at]
+        for members in classes:
+            members.append(i)
+            if oracle.intersecting(members) and assign(idx, at + 1, parts, classes):
+                return True
+            members.pop()
+        if len(classes) < parts and oracle.intersecting([i]):
+            classes.append([i])
+            if assign(idx, at + 1, parts, classes):
+                return True
+            classes.pop()
+        return False
+
+    idx = list(indices)
+    cap = len(idx) if limit is None else min(limit, len(idx))
+    for parts in range(cap + 1):
+        classes = []
+        if assign(idx, 0, parts, classes):
+            return classes, True
+    classes = []
+    for i in idx:
+        for members in classes:
+            if oracle.intersecting(members + [i]):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes, False
+
+
+@st.composite
+def vrep_families(draw):
+    """Up to 8 V-reps in R^1 or R^2, each of 1 to 3 small int points."""
+    d = draw(st.integers(1, 2))
+    point = st.tuples(*[st.integers(-4, 4)] * d)
+    members = draw(st.lists(st.lists(point, min_size=1, max_size=3, unique=True), min_size=1, max_size=8))
+    return family([vrep_set(f"V{i}", pts) for i, pts in enumerate(members)])
+
+
+def _partition_and_keys(search, fam, limit):
+    """search's (parts, optimal) on a fresh oracle, and the joint LPs it asked."""
+    asked = []
+    joint = pqpierce.piercing.intersect_nonempty
+    with mock.patch("pqpierce.piercing.intersect_nonempty",
+                    lambda f, indices: asked.append(indices) or joint(f, indices)):
+        return search(IntersectionOracle(fam), range(len(fam)), limit), asked
+
+
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(key in rest for key in short)
+
+
+@settings(max_examples=120, deadline=None)
+@given(vrep_families(), st.sampled_from([None, 1, 2]))
+def test_min_partition_matches_the_recursive_search_and_greedy_fallback(fam, limit):
+    got, asked = _partition_and_keys(min_partition, fam, limit)
+    expected, ref_asked = _partition_and_keys(reference_partition, fam, limit)
+    assert got == expected
+    if got[1]:
+        assert asked == ref_asked
+    else:
+        # the first descent asks a singleton where it opens a class, which
+        # first fit never asks; its witness's mask may answer a later key
+        assert all(len(key) == 1 for key in asked if key not in ref_asked)
+        assert _is_subsequence([key for key in asked if key in ref_asked], ref_asked)
 
 
 def test_oracle_join_renames_and_stays_sound():
