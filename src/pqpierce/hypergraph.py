@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from .bounds import catalog_lookup
@@ -51,9 +52,16 @@ def hypergraph(
     return Hypergraph(n, tuple(canon), arity)
 
 
+# The most tuples one scan may visit: each q-subset of each p-tuple of a
+# (p,q) scan, each p-tuple of the counterexample's case sweep, each
+# vertex subset of verify_eg_equivalence. Like sets.DD_WORK_CAP, it ends
+# a command that would run on with exit 2. It lives here because
+# piercing imports hypergraph, so hypergraph cannot import piercing.
+TUPLE_CAP = 1_000_000
+
 # The most edges one cover search may scan over all its nodes: like
-# piercing.TUPLE_CAP, it ends a search that would run on, here with
-# exit 3. A node at depth j scans at least j + 1 edges, so it bounds depth.
+# TUPLE_CAP, it ends a search that would run on, here with exit 3. A
+# node at depth j scans at least j + 1 edges, so it bounds depth.
 EDGE_SCAN_CAP = 5_000_000
 
 
@@ -113,7 +121,8 @@ def verify_eg_equivalence(
     min(eta_value, n) vertices has beta <= k" (induced transversal
     numbers are monotone in the vertex set, so the largest size
     suffices). eta_value must match the exact catalog entry for
-    (arity, k+1). Returns (consistent, counterwitness).
+    (arity, k+1). Returns (consistent, counterwitness). More than
+    TUPLE_CAP vertex subsets raise MalformedInputError before the walk.
     """
     if h.arity is None:
         raise MalformedInputError("uniform hypergraph required")
@@ -126,9 +135,11 @@ def verify_eg_equivalence(
         raise CatalogError(
             f"eta({h.arity},{k + 1}) = {entry.value} in catalog, got {eta_value}"
         )
+    size = min(eta_value, h.n)
+    if comb(h.n, size) > TUPLE_CAP:
+        raise MalformedInputError(f"C({h.n}, {size}) vertex subsets pass the tuple cap {TUPLE_CAP}")
 
     global_ok = _beta_at_most(h.edges, k)
-    size = min(eta_value, h.n)
     local_witness = None
     for vs in combinations(range(h.n), size):
         if not _beta_at_most(induced_edges(h, vs), k):

@@ -14,10 +14,12 @@ from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
-from .hypergraph import Hypergraph, hypergraph
+from .hypergraph import TUPLE_CAP, Hypergraph, hypergraph
 from .lp import _int_row
 from .rational import Point, point_json
-from .sets import ConvexSet, Family, _holds, contains_point, intersect_nonempty, is_bounded, is_empty, some_point
+from .sets import (
+    ConvexSet, Family, _holds, _separating_row, contains_point, intersect_nonempty, is_bounded, is_empty, some_point,
+)
 
 
 class IntersectionOracle:
@@ -25,19 +27,24 @@ class IntersectionOracle:
 
     A key is an int bitmask over member indices. One map holds every
     known answer: a key maps to its witness point when the members
-    intersect and to None when they do not. Two closures answer keys
-    that no LP asked:
+    intersect and to None when they do not. Three ways answer keys
+    without an LP:
 
     - after each feasible LP, its witness w is substituted into every
       member's int rows (sets._holds), w as numerators over one
       denominator and each member's rows scaled once per set. The mask
       of the members holding w certifies every key inside it, with w
       as the witness;
-    - an LP-infeasible key condemns all its supersets. False seeds are
-      kept in buckets by their lowest member, and a key looks only in
-      the buckets of its own members.
+    - an infeasible key condemns all its supersets as a false seed.
+      False seeds are kept in buckets by their lowest member, and a key
+      looks only in the buckets of its own members;
+    - a two-member key that no mask or seed answers is tried both ways by
+      sets._separating_row: a row of one member that the other, a V-rep,
+      lies strictly beyond shows the pair disjoint, and the pair is
+      stored as a false seed, as an LP-infeasible key is. The LP would
+      have found the pair infeasible, so no mask or witness moves.
 
-    Helly's theorem is not used: a key outside every mask is asked by LP.
+    Helly's theorem is not used: any other key is asked by LP.
 
     A fixed set that queries join to members (a truncating box, the
     hull of a selection) enters through `join`, which appends it to the
@@ -87,13 +94,22 @@ class IntersectionOracle:
                     self._answers[key] = None
                     return None
             rest ^= low
-        ok, w = intersect_nonempty(self.fam, [i for i in range(key.bit_length()) if key >> i & 1])
+        idx = [i for i in range(key.bit_length()) if key >> i & 1]
+        ok, w = (False, None) if self._separated(idx) else intersect_nonempty(self.fam, idx)
         self._answers[key] = w
         if ok:
             self._masks.append((self._mask(key, w), w))
         else:
             self._false_seeds.setdefault(key & -key, []).append(key)
         return w
+
+    def _separated(self, idx: list[int]) -> bool:
+        """Is idx a pair with a row of one member that the other, a
+        V-rep, lies strictly beyond (sets._separating_row)?"""
+        if len(idx) != 2:
+            return False
+        a, b = self.fam.select(idx)
+        return _separating_row(a, b) is not None or _separating_row(b, a) is not None
 
     def _mask(self, key: int, w: Point) -> int:
         """key plus every member that holds w."""
@@ -115,12 +131,6 @@ class PqReport:
     holds: bool
     violating_tuple: Optional[tuple[int, ...]]
     checked_tuples: int
-
-
-# The most tuples one scan may visit: each q-subset of each p-tuple of a
-# (p,q) scan, each p-tuple of the counterexample's case sweep. Like
-# sets.DD_WORK_CAP, it ends a command that would run on with exit 2.
-TUPLE_CAP = 1_000_000
 
 
 def _tuples(n: int, p: int, visits: int = 1) -> Iterable[tuple[int, ...]]:

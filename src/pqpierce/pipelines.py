@@ -33,11 +33,10 @@ from .constructions import (
     simplex_common_point,
 )
 from .errors import BudgetExhaustedError, MalformedInputError
-from .hypergraph import transversal_number
+from .hypergraph import TUPLE_CAP, transversal_number
 from .piercing import (
     IntersectionOracle,
     PiercingSolution,
-    TUPLE_CAP,
     _m_free_violation,
     _require_members_nonempty,
     _tuples,
@@ -208,6 +207,8 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
     bounded = [i for i in range(len(fam)) if is_bounded(fam.sets[i])]
     run.add(f"at least {t + 1} bounded members", len(bounded) >= t + 1, {"bounded": run.labels(bounded)})
     run.scan(f"({p},{p - t})-property", range(len(fam)), p, p - t, run.oracle.intersecting, _violation)
+    if run.failed:
+        return run.stop()
     gf = build_GF(fam, run.oracle)
     beta, cover = transversal_number(gf)
     run.add(

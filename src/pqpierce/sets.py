@@ -16,7 +16,9 @@ V-rep caches its own. They are the one row form any computation reads.
 Intersections are never materialized: every member joins every LP as
 its rows over free coordinates, posed by one builder, _solve;
 membership and recession of a direction are one int substitution,
-_holds, into them. A projection drops the generators' last coordinate.
+_holds, into them, and a row of one set that every generator of a V-rep
+breaks, _separating_row, shows the two disjoint. A projection drops the
+generators' last coordinate.
 """
 from __future__ import annotations
 
@@ -89,12 +91,20 @@ class VRep:
                 raise MalformedInputError("zero ray in V-representation")
 
     @cached_property
+    def generators(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        """(points, rays) as int rows, _int_row([*p, -1]) for a point
+        and _int_row([*r, 0]) for a ray: what _cone and _separating_row
+        read."""
+        return (tuple(_int_row([*p, -1]) for p in self.points),
+                tuple(_int_row([*r, 0]) for r in self.rays))
+
+    @cached_property
     def rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """The set as primitive int <= rows: its facets, and each
         equation of its affine hull as a row and its negation, sorted by
         the ascending tuple of the generators each row is tight on; ()
         for the whole space."""
-        gens = [_int_row([*p, -1]) for p in self.points] + [_int_row([*r, 0]) for r in self.rays]
+        gens = [*self.generators[0], *self.generators[1]]
         lin, ext = _cone(gens, len(gens[0]))
         rows = [((1 << len(gens)) - 1, y) for e in lin for y in (e, [-c for c in e])]
         # a face holds a point: drop the face at infinity, e_n modulo lineality
@@ -301,6 +311,25 @@ def _holds(s: ConvexSet, x: list[int]) -> bool:
     as _int_row([*v, 0])."""
     t = x[-1]
     return all(sum(map(mul, normal, x)) + offset * t <= 0 for normal, offset in s.rep.rows)
+
+
+def _separating_row(a: ConvexSet, b: ConvexSet) -> Optional[tuple[tuple[int, ...], int]]:
+    """An int row (normal, offset) of a that every point of the V-rep b
+    breaks strictly (normal . p > offset) and that no ray of b turns
+    back into (normal . r >= 0), or None; always None for an H-rep b.
+    Such a row holds all of a and none of b, so it certifies by
+    substitution that a and b are disjoint. For two disjoint
+    full-dimensional polygons without rays, some edge row of one of
+    them always does (the separating axis theorem); in higher dimensions
+    the test is sufficient only."""
+    if not isinstance(b.rep, VRep):
+        return None
+    points, rays = b.rep.generators
+    for normal, offset in a.rep.rows:
+        if (all(sum(map(mul, normal, x)) + offset * x[-1] > 0 for x in points)
+                and all(sum(map(mul, normal, r)) >= 0 for r in rays)):
+            return normal, offset
+    return None
 
 
 def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:

@@ -589,20 +589,26 @@ class TestPlumbing:
     def test_cover_searches_over_the_edge_scan_cap_exit_three(self, tmp_path, capsys):
         # 22 disjoint pairs have a least cover of 22 vertices; 40 points of
         # R^1 make all 780 pairs edges of the empty-pair hypergraph, whose
-        # least cover has 39, though the (2,2) row fails at its first tuple
+        # least cover has 39, but s1 stops at its (2,2) row, which fails at
+        # its first tuple, before it builds that hypergraph
         pairs = tmp_path / "pairs.json"
         pairs.write_text(json.dumps(DISJOINT_PAIRS))
         points = tmp_path / "points.json"
         points.write_text(json.dumps({"dimension": 1, "sets": [
             {"label": f"x{i}", "dim": 1, "vrep": {"points": [[i]]}} for i in range(40)
         ]}))
-        for command in (["solve", "transversal", "--input", str(pairs)],
-                        ["pipeline", "s1", "--t", "0", "--p", "2", "--input", str(points)]):
-            start = time.perf_counter()
-            code, out = run(command, capsys)
-            assert (code, set(json.loads(out))) == (3, {"error"}), command
-            assert "edge scan cap" in json.loads(out)["error"]
-            assert time.perf_counter() - start < 10
+        start = time.perf_counter()
+        code, out = run(["solve", "transversal", "--input", str(pairs)], capsys)
+        assert (code, set(json.loads(out))) == (3, {"error"})
+        assert "edge scan cap" in json.loads(out)["error"]
+        assert time.perf_counter() - start < 10
+        start = time.perf_counter()
+        code, out = run(["pipeline", "s1", "--t", "0", "--p", "2", "--input", str(points)], capsys)
+        data = json.loads(out)
+        assert code == 1
+        assert [c["description"] for c in data["hypothesis_checks"]] == ["at least 1 bounded members", "(2,2)-property"]
+        assert data["hypothesis_checks"][-1]["witness"] == {"violating": ["x0", "x1"]}
+        assert time.perf_counter() - start < 10
 
     def test_pierce_of_many_members_exit_zero(self, tmp_path, capsys):
         # the partition search places 1,200 members on its own stack, not

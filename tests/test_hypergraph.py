@@ -1,6 +1,7 @@
 """Transversal numbers against brute force, plus the local-to-global
 equivalence checker."""
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -123,6 +124,16 @@ def test_eg_equivalence_catalog_guard():
     mixed = hypergraph(4, [[0, 1], [1, 2, 3]])
     with pytest.raises(MalformedInputError):
         verify_eg_equivalence(mixed, 1, 6)
+
+
+def test_eg_equivalence_stops_past_the_tuple_cap():
+    # a 3-uniform star on 40 vertices: C(40, 6) = 3,838,380 subsets of
+    # 6 vertices pass the cap, and the walk took 24 s before it was capped
+    h = hypergraph(40, [[0, i, i + 1] for i in range(1, 39)], arity=3)
+    start = time.perf_counter()
+    with pytest.raises(MalformedInputError, match="tuple cap"):
+        verify_eg_equivalence(h, 1, 6)
+    assert time.perf_counter() - start < 1
 
 
 def test_json_roundtrip_and_validation():

@@ -24,13 +24,17 @@ from pqpierce.piercing import (
     pq_property_scan,
 )
 from pqpierce.hypergraph import transversal_number
-from pqpierce.sets import contains_point, family, hrep_set, vrep_set
+from pqpierce.sets import contains_point, family, hrep_set, intersect_nonempty, vrep_set
 
 import test_golden
 
 
 def box2(label, x0, x1, y0, y1):
     return vrep_set(label, [(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
+
+
+def hbox2(label, x0, x1, y0, y1):
+    return hrep_set(label, [((1, 0), x1), ((-1, 0), -x0), ((0, 1), y1), ((0, -1), -y0)])
 
 
 def triangle_sides():
@@ -105,7 +109,8 @@ def test_oracle_memoizes_and_propagates(monkeypatch):
 
 
 def test_oracle_condemns_supersets(monkeypatch):
-    fam = family([box2("A", 0, 1, 0, 1), box2("B", 2, 3, 0, 1), box2("C", 0, 3, 0, 1)])
+    # H-rep members: no row separates the pair, so it takes an LP
+    fam = family([hbox2("A", 0, 1, 0, 1), hbox2("B", 2, 3, 0, 1), hbox2("C", 0, 3, 0, 1)])
     oracle = IntersectionOracle(fam)
     asked = joint_lps(monkeypatch)
     assert not oracle.intersecting([0, 1])
@@ -114,6 +119,72 @@ def test_oracle_condemns_supersets(monkeypatch):
     assert asked == [[0, 1]]
     with pytest.raises(MalformedInputError):
         oracle.intersecting([])
+
+
+def test_oracle_condemns_supersets_of_a_separated_pair(monkeypatch):
+    # V-rep members: a row of A that every corner of B breaks answers the
+    # pair, and its superset, without an LP
+    fam = family([box2("A", 0, 1, 0, 1), box2("B", 2, 3, 0, 1), box2("C", 0, 3, 0, 1)])
+    oracle = IntersectionOracle(fam)
+    asked = joint_lps(monkeypatch)
+    assert not oracle.intersecting([0, 1])
+    assert not oracle.intersecting([0, 1, 2])
+    assert oracle.witness([0, 1]) is None
+    assert asked == []
+
+
+@pytest.mark.parametrize("first_hrep", [True, False])
+def test_oracle_separates_a_pair_either_way(monkeypatch, first_hrep):
+    # the row may be the H-rep's or the V-rep's: both orders are tried
+    h, v = hbox2("H", 0, 1, 0, 1), box2("V", 2, 3, 0, 1)
+    oracle = IntersectionOracle(family([h, v] if first_hrep else [v, h]))
+    asked = joint_lps(monkeypatch)
+    assert not oracle.intersecting([0, 1])
+    assert asked == []
+
+
+def test_oracle_asks_an_lp_for_touching_pairs(monkeypatch):
+    # boxes sharing an edge: two corners of each lie on the other's row
+    # there, so no row is broken strictly, and the LP answers
+    fam = family([box2("A", 0, 1, 0, 1), box2("B", 1, 2, 0, 1)])
+    oracle = IntersectionOracle(fam)
+    asked = joint_lps(monkeypatch)
+    assert oracle.intersecting([0, 1])
+    assert asked == [[0, 1]]
+
+
+# A planar family of triangles and one box, drawn as the pierce-2d
+# benchmark draws them, and the joint LPs of its piercing search in
+# order. Before separated pairs were answered without an LP the search
+# asked 48 keys; it asks the same keys in the same order less the 17
+# disjoint pairs.
+PLANAR_FAMILY = (
+    [(-22, 11), (-11, 2), (-8, 13)],
+    [(-14, 4), (-14, 7), (-21, 4), (-21, 7)],
+    [(-18, 10), (-23, 5), (-26, 5)],
+    [(-2, -3), (-5, 4), (-4, -5)],
+    [(-9, 15), (-9, 3), (-3, 0)],
+    [(-9, 2), (-16, 11), (-3, 18)],
+    [(-19, -10), (-16, -2), (-9, -4)],
+    [(-3, 6), (-9, 3), (-10, -4)],
+    [(-18, 10), (-27, 17), (-22, 15)],
+)
+PLANAR_LPS_BEFORE = (
+    "0 0,1 0,1,2 2 0,1,3 2,3 0,2 1,3 1,2 0,3 3 0,1,4 2,4 3,4 0,1,5 2,5 3,4,5 1,4 "
+    "1,5 0,4 0,4,5,6 1,2,6 3,6 3,5 0,5,6 0,1,6 2,6 5,6 1,6 6 0,4,5,7 1,2,7 3,7 "
+    "0,4,5,8 1,2,8 3,7,8 6,8 6,7 3,8 0,4,6 0,5,7 0,5,8 0,6 4,6 0,1,7 2,7 0,1,8 2,8"
+)
+
+
+def test_planar_family_asks_no_disjoint_pair(monkeypatch):
+    fam = family([vrep_set(f"m{i}", pts) for i, pts in enumerate(PLANAR_FAMILY)])
+    asked = joint_lps(monkeypatch)
+    sol = piercing_number(fam)
+    assert (len(sol.points), sol.optimal) == (5, True)
+    before = [tuple(map(int, k.split(","))) for k in PLANAR_LPS_BEFORE.split()]
+    disjoint = {k for k in before if len(k) == 2 and not intersect_nonempty(fam, k)[0]}
+    assert len(before) == 48 and len(disjoint) == 17
+    assert [tuple(k) for k in asked] == [k for k in before if k not in disjoint]
 
 
 def test_false_seed_answers_a_key_past_its_lowest_member(monkeypatch):

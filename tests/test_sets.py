@@ -19,6 +19,7 @@ from pqpierce.sets import (
     MAX_DIM,
     Family,
     VRep,
+    _separating_row,
     change_coordinates,
     common_recession_direction,
     contains_point,
@@ -668,3 +669,60 @@ def test_every_vrep_row_is_tight_on_a_point():
         s = vrep_set("V", pts, rays)
         for normal, offset in s.rep.rows:
             assert any(dot(normal, p) == offset for p in s.rep.points), (pts, rays, normal, offset)
+
+
+@st.composite
+def vrep_pair(draw):
+    """Two V-reps in R^1-R^3, with rays or without, the second moved by
+    up to 3 along each axis, so that they touch, cross and miss."""
+    d = draw(st.integers(1, 3))
+    vec = st.tuples(*[_COORD] * d)
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * d))
+    pairs = []
+    for move in ((0,) * d, shift):
+        pts = draw(st.lists(vec, min_size=1, max_size=d + 2))
+        rays = draw(st.lists(vec.filter(any), max_size=2))
+        pairs.append(([[a + m for a, m in zip(p, move)] for p in pts], rays))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(vrep_pair())
+@example([([(0,), (1,)], []), ([(1,), (2,)], [])])  # touching at 1
+@example([([(0,), (1,)], []), ([(2,)], [(-1,)])])  # a ray of B back into A
+@example([([(0, 0), (1, 0)], []), ([(2, 0)], [(0, 1)])])  # a ray along A's row
+def test_a_separating_row_shows_the_pair_disjoint(pair):
+    (pa, ra), (pb, rb) = pair
+    fam = family([vrep_set("A", pa, ra), vrep_set("B", pb, rb)])
+    a, b = fam.sets
+    meet = intersect_nonempty(fam, [0, 1])[0]
+    for s, t in ((a, b), (b, a)):
+        row = _separating_row(s, t)
+        if row is not None:
+            normal, offset = row
+            assert row in s.rep.rows and not meet
+            assert all(dot(normal, p) > offset for p in t.rep.points)
+            assert all(dot(normal, r) >= 0 for r in t.rep.rays)
+    assert _separating_row(a, hrep_set("H", a.rep.rows, a.dim)) is None
+
+
+@st.composite
+def polygon_pair(draw):
+    """Two full-dimensional polygons in the plane, the second moved by up
+    to 6 along each axis."""
+    coord = st.integers(-6, 6).map(lambda v: Fraction(v, 2))
+    polygon = st.lists(st.tuples(coord, coord), min_size=3, max_size=5).filter(
+        lambda pts: rank([(*p, 1) for p in pts]) == 3)
+    dx, dy = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    return draw(polygon), [(x + dx, y + dy) for x, y in draw(polygon)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_pair())
+@example(([(0, 0), (2, 0), (0, 2)], [(2, 2), (1, 2), (2, 1)]))  # apart across the hypotenuse
+def test_disjoint_polygons_have_a_separating_row(pair):
+    # the separating axis theorem: an edge row of one polygon separates
+    fam = family([vrep_set("A", pair[0]), vrep_set("B", pair[1])])
+    a, b = fam.sets
+    if not intersect_nonempty(fam, [0, 1])[0]:
+        assert _separating_row(a, b) is not None or _separating_row(b, a) is not None
