@@ -44,8 +44,6 @@ from .piercing import (
     is_m_free,
     min_partition,
     piercing_number,
-    piercing_to_json,
-    pq_report_to_json,
 )
 from .pipelines import (
     HypothesisCheck,
@@ -57,6 +55,7 @@ from .pipelines import (
     verify_counterexample,
     verify_projection_equivalence,
 )
+from .rational import to_json
 from .sets import (
     ConvexSet,
     Family,

@@ -139,13 +139,3 @@ def catalog_lookup(name: str, args: Sequence[int]) -> Optional[CatalogEntry]:
     if uppers:
         return min(uppers, key=lambda e: e.value)
     return None
-
-
-def entry_to_json(e: CatalogEntry) -> dict:
-    return {
-        "name": e.name,
-        "args": list(e.args),
-        "value": e.value,
-        "kind": e.kind,
-        "provenance": e.provenance,
-    }

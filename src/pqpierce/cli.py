@@ -2,8 +2,10 @@
 
 Each leaf command is declared once, in `_build_parser`: its flags, its
 handler and, for `check pq` and the `pipeline` commands, a CSV
-renderer. A handler returns its exit code and its data; `cmd_dispatch`
-renders the data once, as JSON or, under `--format csv`, with the
+renderer. A handler returns its exit code and the library's values (a
+report, a solution, a point); `cmd_dispatch` renders that data once with
+`rational.to_json` (a Fraction as an int or "p/q", a dataclass as its
+fields), then prints it as JSON or, under `--format csv`, with the
 leaf's renderer. Outcomes map onto five exit codes:
 
     0  success, including "the property holds"
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .bounds import catalog_lookup, entry_to_json
+from .bounds import catalog_lookup
 from .constructions import (
     CounterexampleSpec,
     check_family_size,
@@ -47,13 +49,7 @@ from .errors import (
 )
 from .hypergraph import hypergraph_from_json, hypergraph_to_json, transversal_number
 from .lp import lp_budget
-from .piercing import (
-    build_GF,
-    has_pq_property,
-    piercing_number,
-    piercing_to_json,
-    pq_report_to_json,
-)
+from .piercing import PqReport, build_GF, has_pq_property, piercing_number
 from .pipelines import (
     pierce_via_free_family,
     pierce_via_projection,
@@ -62,7 +58,7 @@ from .pipelines import (
     verify_counterexample,
     verify_projection_equivalence,
 )
-from .rational import point_json, rat
+from .rational import rat, to_json
 from .sets import (
     Family,
     _json_points,
@@ -198,19 +194,19 @@ def _simplex(args) -> tuple[int, dict]:
     return _family(Family(args.d, tuple(simplex_S(a, args.d) for a in alphas)), **extra)
 
 
-def _check_pq(args) -> tuple[int, dict]:
+def _check_pq(args) -> tuple[int, PqReport]:
     report = has_pq_property(_load_family(args.input), args.p, args.q)
-    return (0 if report.holds else 1), pq_report_to_json(report)
+    return (0 if report.holds else 1), report
 
 
 def _transversal(args) -> tuple[int, dict]:
     beta, cover = transversal_number(hypergraph_from_json(_load_json(args.input)), limit=args.limit)
-    return 0, {"beta": beta, "cover": list(cover)}
+    return 0, {"beta": beta, "cover": cover}
 
 
 def _recession(args) -> tuple[int, dict]:
     v = common_recession_direction(_load_family(args.input))
-    return (0 if v is not None else 1), {"direction": None if v is None else point_json(v)}
+    return (0 if v is not None else 1), {"direction": v}
 
 
 def _project(args) -> tuple[int, dict]:
@@ -224,7 +220,7 @@ def _escape(args) -> tuple[int, dict]:
 
 
 def _entry(entry) -> tuple[int, dict]:
-    return (0 if entry is not None else 1), {"entry": None if entry is None else entry_to_json(entry)}
+    return (0 if entry is not None else 1), {"entry": entry}
 
 
 def _eta(args) -> tuple[int, dict]:
@@ -318,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = group("solve", "exact solvers")
     _leaf(solve, "pierce",
-          lambda a: (0, piercing_to_json(piercing_number(_load_family(a.input), limit=a.limit))),
+          lambda a: (0, piercing_number(_load_family(a.input), limit=a.limit)),
           _FAMILY, _LIMIT, _BUDGET)
     _leaf(solve, "transversal", _transversal,
           _flag("--input", required=True, help="hypergraph JSON file"), _LIMIT)
@@ -369,6 +365,7 @@ def cmd_dispatch(argv) -> int:
     try:
         with _budget_context(args):  # every LP of the command, file loading included
             code, data = args.run(args)
+        data = to_json(data)
         text = args.csv(data) if args.csv and args.format == "csv" else _json_text(data)
     except (MalformedInputError, EmptySetError, CatalogError) as exc:
         code, text = 2, _json_text({"error": str(exc)})

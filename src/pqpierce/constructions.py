@@ -199,7 +199,11 @@ def free_flats_family(
 ) -> Family:
     """count parallelotope pieces of (k-1)-dimensional flats in general
     position inside the radius box; redraws until the family verifies
-    k-free (no k+1 members intersect, all compact)."""
+    k-free (no k+1 members intersect, all compact).
+
+    The LPs are bounded before the first draw: a draw's k-freeness check
+    asks at most C(count, k+1) LPs, one per (k+1)-subset, and there are
+    at most 100 draws. The size checks below bound C(count, k+1)."""
     if not 1 <= k <= d:
         raise MalformedInputError("need 1 <= k <= d")
     if count < 1:

@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from .bounds import catalog_lookup
 from .errors import CatalogError, MalformedInputError, SearchLimitError
+from .rational import to_json
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def _beta_at_most(edges, k: int) -> bool:
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
-    return {"n": h.n, "edges": [list(e) for e in h.edges]}
+    return {"n": h.n, "edges": to_json(h.edges)}
 
 
 def hypergraph_from_json(obj) -> Hypergraph:

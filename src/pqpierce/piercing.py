@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import EmptySetError, MalformedInputError
 from .hypergraph import TUPLE_CAP, Hypergraph, hypergraph
 from .lp import _int_row
-from .rational import Point, point_json
+from .rational import Point
 from .sets import (
     ConvexSet, Family, _holds, _separating_row, contains_point, intersect_nonempty, is_bounded, is_empty, some_point,
 )
@@ -170,16 +170,6 @@ def has_pq_property(fam: Family, p: int, q: int) -> PqReport:
     return PqReport(p, q, holds, violating, checked)
 
 
-def pq_report_to_json(r: PqReport) -> dict:
-    return {
-        "p": r.p,
-        "q": r.q,
-        "holds": r.holds,
-        "violating_tuple": None if r.violating_tuple is None else list(r.violating_tuple),
-        "checked_tuples": r.checked_tuples,
-    }
-
-
 # ---------------------------------------------------------------------------
 # partitions into intersecting parts
 
@@ -278,14 +268,6 @@ def piercing_number(fam: Family, limit: Optional[int] = None) -> PiercingSolutio
         {i: c for c, part in enumerate(parts) for i in part},
         optimal,
     )
-
-
-def piercing_to_json(sol: PiercingSolution) -> dict:
-    return {
-        "points": [point_json(p) for p in sol.points],
-        "assignment": {str(i): sol.assignment[i] for i in sorted(sol.assignment)},
-        "optimal": sol.optimal,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,9 @@ from .piercing import (
     _verified_solution,
     build_GF,
     min_partition,
-    piercing_to_json,
     pq_property_scan,
 )
-from .rational import Point, rat_str
+from .rational import Point, to_json
 from .sets import (
     ConvexSet,
     Family,
@@ -91,32 +90,11 @@ class PipelineReport:
         return all(c.passed for c in self.hypothesis_checks)
 
 
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return rat_str(x)
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return x
-
-
 def report_to_json(r: PipelineReport) -> dict:
-    return {
-        "name": r.name,
-        "inputs": _jsonable(r.inputs),
-        "hypothesis_checks": [
-            {"description": c.description, "passed": c.passed, "witness": _jsonable(c.witness)}
-            for c in r.hypothesis_checks
-        ],
-        "piercing": None if r.piercing is None else piercing_to_json(r.piercing),
-        "bound_claim": None
-        if r.bound_claim is None
-        else {"formula": r.bound_claim[0], "numeric": r.bound_claim[1]},
-        "conclusion": r.conclusion,
-        "exhaustive": r.exhaustive,
-        "extras": _jsonable(r.extras),
-    }
+    out = to_json(r)
+    if r.bound_claim is not None:
+        out["bound_claim"] = {"formula": r.bound_claim[0], "numeric": r.bound_claim[1]}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +370,7 @@ def verify_counterexample(
         "d": d,
         "n_max": spec.n_max,
         "n_bounded": spec.n_bounded,
-        "margin": rat_str(spec.bounded_margin),
+        "margin": spec.bounded_margin,
         "k_max": k_max,
         "n_cap": n_cap,
     })

@@ -8,6 +8,7 @@ without ceremony.
 from __future__ import annotations
 
 import re
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -55,14 +56,25 @@ def rat_str(value: Fraction) -> Union[int, str]:
     return f"{value.numerator}/{value.denominator}"
 
 
+def to_json(x):
+    """The JSON form of a value: a Fraction by rat_str, a tuple or list
+    as a list, a dict with str keys, a dataclass as its fields in field
+    order; anything else as it is."""
+    if isinstance(x, Fraction):
+        return rat_str(x)
+    if isinstance(x, (tuple, list)):
+        return [to_json(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): to_json(v) for k, v in x.items()}
+    if is_dataclass(x):
+        return {f.name: to_json(getattr(x, f.name)) for f in fields(x)}
+    return x
+
+
 def point(values: Iterable[RatLike]) -> Point:
     if isinstance(values, str):  # iterating would read "12" as (1, 2)
         raise MalformedInputError(f"not a coordinate sequence: {values!r}")
     return tuple(rat(v) for v in values)
-
-
-def point_json(p: Point) -> list:
-    return [rat_str(c) for c in p]
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

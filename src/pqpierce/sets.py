@@ -37,8 +37,8 @@ from .rational import (
     is_zero,
     mat_vec,
     point,
-    point_json,
     rat,
+    to_json,
     vec_mat,
 )
 
@@ -434,7 +434,7 @@ def common_recession_direction(fam: Family) -> Optional[Point]:
         escaped = [s.label for s in fam.sets if not direction_in_recession_cone(s, v)]
         if escaped or is_zero(v):
             raise AssertionError(
-                f"probe direction {point_json(v)} escaped {escaped}; solver invariant broken"
+                f"probe direction {to_json(v)} escaped {escaped}; solver invariant broken"
             )
     return v
 
@@ -559,11 +559,11 @@ def set_to_json(s: ConvexSet) -> dict:
     out: dict = {"label": s.label, "dim": s.dim}
     if isinstance(s.rep, VRep):
         out["vrep"] = {
-            "points": [point_json(p) for p in s.rep.points],
-            "rays": [point_json(r) for r in s.rep.rays],
+            "points": to_json(s.rep.points),
+            "rays": to_json(s.rep.rays),
         }
     else:
-        out["hrep"] = [{"normal": list(normal), "offset": offset} for normal, offset in s.rep.rows]
+        out["hrep"] = [{"normal": to_json(normal), "offset": offset} for normal, offset in s.rep.rows]
     return out
 
 

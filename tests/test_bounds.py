@@ -6,10 +6,10 @@ from pqpierce.bounds import (
     UPPER,
     catalog_entries,
     catalog_lookup,
-    entry_to_json,
     eta_tuza_bound,
 )
 from pqpierce.errors import MalformedInputError
+from pqpierce.rational import to_json
 
 
 def test_tuza_formula():
@@ -79,5 +79,5 @@ def test_args_validated():
 
 def test_entry_json():
     e = catalog_lookup("eta", (3, 2))
-    j = entry_to_json(e)
+    j = to_json(e)
     assert j["value"] == 6 and j["kind"] == EXACT and j["args"] == [3, 2]

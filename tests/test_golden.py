@@ -24,8 +24,8 @@ from pqpierce.constructions import (
     unbounded_member,
 )
 from pqpierce.lp import completed_basis_matrix, invert_matrix
-from pqpierce.piercing import piercing_number, piercing_to_json
-from pqpierce.rational import rat_str
+from pqpierce.piercing import piercing_number
+from pqpierce.rational import to_json
 from pqpierce.pipelines import (
     pierce_via_free_family,
     pierce_via_projection,
@@ -114,7 +114,7 @@ def corollary52():
 
 
 def piercing():
-    return piercing_to_json(piercing_number(plane_family()))
+    return to_json(piercing_number(plane_family()))
 
 
 def analyze_recession(tmp_path):
@@ -294,7 +294,7 @@ def facets():
         ((0, 1, F(-2, 3)), (F(1, 2), F(-1, 3), 2), (-1, 0, F(1, 2))),
         ((F(-1, 2), 0, F(2, 3)), (0, 0, F(1, 3)), (F(-2, 3), F(1, 2), 0)),
     ]
-    inverses = [[[rat_str(a) for a in row] for row in invert_matrix(m)] for m in mats]
+    inverses = [to_json(invert_matrix(m)) for m in mats]
     return {"facets": out, "inverses": inverses}
 
 

@@ -255,6 +255,44 @@ def test_no_fraction_substitution(path):
     assert "dot" not in imported_names(path.read_text(encoding="utf-8"))
 
 
+def renderer_references(source: str) -> list[int]:
+    """Lines that name `rat_str` or import `fields` or `is_dataclass`
+    from dataclasses: the pieces of a JSON renderer."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            if {a.name for a in node.names} & {"fields", "is_dataclass"}:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(a.name == "rat_str" for a in node.names):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id == "rat_str") or (
+            isinstance(node, ast.Attribute) and node.attr == "rat_str"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detector_flags_a_second_renderer():
+    source = (
+        "from dataclasses import dataclass, fields\n"
+        "from dataclasses import is_dataclass as isdc\n"
+        "from dataclasses import replace\n"
+        "from .rational import rat_str\n"
+        "def point_json(p): return [rational.rat_str(c) for c in p]\n"
+        "text = rat_str(x)\n"
+    )
+    assert renderer_references(source) == [1, 2, 4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "rational.py"], ids=lambda p: p.name
+)
+def test_one_json_renderer(path):
+    # every value reaches JSON through rational.to_json
+    assert renderer_references(path.read_text(encoding="utf-8")) == []
+
+
 def test_the_oracle_keeps_no_row_copies():
     # each set holds its own int rows (HRep.rows, VRep.rows)
     source = (SRC / "piercing.py").read_text(encoding="utf-8")

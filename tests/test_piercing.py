@@ -1,5 +1,6 @@
 """Property checks, exact piercing vs brute force, hypergraph bridge."""
 import gc
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,7 +8,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pqpierce.piercing
@@ -20,11 +21,11 @@ from pqpierce.piercing import (
     is_m_free,
     min_partition,
     piercing_number,
-    piercing_to_json,
     pq_property_scan,
 )
 from pqpierce.hypergraph import transversal_number
-from pqpierce.sets import contains_point, family, hrep_set, intersect_nonempty, vrep_set
+from pqpierce.rational import to_json
+from pqpierce.sets import HRep, contains_point, family, hrep_set, intersect_nonempty, vrep_set
 
 import test_golden
 
@@ -482,7 +483,7 @@ def test_is_m_free():
 
 def test_piercing_json():
     sol = piercing_number(triangle_sides())
-    j = piercing_to_json(sol)
+    j = to_json(sol)
     assert set(j) == {"points", "assignment", "optimal"}
     assert sorted(j["assignment"]) == ["0", "1", "2"]
     assert all(isinstance(c, (int, str)) for p in j["points"] for c in p)
@@ -543,6 +544,65 @@ def test_oracle_matches_coordinate_comparison(case):
             oracle.intersecting(bad)
         with pytest.raises(MalformedInputError):
             oracle.witness(bad)
+
+
+# --- answers do not depend on the representation or on an isometry ----------
+
+_COORD = st.integers(-2, 2)
+
+
+@st.composite
+def families_in_four_forms(draw):
+    """One random family in R^1..R^3 of 2-7 V-reps (1-5 points each, a
+    ray on about a quarter of them), as V-reps, as their H-reps, as a
+    random mix of the two, and as that mix moved by an exact signed
+    permutation plus a translation. Touching members are common, so
+    both strict and tight separations are drawn."""
+    d = draw(st.integers(1, 3))
+    vreps = []
+    for i in range(draw(st.integers(2, 7))):
+        points = draw(st.lists(st.tuples(*[_COORD] * d), min_size=1, max_size=5))
+        rays = [draw(st.tuples(*[_COORD] * d).filter(any))] if draw(st.integers(0, 3)) == 0 else []
+        vreps.append(vrep_set(f"m{i}", points, rays))
+    assume(all(s.rep.rows for s in vreps))
+    hreps = [hrep_set(s.label, s.rep.rows, d) for s in vreps]
+    mix = [draw(st.sampled_from(pair)) for pair in zip(vreps, hreps)]
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+    shift = draw(st.lists(_COORD, min_size=d, max_size=d))
+
+    def direction(v):
+        return [sg * v[j] for sg, j in zip(signs, perm)]
+
+    def move(s):
+        if isinstance(s.rep, HRep):  # n . x <= b becomes n' . x' <= b + n' . t, n' = S P n
+            return hrep_set(s.label, [
+                (direction(n), b + sum(map(operator.mul, direction(n), shift))) for n, b in s.rep.rows
+            ], d)
+        points = [[a + t for a, t in zip(direction(p), shift)] for p in s.rep.points]
+        return vrep_set(s.label, points, [direction(r) for r in s.rep.rays])
+
+    return [family(sets) for sets in (vreps, hreps, mix, [move(s) for s in mix])]
+
+
+def _path_free_answers(fam):
+    """What a family's answers are, whichever path (mask, false seed,
+    separating row, LP) gives them; the points may differ."""
+    n = len(fam)
+    oracle = IntersectionOracle(fam)
+    return (
+        len(piercing_number(fam).points),
+        [has_pq_property(fam, p, q) for p in range(1, min(4, n) + 1) for q in range(1, p + 1)],
+        build_GF(fam).edges,
+        [oracle.intersecting(pair) for pair in combinations(range(n), 2)],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(families_in_four_forms())
+def test_answers_invariant_across_representations_and_isometries(forms):
+    first, *others = map(_path_free_answers, forms)
+    assert all(answers == first for answers in others)
 
 
 def test_oracle_mask_takes_a_rowless_member_through_its_key(monkeypatch):
