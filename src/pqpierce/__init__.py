@@ -2,8 +2,10 @@
 numbers of finite families of convex polyhedral sets.
 
 All geometry is certified: every reported point is re-checked by exact
-membership, every "empty" answer comes from an infeasible exact LP, and
-no floating-point number enters any computation.
+membership, every "empty" answer comes from an infeasible exact LP or,
+for a pair with a V-rep member, from a row of the other member that
+the V-rep breaks by substitution, and no floating-point number enters
+any computation.
 """
 from .bounds import CatalogEntry, catalog_entries, catalog_lookup, eta_tuza_bound
 from .constructions import (
@@ -46,12 +48,12 @@ from .piercing import (
     piercing_number,
 )
 from .pipelines import (
+    BoundClaim,
     HypothesisCheck,
     PipelineReport,
     pierce_via_free_family,
     pierce_via_projection,
     pierce_via_transversal,
-    report_to_json,
     verify_counterexample,
     verify_projection_equivalence,
 )

@@ -51,10 +51,10 @@ from .hypergraph import hypergraph_from_json, hypergraph_to_json, transversal_nu
 from .lp import lp_budget
 from .piercing import PqReport, build_GF, has_pq_property, piercing_number
 from .pipelines import (
+    PipelineReport,
     pierce_via_free_family,
     pierce_via_projection,
     pierce_via_transversal,
-    report_to_json,
     verify_counterexample,
     verify_projection_equivalence,
 )
@@ -173,11 +173,11 @@ def _family(fam: Family, **extra) -> tuple[int, dict]:
     return 0, {**family_to_json(fam), **extra}
 
 
-def _report(report) -> tuple[int, dict]:
+def _report(report: PipelineReport) -> tuple[int, PipelineReport]:
     """A pipeline's exit code: 3 when its run was not exhaustive, else 0
     when every hypothesis row passed, else 1."""
     code = 3 if not report.exhaustive else 0 if report.all_passed else 1
-    return code, report_to_json(report)
+    return code, report
 
 
 def _simplex(args) -> tuple[int, dict]:

@@ -56,9 +56,17 @@ def hypergraph(
 # The most tuples one scan may visit: each q-subset of each p-tuple of a
 # (p,q) scan, each p-tuple of the counterexample's case sweep, each
 # vertex subset of verify_eg_equivalence. Like sets.DD_WORK_CAP, it ends
-# a command that would run on with exit 2. It lives here because
-# piercing imports hypergraph, so hypergraph cannot import piercing.
+# a command that would run on with exit 2. It and _tuples live here
+# because piercing imports hypergraph, so hypergraph cannot import piercing.
 TUPLE_CAP = 1_000_000
+
+
+def _tuples(n: int, p: int, visits: int = 1) -> Iterable[tuple[int, ...]]:
+    """The p-tuples of range(n) in lex order, once C(n, p) * visits is within TUPLE_CAP."""
+    if comb(n, p) * visits > TUPLE_CAP:
+        raise MalformedInputError(f"C({n}, {p}) tuples of {visits} visits each pass the tuple cap {TUPLE_CAP}")
+    return combinations(range(n), p)
+
 
 # The most edges one cover search may scan over all its nodes: like
 # TUPLE_CAP, it ends a search that would run on, here with exit 3. A
@@ -113,17 +121,17 @@ def induced_edges(h: Hypergraph, vertices: Iterable[int]) -> tuple[tuple[int, ..
     return tuple(e for e in h.edges if vs.issuperset(e))
 
 
-def verify_eg_equivalence(
-    h: Hypergraph, k: int, eta_value: int
-) -> tuple[bool, Optional[tuple[int, ...]]]:
+def verify_eg_equivalence(h: Hypergraph, k: int, eta_value: int) -> Optional[tuple[int, ...]]:
     """Local-to-global transversal law on one hypergraph.
 
     Compares beta(h) <= k against "every induced subgraph on
     min(eta_value, n) vertices has beta <= k" (induced transversal
     numbers are monotone in the vertex set, so the largest size
     suffices). eta_value must match the exact catalog entry for
-    (arity, k+1). Returns (consistent, counterwitness). More than
-    TUPLE_CAP vertex subsets raise MalformedInputError before the walk.
+    (arity, k+1). Returns None when the two agree, else a
+    counterwitness: the first vertex subset whose induced beta exceeds
+    k, or all vertices when only beta(h) does. More than TUPLE_CAP
+    vertex subsets raise MalformedInputError before the walk.
     """
     if h.arity is None:
         raise MalformedInputError("uniform hypergraph required")
@@ -136,22 +144,12 @@ def verify_eg_equivalence(
         raise CatalogError(
             f"eta({h.arity},{k + 1}) = {entry.value} in catalog, got {eta_value}"
         )
-    size = min(eta_value, h.n)
-    if comb(h.n, size) > TUPLE_CAP:
-        raise MalformedInputError(f"C({h.n}, {size}) vertex subsets pass the tuple cap {TUPLE_CAP}")
-
+    subsets = _tuples(h.n, min(eta_value, h.n))
     global_ok = _beta_at_most(h.edges, k)
-    local_witness = None
-    for vs in combinations(range(h.n), size):
-        if not _beta_at_most(induced_edges(h, vs), k):
-            local_witness = vs
-            break
-    local_ok = local_witness is None
-    if global_ok == local_ok:
-        return True, None
-    if local_witness is not None:
-        return False, local_witness
-    return False, tuple(range(h.n))
+    local = next((vs for vs in subsets if not _beta_at_most(induced_edges(h, vs), k)), None)
+    if global_ok == (local is None):
+        return None
+    return tuple(range(h.n)) if local is None else local
 
 
 def _beta_at_most(edges, k: int) -> bool:

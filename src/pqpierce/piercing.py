@@ -14,7 +14,7 @@ from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
-from .hypergraph import TUPLE_CAP, Hypergraph, hypergraph
+from .hypergraph import Hypergraph, _tuples, hypergraph
 from .lp import _int_row
 from .rational import Point
 from .sets import (
@@ -95,9 +95,9 @@ class IntersectionOracle:
                     return None
             rest ^= low
         idx = [i for i in range(key.bit_length()) if key >> i & 1]
-        ok, w = (False, None) if self._separated(idx) else intersect_nonempty(self.fam, idx)
+        w = None if self._separated(idx) else intersect_nonempty(self.fam, idx)
         self._answers[key] = w
-        if ok:
+        if w is not None:
             self._masks.append((self._mask(key, w), w))
         else:
             self._false_seeds.setdefault(key & -key, []).append(key)
@@ -131,13 +131,6 @@ class PqReport:
     holds: bool
     violating_tuple: Optional[tuple[int, ...]]
     checked_tuples: int
-
-
-def _tuples(n: int, p: int, visits: int = 1) -> Iterable[tuple[int, ...]]:
-    """The p-tuples of range(n) in lex order, once C(n, p) * visits is within TUPLE_CAP."""
-    if comb(n, p) * visits > TUPLE_CAP:
-        raise MalformedInputError(f"C({n}, {p}) tuples of {visits} visits each pass the tuple cap {TUPLE_CAP}")
-    return combinations(range(n), p)
 
 
 def pq_property_scan(

@@ -33,19 +33,18 @@ from .constructions import (
     simplex_common_point,
 )
 from .errors import BudgetExhaustedError, MalformedInputError
-from .hypergraph import TUPLE_CAP, transversal_number
+from .hypergraph import TUPLE_CAP, _tuples, transversal_number
 from .piercing import (
     IntersectionOracle,
     PiercingSolution,
     _m_free_violation,
     _require_members_nonempty,
-    _tuples,
     _verified_solution,
     build_GF,
     min_partition,
     pq_property_scan,
 )
-from .rational import Point, to_json
+from .rational import Point
 from .sets import (
     ConvexSet,
     Family,
@@ -70,31 +69,31 @@ class HypothesisCheck:
 
 
 @dataclass(slots=True)
+class BoundClaim:
+    formula: str
+    numeric: Optional[int]
+
+    def __post_init__(self):
+        self.formula = sys.intern(self.formula)
+
+
+@dataclass(slots=True)
 class PipelineReport:
     name: str
     inputs: dict
     hypothesis_checks: list[HypothesisCheck]
     piercing: Optional[PiercingSolution]
-    bound_claim: Optional[tuple[str, Optional[int]]]
+    bound_claim: Optional[BoundClaim]
     conclusion: str
     exhaustive: bool = True
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.conclusion = sys.intern(self.conclusion)
-        if self.bound_claim is not None:
-            self.bound_claim = (sys.intern(self.bound_claim[0]), self.bound_claim[1])
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.hypothesis_checks)
-
-
-def report_to_json(r: PipelineReport) -> dict:
-    out = to_json(r)
-    if r.bound_claim is not None:
-        out["bound_claim"] = {"formula": r.bound_claim[0], "numeric": r.bound_claim[1]}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +141,7 @@ class _Run:
         return next((c.description for c in self.rows if not c.passed), None)
 
     def report(
-        self, piercing: Optional[PiercingSolution], bound_claim: Optional[tuple[str, Optional[int]]],
+        self, piercing: Optional[PiercingSolution], bound_claim: Optional[BoundClaim],
         conclusion: str, **extra,
     ) -> PipelineReport:
         return PipelineReport(self.name, self.inputs, self.rows, piercing, bound_claim, conclusion, **extra)
@@ -151,7 +150,7 @@ class _Run:
         """The first failed row's report: no points, no bound."""
         return self.report(None, None, f"hypothesis failed: {self.failed}")
 
-    def end(self, bound_claim: tuple[str, Optional[int]], within: str) -> PipelineReport:
+    def end(self, bound_claim: BoundClaim, within: str) -> PipelineReport:
         """Stop at a failed row, or report the points placed, each
         re-checked in every member it serves."""
         if self.failed:
@@ -210,12 +209,10 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
             helly_point is not None,
             None if helly_point is None else {"point": helly_point},
         )
-        if run.failed:
-            return run.stop()
-        run.pierce(rest, helly_point)
+        run.pierce(rest, helly_point)  # a failed row ends the run at run.end
     for i in cover:
         run.pierce([i], points[i])
-    return run.end((f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}")
+    return run.end(BoundClaim(f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +276,7 @@ def pierce_via_free_family(
     entry = catalog_lookup("xi", (p, q, d))
     numeric = None if entry is None else entry.value + p - q + 1
     return run.end(
-        (f"xi({p},{q},{d}) + {p - q + 1}", numeric),
+        BoundClaim(f"xi({p},{q},{d}) + {p - q + 1}", numeric),
         "" if numeric is None else f", within the bound {numeric}",
     )
 
@@ -345,7 +342,7 @@ def pierce_via_projection(
     numeric = None
     if inner is not None and outer is not None:
         numeric = inner.value * outer.value + p - q + 1
-    return run.end((f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "")
+    return run.end(BoundClaim(f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "")
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +419,7 @@ def verify_counterexample(
     )
     return run.report(
         None,
-        ("piercing number unbounded over the full escaping family", None),
+        BoundClaim("piercing number unbounded over the full escaping family", None),
         conclusion,
         exhaustive=exhaustive,
         extras={"cases": case_totals},
@@ -502,7 +499,7 @@ def verify_projection_equivalence(
         for sub in combinations(range(len(fam)), size):
             count += 1
             direct = run.oracle.intersecting(sub + (box_index,))
-            shadow = lifted_projection_witness(fam.select(sub), box)[0]
+            shadow = lifted_projection_witness(fam.select(sub), box) is not None
             if direct != shadow:
                 witness = {"subset": run.labels(sub), "direct": direct, "shadow": shadow}
                 break

@@ -355,13 +355,10 @@ def some_point(s: ConvexSet) -> Point:
     return x
 
 
-def intersect_nonempty(
-    fam: Family, indices: Iterable[int]
-) -> tuple[bool, Optional[Point]]:
-    """Joint intersection of the indexed members via a single LP.
-
-    The witness returned on success is re-checked against every indexed
-    member by int substitution before being handed out.
+def intersect_nonempty(fam: Family, indices: Iterable[int]) -> Optional[Point]:
+    """A common point of the indexed members by a single LP, or None
+    when they do not meet. The point is re-checked against every
+    indexed member by int substitution before being handed out.
     """
     idx = list(indices)
     if not idx:
@@ -369,14 +366,14 @@ def intersect_nonempty(
     members = fam.select(idx)
     witness = _solve(fam.dim, [(range(fam.dim), s.rep.rows) for s in members])
     if witness is None:
-        return False, None
+        return None
     x = _int_row([*witness, -1])
     for s in members:
         if not _holds(s, x):
             raise AssertionError(
                 f"joint LP witness escaped {s.label}; solver invariant broken"
             )
-    return True, witness
+    return witness
 
 
 def recession_cone(s: ConvexSet) -> ConvexSet:
@@ -499,14 +496,13 @@ def _require_compact_box(box: ConvexSet) -> None:
         raise MalformedInputError("box must be a compact V-representation")
 
 
-def lifted_projection_witness(
-    sets: Sequence[ConvexSet], box: ConvexSet
-) -> tuple[bool, Optional[Point]]:
-    """Common point of the last-coordinate shadows of {A ∩ box : A in sets}.
+def lifted_projection_witness(sets: Sequence[ConvexSet], box: ConvexSet) -> Optional[Point]:
+    """A common point of the last-coordinate shadows of
+    {A ∩ box : A in sets}, or None when the shadows do not meet.
 
     One LP: a shared x in R^(d-1) plus an independent height t_j per
-    member, with (x, t_j) constrained into A_j and into the box.
-    Returns (nonempty, shared x or None).
+    member, with (x, t_j) constrained into A_j and into the box. The
+    shared x is returned.
     """
     _require_compact_box(box)
     if not sets:
@@ -523,7 +519,7 @@ def lifted_projection_witness(
         coords = xs + [d - 1 + j]
         blocks += [(coords, s.rep.rows), (coords, box.rep.rows)]
     x = _solve(d - 1 + len(sets), blocks)
-    return (False, None) if x is None else (True, x[: d - 1])
+    return None if x is None else x[: d - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_criterion_07_free_selection_pipeline_instance():
     exact = len(piercing_number(fam).points)
     used = len(report.piercing.points)
     assert used >= exact
-    assert used <= report.bound_claim[1]
+    assert used <= report.bound_claim.numeric
     announce(7, f"(4,3) instance pierced with {used} points, exact minimum {exact}")
 
 
@@ -217,7 +217,8 @@ def test_criterion_09_transversal_law_regression():
         pool = list(combinations(range(n), 3))
         m = rng.randint(0, min(12, len(pool)))
         h = hypergraph(n, rng.sample(pool, m), arity=3)
-        consistent, witness = verify_eg_equivalence(h, k=1, eta_value=6)
+        witness = verify_eg_equivalence(h, k=1, eta_value=6)
+        consistent = witness is None
         # independent brute force of both sides of the equivalence
         left = brute_transversal(h)[0] <= 1
         size = min(6, n)

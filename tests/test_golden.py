@@ -30,7 +30,6 @@ from pqpierce.pipelines import (
     pierce_via_free_family,
     pierce_via_projection,
     pierce_via_transversal,
-    report_to_json,
     verify_counterexample,
     verify_projection_equivalence,
 )
@@ -64,7 +63,7 @@ def plane_family():
 
 
 def s1():
-    return report_to_json(pierce_via_transversal(plane_family(), t=1, p=4))
+    return to_json(pierce_via_transversal(plane_family(), t=1, p=4))
 
 
 def s2_family():
@@ -74,14 +73,14 @@ def s2_family():
 
 
 def s2():
-    return report_to_json(pierce_via_free_family(s2_family(), [0, 1], p=4, q=3))
+    return to_json(pierce_via_free_family(s2_family(), [0, 1], p=4, q=3))
 
 
 def s2_failed():
     # the selection's members meet, so the report stops at its first row
     sets = [box2("b1", 0, 1, 0, 1), box2("b2", F(1, 2), 2, 0, 1)]
     sets += [hrep_set(f"upper{n}", [((0, -1), n)]) for n in range(1, 5)]
-    return report_to_json(pierce_via_free_family(family(sets), [0, 1], p=4, q=3))
+    return to_json(pierce_via_free_family(family(sets), [0, 1], p=4, q=3))
 
 
 def main_family():
@@ -91,12 +90,12 @@ def main_family():
 
 
 def main():
-    return report_to_json(pierce_via_projection(main_family(), [0, 1], p=5, q=4))
+    return to_json(pierce_via_projection(main_family(), [0, 1], p=5, q=4))
 
 
 def counterexample():
     spec = CounterexampleSpec(d=1, n_max=6, n_bounded=3)
-    return report_to_json(verify_counterexample(spec, k_max=1))
+    return to_json(verify_counterexample(spec, k_max=1))
 
 
 def corollary52_inputs():
@@ -110,7 +109,7 @@ def corollary52_inputs():
 
 def corollary52():
     fam, box = corollary52_inputs()
-    return report_to_json(verify_projection_equivalence(fam, box, max_subset=3))
+    return to_json(verify_projection_equivalence(fam, box, max_subset=3))
 
 
 def piercing():

@@ -1,6 +1,7 @@
 """Transversal numbers against brute force, plus the local-to-global
 equivalence checker."""
 import random
+import sys
 import time
 from itertools import combinations
 
@@ -101,7 +102,7 @@ def test_induced_edges():
 
 def test_eg_equivalence_edgeless():
     h = hypergraph(4, [], arity=3)
-    assert verify_eg_equivalence(h, 0, 3) == (True, None)
+    assert verify_eg_equivalence(h, 0, 3) is None
 
 
 def test_eg_equivalence_random_3_uniform():
@@ -110,8 +111,7 @@ def test_eg_equivalence_random_3_uniform():
         n = rng.randint(3, 8)
         edges = [list(e) for e in combinations(range(n), 3) if rng.random() < 0.2]
         h = hypergraph(n, edges, arity=3)
-        consistent, witness = verify_eg_equivalence(h, 1, 6)
-        assert consistent and witness is None
+        assert verify_eg_equivalence(h, 1, 6) is None
 
 
 def test_eg_equivalence_catalog_guard():
@@ -124,6 +124,20 @@ def test_eg_equivalence_catalog_guard():
     mixed = hypergraph(4, [[0, 1], [1, 2, 3]])
     with pytest.raises(MalformedInputError):
         verify_eg_equivalence(mixed, 1, 6)
+
+
+@pytest.mark.parametrize("global_ok, want", [
+    (True, (0, 1, 2, 3, 4, 5)),  # the first 6 vertices fail while h passes
+    (False, tuple(range(8))),  # h fails while every 6 vertices pass
+])
+def test_eg_equivalence_returns_a_counterwitness(monkeypatch, global_ok, want):
+    # the law holds for every exact catalog entry, so a cover search that
+    # answers h itself one way and each induced subgraph the other stands in;
+    # pqpierce.hypergraph names the constructor, so the module is found by name
+    h = hypergraph(8, [[0, 1, 2], [3, 4, 5], [5, 6, 7]], arity=3)
+    monkeypatch.setattr(sys.modules["pqpierce.hypergraph"], "_beta_at_most",
+                        lambda edges, k: (edges is h.edges) == global_ok)
+    assert verify_eg_equivalence(h, 1, 6) == want
 
 
 def test_eg_equivalence_stops_past_the_tuple_cap():

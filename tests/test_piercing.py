@@ -2,6 +2,7 @@
 import gc
 import operator
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -183,7 +184,7 @@ def test_planar_family_asks_no_disjoint_pair(monkeypatch):
     sol = piercing_number(fam)
     assert (len(sol.points), sol.optimal) == (5, True)
     before = [tuple(map(int, k.split(","))) for k in PLANAR_LPS_BEFORE.split()]
-    disjoint = {k for k in before if len(k) == 2 and not intersect_nonempty(fam, k)[0]}
+    disjoint = {k for k in before if len(k) == 2 and intersect_nonempty(fam, k) is None}
     assert len(before) == 48 and len(disjoint) == 17
     assert [tuple(k) for k in asked] == [k for k in before if k not in disjoint]
 
@@ -233,7 +234,8 @@ def test_pq_scan_validation():
 
 def test_pq_scan_stops_past_the_tuple_cap(monkeypatch):
     # the cap counts every q-subset of every p-tuple, checked before the scan
-    monkeypatch.setattr(pqpierce.piercing, "TUPLE_CAP", comb(6, 3) * comb(3, 2))
+    # pqpierce.hypergraph names the constructor, so the module is found by name
+    monkeypatch.setattr(sys.modules["pqpierce.hypergraph"], "TUPLE_CAP", comb(6, 3) * comb(3, 2))
     assert pq_property_scan(6, 3, 2, lambda s: True) == (True, None, 20)
     for n, p, q in ((7, 3, 2), (6, 4, 2)):  # more tuples, more subsets each
         with pytest.raises(MalformedInputError, match="tuple cap"):

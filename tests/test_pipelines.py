@@ -19,14 +19,15 @@ from pqpierce.errors import EmptySetError, MalformedInputError
 from pqpierce.lp import completed_basis_matrix, invert_matrix, lp_budget
 from pqpierce.piercing import piercing_number
 from pqpierce.pipelines import (
+    BoundClaim,
     _classification_sweep,
     pierce_via_free_family,
     pierce_via_projection,
     pierce_via_transversal,
-    report_to_json,
     verify_counterexample,
     verify_projection_equivalence,
 )
+from pqpierce.rational import to_json
 from pqpierce.sets import (
     change_coordinates,
     change_coordinates_family,
@@ -75,7 +76,7 @@ class TestTransversalPipeline:
         report = pierce_via_transversal(fam, t=1, p=4)
         assert report.name == "s1"
         assert report.all_passed
-        assert report.bound_claim == ("1 + 1", 2)
+        assert report.bound_claim == BoundClaim("1 + 1", 2)
         assert len(report.piercing.points) <= 2
         assert not report.piercing.optimal
         assert sorted(report.piercing.assignment) == list(range(7))
@@ -140,7 +141,7 @@ class TestFreeFamilyPipeline:
         report = pierce_via_free_family(fam, [0, 1], p=4, q=3)
         assert report.name == "s2"
         assert report.all_passed
-        formula, numeric = report.bound_claim
+        formula, numeric = report.bound_claim.formula, report.bound_claim.numeric
         assert formula == "xi(4,3,2) + 2"
         assert numeric == 15
         used = len(report.piercing.points)
@@ -195,7 +196,7 @@ def test_hrep_selection_gets_the_vrep_report():
         vreport = pierce_via_free_family(
             family([box2("b1", 0, 1, 0, 1), box2("b2", 2, 3, 0, 1)] + uppers), [0, 1], p=4, q=3
         )
-        assert report.all_passed and report_to_json(report) == report_to_json(vreport)
+        assert report.all_passed and to_json(report) == to_json(vreport)
     # pierce_via_projection needs q >= p - q + dim + 1, so the golden
     # main family, its segments written as H-reps
     rays = [hrep_set(f"ray{n}", [((-1,), -n)]) for n in range(1, 4)]
@@ -203,7 +204,7 @@ def test_hrep_selection_gets_the_vrep_report():
     report = pierce_via_projection(family(segments + rays), [0, 1], p=5, q=4)
     vsegments = [vrep_set("c1", [(0,), (2,)]), vrep_set("c2", [(1,), (3,)])]
     vreport = pierce_via_projection(family(vsegments + rays), [0, 1], p=5, q=4)
-    assert report.all_passed and report_to_json(report) == report_to_json(vreport)
+    assert report.all_passed and to_json(report) == to_json(vreport)
     empty = hrep_set("b2", [((1, 0), 0), ((-1, 0), -1)])
     with pytest.raises(EmptySetError):
         pierce_via_free_family(family([hbox("b1", 0, 1, 0, 1), empty] + uppers), [0, 1], p=4, q=3)
@@ -227,7 +228,7 @@ class TestProjectionPipeline:
         used = len(report.piercing.points)
         exact = len(piercing_number(fam).points)
         assert used == exact == 2
-        formula, numeric = report.bound_claim
+        formula, numeric = report.bound_claim.formula, report.bound_claim.numeric
         assert formula == "xi(3,1,0) * xi(5,4,1) + 2"
         assert numeric is None  # no catalog value for the inner factor
         labels = [c.description for c in report.hypothesis_checks]
@@ -342,8 +343,8 @@ class TestProjectionEquivalence:
 class TestReportJson:
     def test_structure_and_determinism(self):
         fam = plane_instance_with_outlier()
-        r1 = report_to_json(pierce_via_transversal(fam, t=1, p=4))
-        r2 = report_to_json(pierce_via_transversal(fam, t=1, p=4))
+        r1 = to_json(pierce_via_transversal(fam, t=1, p=4))
+        r2 = to_json(pierce_via_transversal(fam, t=1, p=4))
         assert r1 == r2
         assert set(r1) == {
             "name",
@@ -369,7 +370,7 @@ class TestReportJson:
         # the (6,6)-property fails and no piercing may be emitted
         report = pierce_via_transversal(fam, t=0, p=6)
         assert not report.all_passed
-        data = report_to_json(report)
+        data = to_json(report)
         assert data["piercing"] is None
 
 
@@ -547,7 +548,7 @@ def test_classification_sweep_matches_reference(monkeypatch, deny):
 def failed_rows(report):
     """The report's rows as (description, passed, witness) after
     checking that a failed run ends with no points and no bound."""
-    data = report_to_json(report)
+    data = to_json(report)
     assert data["piercing"] is None and data["bound_claim"] is None
     assert data["conclusion"] == "hypothesis failed: " + next(
         c["description"] for c in data["hypothesis_checks"] if not c["passed"])
@@ -591,7 +592,7 @@ def test_counterexample_pq_row_fails_with_its_violation_alone(monkeypatch):
     import pqpierce.piercing
 
     monkeypatch.setattr(pqpierce.piercing.IntersectionOracle, "intersecting", lambda self, idx: False)
-    data = report_to_json(verify_counterexample(CounterexampleSpec(d=1, n_max=4, n_bounded=1), k_max=0))
+    data = to_json(verify_counterexample(CounterexampleSpec(d=1, n_max=4, n_bounded=1), k_max=0))
     assert data["piercing"] is None and data["conclusion"] == "failed: (2,2)-property"
     assert [(c["description"], c["passed"], c["witness"]) for c in data["hypothesis_checks"]] == [
         ("(2,2)-property", False, {"violating": ["A_2", "A_3"]}),
@@ -608,4 +609,82 @@ def test_corollary52_fails_on_its_recession_row():
     assert failed_rows(report) == [
         ("every member recedes along the last axis", False,
          {"members": ["A_2", "A_3", "A_4", "A_5"]}),
+    ]
+
+
+def test_s1_fails_on_its_transversal_row():
+    # unit segments in a row: among any 3 some 2 meet, but the disjoint
+    # pairs (s0,s2), (s0,s3), (s1,s3) need two vertices to cover
+    fam = family([vrep_set(f"s{i}", [(i,), (i + 1,)]) for i in range(4)])
+    assert failed_rows(pierce_via_transversal(fam, t=1, p=3)) == [
+        ("at least 2 bounded members", True, {"bounded": ["s0", "s1", "s2", "s3"]}),
+        ("(3,2)-property", True, None),
+        ("transversal of the empty-tuple hypergraph has size at most 1", False,
+         {"beta": 2, "transversal": ["s0", "s1"], "edges": 3}),
+    ]
+
+
+def test_s1_fails_on_its_common_point_row(monkeypatch):
+    # by Helly the members off the cover always meet once their
+    # (d+1,d+1) row passes, so an oracle with no witnesses stands in
+    import pqpierce.piercing
+
+    monkeypatch.setattr(pqpierce.piercing.IntersectionOracle, "witness", lambda self, idx: None)
+    assert failed_rows(pierce_via_transversal(plane_instance_with_outlier(), t=1, p=4)) == [
+        ("at least 2 bounded members", True, {"bounded": ["lone", "sq1", "sq2"]}),
+        ("(4,3)-property", True, None),
+        ("transversal of the empty-tuple hypergraph has size at most 1", True,
+         {"beta": 1, "transversal": ["lone"], "edges": 15}),
+        ("remaining members satisfy the (3,3)-property", True, None),
+        ("remaining members share a common point", False, None),
+    ]
+
+
+def test_s2_fails_on_a_part_missing_the_hull(monkeypatch):
+    # every part of a (p,q)-family meets the free selection's hull, so a
+    # hull far from every member stands in for it
+    far = vrep_set("far", [(-9, -9)])
+    monkeypatch.setattr(pqpierce.pipelines, "convex_hull_union", lambda fam, sel: far)
+    report = pierce_via_free_family(TestFreeFamilyPipeline().build(), [0, 1], p=4, q=3)
+    assert failed_rows(report) == [
+        ("selection is 1-free", True, None),
+        ("(4,3)-property", True, None),
+        ("part 0 and the joined selection have a common point", False,
+         {"part": ["upper1", "upper2", "upper3", "upper4"], "point": None}),
+    ]
+
+
+def test_main_gives_a_part_shorter_than_q_minus_1_no_tuples(monkeypatch):
+    # r3 is a part of its own, shorter than q - 1 = 2, so its truncated
+    # row passes with no tuple; the far hull fails part 0's row
+    fam = family([vrep_set("b1", [(0,), (1,)]), vrep_set("b2", [(-1,), (0,)]), vrep_set("r1", [(0,), (2,)]),
+                  vrep_set("r2", [(0,), (3,)]), vrep_set("r3", [(10,), (11,)])])
+    far = vrep_set("far", [(-9,), (-8,)])
+    monkeypatch.setattr(pqpierce.pipelines, "convex_hull_union", lambda fam, sel: far)
+    assert failed_rows(pierce_via_projection(fam, [0, 1], p=4, q=3)) == [
+        ("selected members are bounded", True, None),
+        ("(4,3)-property", True, None),
+        ("part 0 has a common point", True, {"part": ["r1", "r2"], "point": [0]}),
+        ("part 0: truncated members satisfy the (2,1)-property", False,
+         {"tuples": 1, "violating": ["r1", "r2"]}),
+        ("part 1 has a common point", True, {"part": ["r3"], "point": [10]}),
+        ("part 1: truncated members satisfy the (2,1)-property", True, {"tuples": 0}),
+    ]
+
+
+def test_corollary52_gives_the_first_mismatch_of_each_size(monkeypatch):
+    # the shadow test agrees with the direct one on every receding
+    # family, so a shadow that never meets stands in
+    monkeypatch.setattr(pqpierce.pipelines, "lifted_projection_witness", lambda sets, box: None)
+    report = verify_projection_equivalence(*TestProjectionEquivalence().rotated_truncation(), max_subset=2)
+    data = to_json(report)
+    assert data["piercing"] is None and data["bound_claim"] is None
+    assert data["conclusion"] == "projection equivalence failed"
+    assert data["extras"] == {"subsets_checked": 2}
+    assert [(c["description"], c["passed"], c["witness"]) for c in data["hypothesis_checks"]] == [
+        ("every member recedes along the last axis", True, None),
+        ("size-1 subsets: direct and shadow tests agree", False,
+         {"subset": ["A_2"], "direct": True, "shadow": False}),
+        ("size-2 subsets: direct and shadow tests agree", False,
+         {"subset": ["A_2", "A_3"], "direct": True, "shadow": False}),
     ]
