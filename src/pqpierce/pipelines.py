@@ -34,6 +34,7 @@ from .constructions import (
 )
 from .errors import BudgetExhaustedError, MalformedInputError
 from .hypergraph import TUPLE_CAP, _tuples, transversal_number
+from .lp import _int_row
 from .piercing import (
     IntersectionOracle,
     PiercingSolution,
@@ -48,8 +49,8 @@ from .rational import Point
 from .sets import (
     ConvexSet,
     Family,
+    _holds,
     _require_compact_box,
-    contains_point,
     convex_hull_union,
     direction_in_recession_cone,
     is_bounded,
@@ -372,6 +373,7 @@ def verify_counterexample(
         "n_cap": n_cap,
     })
     case_totals: dict[str, int] = {"1": 0, "2": 0, "3": 0}
+    missed: dict = {}  # the case points of every k, each built once
     exhaustive = True
     try:
         for k in range(0, k_max + 1):
@@ -384,7 +386,7 @@ def verify_counterexample(
                 f"({p},{q})-property", range(len(fam)), p, q, run.oracle.intersecting,
                 lambda checked, bad: {"tuples": checked} if bad is None else {"violating": bad},
             )
-            counts, first_bad = _classification_sweep(fam, p, d, k, n_unbounded)
+            counts, first_bad = _classification_sweep(fam, p, d, k, n_unbounded, missed)
             for c, v in counts.items():
                 case_totals[c] += v
             run.add(
@@ -427,19 +429,20 @@ def verify_counterexample(
 
 
 def _classification_sweep(
-    fam: Family, p: int, d: int, k: int, n_unbounded: int
+    fam: Family, p: int, d: int, k: int, n_unbounded: int, missed: dict
 ) -> tuple[dict[str, int], Optional[tuple[int, ...]]]:
     """Classify every p-tuple by the number i of escaping members it
     contains, tup[:i] as the tuple is sorted, and confirm the predicted
     intersecting subfamily, of at least d + 1 + k members, by direct
     membership certificates. Returns (tuples per case, the first
-    unconfirmed tuple or None). A case's point has an int key: the
-    sorted escaping indices whose simplices it is common to, or the far
-    point's n; missed maps it to the members that miss the point, which
-    for a far point are sought among the escaping members only."""
+    unconfirmed tuple or None). A case's point has a key: the sorted
+    escaping indices whose simplices it is common to, or the far
+    point's int n. `missed`, one table for the whole run, so shared by
+    every k, maps a key to the members that miss the point, which for a
+    far point are sought among the escaping members only. Each point is
+    built once, straight into the int row that sets._holds substitutes."""
     counts = {"1": 0, "2": 0, "3": 0}
     first_bad = None
-    missed: dict = {}  # points repeat heavily across the tuples of one k
     for tup in _tuples(len(fam), p):
         i = bisect_left(tup, n_unbounded)
         if i <= d:  # padded to d alphas with the largest, 1/(tup[0] + 2)
@@ -452,13 +455,11 @@ def _classification_sweep(
         out = missed.get(key)
         if out is None:
             if case == "3":
-                pt: Point = (Fraction(key),) + (Fraction(0),) * d
-                members = range(n_unbounded)
+                x, members = [key] + [0] * d + [-1], range(n_unbounded)
             else:
-                alphas = sorted(Fraction(1, j + 2) for j in key)
-                pt = (Fraction(0),) + (simplex_common_point(alphas) if key else (Fraction(0),) * d)
-                members = range(len(fam))
-            out = missed[key] = frozenset(j for j in members if not contains_point(fam.sets[j], pt))
+                pt = simplex_common_point(sorted(Fraction(1, j + 2) for j in key)) if key else (0,) * d
+                x, members = _int_row([0, *pt, -1]), range(len(fam))
+            out = missed[key] = frozenset(j for j in members if not _holds(fam.sets[j], x))
         if first_bad is None and not out.isdisjoint(asked):
             first_bad = tup
     return counts, first_bad

@@ -29,6 +29,7 @@ from pqpierce.pipelines import (
 )
 from pqpierce.rational import to_json
 from pqpierce.sets import (
+    _holds,
     change_coordinates,
     change_coordinates_family,
     contains_point,
@@ -436,6 +437,23 @@ def test_counterexample_sweep_lp_count(monkeypatch):
     assert report.all_passed and report.exhaustive
     assert len(calls) <= 100
 
+
+def test_counterexample_builds_each_case_point_once(monkeypatch):
+    # one table of case points serves every k of a run: the d = 1 sweep
+    # has 11 distinct keys over k = 0..2 (33 points with a table per k)
+    real = pqpierce.pipelines.simplex_common_point
+    calls = []
+
+    def counting(alphas):
+        calls.append(tuple(alphas))
+        return real(alphas)
+
+    monkeypatch.setattr(pqpierce.pipelines, "simplex_common_point", counting)
+    report = verify_counterexample(CounterexampleSpec(1, 12, 5), k_max=2)
+    assert report.all_passed and report.exhaustive
+    assert len(calls) == len(set(calls)) == 11
+
+
 # the joint LPs of two runs, in order, as recorded before the tuple scans
 # asked each q-subset once: the scans must not change which LPs run
 SWEEP_LPS = (
@@ -482,10 +500,10 @@ def test_joint_lps_keep_their_order(monkeypatch, run, want):
 
 # --- the case sweep against a reference without a cache -----------------------
 
-def reference_sweep(fam, p, d, k, n_unbounded):
+def reference_sweep(fam, p, d, k, n_unbounded, denied=None):
     """The three-case classification of every p-tuple, each point built
-    and each membership asked afresh (through pipelines.contains_point,
-    so a patch there reaches both sweeps)."""
+    in Fractions and each membership asked afresh through
+    sets.contains_point, with `denied` holding no point at all."""
     counts = {"1": 0, "2": 0, "3": 0}
     first_bad = None
     for tup in combinations(range(len(fam)), p):
@@ -505,7 +523,7 @@ def reference_sweep(fam, p, d, k, n_unbounded):
             pt = (F(max(a_idx) + 2),) + (F(0),) * d
         counts[str(case)] += 1
         ok = not (case == 2 and len(asked) < d + 1 + k) and all(
-            pqpierce.pipelines.contains_point(fam.sets[i], pt) for i in asked)
+            fam.sets[i] is not denied and contains_point(fam.sets[i], pt) for i in asked)
         if not ok and first_bad is None:
             first_bad = tup
     return counts, first_bad
@@ -526,17 +544,18 @@ def test_classification_sweep_matches_reference(monkeypatch, deny):
         for n_max in range(3, 7):
             for n_bounded in range(4):
                 fam = counterexample_family(CounterexampleSpec(d, n_max, n_bounded))
+                denied = None
                 if deny:
                     denied = fam.sets[0 if deny == "first" else -1]
                     monkeypatch.setattr(
-                        pqpierce.pipelines, "contains_point",
-                        lambda s, x: s is not denied and contains_point(s, x),
+                        pqpierce.pipelines, "_holds",
+                        lambda s, x: s is not denied and _holds(s, x),
                     )
                 k = 0
                 while d + 1 + 2 * k <= len(fam):
                     args = (fam, d + 1 + 2 * k, d, k, n_max - 1)
-                    got = _classification_sweep(*args)
-                    assert got == reference_sweep(*args), (d, n_max, n_bounded, k)
+                    got = _classification_sweep(*args, {})
+                    assert got == reference_sweep(*args, denied), (d, n_max, n_bounded, k)
                     if got[1] is not None:
                         cases.add(case_of(got[1], d, k, n_max - 1))
                     k += 1
