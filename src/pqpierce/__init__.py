@@ -30,7 +30,6 @@ from .errors import (
 )
 from .hypergraph import (
     Hypergraph,
-    hypergraph,
     hypergraph_from_json,
     hypergraph_to_json,
     transversal_number,

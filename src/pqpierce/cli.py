@@ -31,6 +31,8 @@ from typing import Optional
 
 from .bounds import catalog_lookup
 from .constructions import (
+    MAX_DEN,
+    N_CAP,
     CounterexampleSpec,
     check_family_size,
     counterexample_family,
@@ -268,7 +270,7 @@ def _ints(*names):
 _FAMILY = _flag("--input", required=True, help="family JSON file")
 _BUDGET = _flag("--budget", type=int, help="max LP calls")
 _LIMIT = _flag("--limit", type=int)
-_N_CAP = _flag("--n-cap", type=int, default=1000)
+_N_CAP = _flag("--n-cap", type=int, default=N_CAP)
 _SPEC = (*_ints("--d", "--n-max", "--n-bounded"), _flag("--margin", default="0"))  # CounterexampleSpec
 _PQ = _ints("--p", "--q")
 _FORMAT = _flag("--format", choices=["json", "csv"], default="json")
@@ -300,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _leaf(construct, "simplex", _simplex, *_ints("--d"),
           _flag("--alphas", help="comma-separated rationals in (0,1]"),
           _flag("--count", type=int, help="sample this many alphas"),
-          _flag("--seed", type=int, default=0), _flag("--max-den", type=int, default=1000))
+          _flag("--seed", type=int, default=0), _flag("--max-den", type=int, default=MAX_DEN))
     _leaf(construct, "counterexample", lambda a: _family(counterexample_family(_spec(a))), *_SPEC)
     _leaf(construct, "gruenbaum", lambda a: _family(gruenbaum_line(a.n_max, a.copies)),
           *_ints("--n-max"), _flag("--copies", type=int, default=1))

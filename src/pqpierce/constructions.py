@@ -32,6 +32,12 @@ from .sets import MAX_DIM, ConvexSet, Family, VRep, contains_point, vrep_set
 # member alike, so no size given to a constructor can make it run on.
 MAX_COORDINATES = 10**5
 
+# Defaults of the library and the CLI alike: the last member A_n that
+# escape_witness tries (--n-cap), and the largest alpha denominator that
+# sample_alphas draws (--max-den).
+N_CAP = 1000
+MAX_DEN = 1000
+
 
 def check_family_size(generators: int, dim: int) -> None:
     """Reject a family of this many generators in R^dim before it is built."""
@@ -244,7 +250,7 @@ def free_flats_family(
 def escape_witness(
     spec: CounterexampleSpec,
     points: Iterable[Sequence[RatLike]],
-    n_cap: int = 1000,
+    n_cap: int = N_CAP,
 ) -> Optional[int]:
     """Smallest n in [2, n_cap] whose member A_n avoids every candidate
     point, or None when the cap is hit (a cap problem, never a proof
@@ -277,7 +283,7 @@ def _fractions_in_unit(max_den: int) -> int:
     return sum(phi[2:])
 
 
-def sample_alphas(rng: random.Random, count: int, max_den: int = 1000) -> tuple[Fraction, ...]:
+def sample_alphas(rng: random.Random, count: int, max_den: int = MAX_DEN) -> tuple[Fraction, ...]:
     """count distinct sorted random rationals in (0,1) with denominators
     <= max_den. Each draw takes a denominator, then a numerator; a
     repeated alpha is drawn again. The caller bounds count: the check

@@ -18,6 +18,9 @@ from .rational import to_json
 
 @dataclass(frozen=True)
 class Hypergraph:
+    """n vertices and canonical edges, however built: each edge becomes
+    its sorted distinct vertices, and the edges are deduplicated and
+    sorted by (size, lex). Arity is derived when every edge has one size."""
     n: int
     edges: tuple[tuple[int, ...], ...]
     arity: Optional[int] = None
@@ -25,32 +28,19 @@ class Hypergraph:
     def __post_init__(self):
         if self.n < 0:
             raise MalformedInputError("vertex count must be >= 0")
-        seen = set()
-        for e in self.edges:
+        edges = sorted({tuple(sorted(set(e))) for e in self.edges}, key=lambda e: (len(e), e))
+        for e in edges:
             if not e:
                 raise MalformedInputError("empty edge")
-            if list(e) != sorted(set(e)):
-                raise MalformedInputError(f"edge {e} is not sorted and distinct")
             if e[0] < 0 or e[-1] >= self.n:
                 raise MalformedInputError(f"edge {e} out of vertex range")
-            if e in seen:
-                raise MalformedInputError(f"duplicate edge {e}")
-            seen.add(e)
             if self.arity is not None and len(e) != self.arity:
                 raise MalformedInputError(
                     f"edge {e} has size {len(e)}, expected arity {self.arity}"
                 )
-
-
-def hypergraph(
-    n: int, edges: Iterable[Iterable[int]], arity: Optional[int] = None
-) -> Hypergraph:
-    """Canonicalizing constructor: sorts vertices within edges, dedupes,
-    sorts the edge list by (size, lex). Derives arity when uniform."""
-    canon = sorted({tuple(sorted(set(e))) for e in edges}, key=lambda e: (len(e), e))
-    if arity is None and canon and len({len(e) for e in canon}) == 1:
-        arity = len(canon[0])
-    return Hypergraph(n, tuple(canon), arity)
+        object.__setattr__(self, "edges", tuple(edges))
+        if self.arity is None and edges and len({len(e) for e in edges}) == 1:
+            object.__setattr__(self, "arity", len(edges[0]))
 
 
 # The most tuples one scan may visit: each q-subset of each p-tuple of a
@@ -121,17 +111,17 @@ def induced_edges(h: Hypergraph, vertices: Iterable[int]) -> tuple[tuple[int, ..
     return tuple(e for e in h.edges if vs.issuperset(e))
 
 
-def verify_eg_equivalence(h: Hypergraph, k: int, eta_value: int) -> Optional[tuple[int, ...]]:
+def verify_eg_equivalence(h: Hypergraph, k: int) -> Optional[tuple[int, ...]]:
     """Local-to-global transversal law on one hypergraph.
 
     Compares beta(h) <= k against "every induced subgraph on
-    min(eta_value, n) vertices has beta <= k" (induced transversal
-    numbers are monotone in the vertex set, so the largest size
-    suffices). eta_value must match the exact catalog entry for
-    (arity, k+1). Returns None when the two agree, else a
-    counterwitness: the first vertex subset whose induced beta exceeds
-    k, or all vertices when only beta(h) does. More than TUPLE_CAP
-    vertex subsets raise MalformedInputError before the walk.
+    min(eta, n) vertices has beta <= k", with eta the exact catalog
+    entry for (arity, k+1) (induced transversal numbers are monotone in
+    the vertex set, so the largest size suffices). Returns None when the
+    two agree, else a counterwitness: the first vertex subset whose
+    induced beta exceeds k, or all vertices when only beta(h) does.
+    More than TUPLE_CAP vertex subsets raise MalformedInputError before
+    the walk.
     """
     if h.arity is None:
         raise MalformedInputError("uniform hypergraph required")
@@ -140,11 +130,7 @@ def verify_eg_equivalence(h: Hypergraph, k: int, eta_value: int) -> Optional[tup
     entry = catalog_lookup("eta", (h.arity, k + 1))
     if entry is None or entry.kind != "exact":
         raise CatalogError(f"no exact eta({h.arity},{k + 1}) catalog entry")
-    if entry.value != eta_value:
-        raise CatalogError(
-            f"eta({h.arity},{k + 1}) = {entry.value} in catalog, got {eta_value}"
-        )
-    subsets = _tuples(h.n, min(eta_value, h.n))
+    subsets = _tuples(h.n, min(entry.value, h.n))
     global_ok = _beta_at_most(h.edges, k)
     local = next((vs for vs in subsets if not _beta_at_most(induced_edges(h, vs), k)), None)
     if global_ok == (local is None):
@@ -174,4 +160,4 @@ def hypergraph_from_json(obj) -> Hypergraph:
             isinstance(v, int) and not isinstance(v, bool) for v in e
         ):
             raise MalformedInputError(f"edge {e} must be a list of integers")
-    return hypergraph(n, edges)
+    return Hypergraph(n, edges)

@@ -14,7 +14,7 @@ from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import EmptySetError, MalformedInputError
-from .hypergraph import Hypergraph, _tuples, hypergraph
+from .hypergraph import Hypergraph, _tuples
 from .lp import _int_row
 from .rational import Point
 from .sets import (
@@ -237,10 +237,10 @@ def _require_members_nonempty(fam: Family) -> list[Point]:
     """A point of each member, by sets.some_point."""
     points = []
     for s in fam.sets:
-        try:
-            points.append(some_point(s))
-        except EmptySetError:
-            raise EmptySetError(f"cannot pierce empty set {s.label!r}") from None
+        x = some_point(s)
+        if x is None:
+            raise EmptySetError(f"cannot pierce empty set {s.label!r}")
+        points.append(x)
     return points
 
 
@@ -276,7 +276,7 @@ def build_GF(fam: Family, oracle: Optional[IntersectionOracle] = None) -> Hyperg
         for tup in _tuples(len(fam), d + 1)
         if not oracle.intersecting(tup)
     ]
-    return hypergraph(len(fam), edges, arity=d + 1)
+    return Hypergraph(len(fam), edges, arity=d + 1)
 
 
 def _m_free_violation(oracle: IntersectionOracle, indices: Sequence[int], m: int) -> Optional[tuple[str, tuple]]:

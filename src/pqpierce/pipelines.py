@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .bounds import catalog_lookup
 from .constructions import (
+    N_CAP,
     CounterexampleSpec,
     counterexample_family,
     escape_witness,
@@ -295,7 +296,9 @@ def pierce_via_projection(
     q of them meet, and since q >= p-q+d+1 these q include a selected
     member and at least d of the q-1, which thus meet in the selection's
     hull. The row is kept as an executed cross-check of the queries
-    that join the hull to the oracle."""
+    that join the hull to the oracle. Today's catalog gives no numeric
+    bound: it knows xi(q-1, d, d-1) only for d = 2, and xi(p, q, 2)
+    only for (4, 3), which fails q >= p-q+d+1."""
     d = fam.dim
     comp = sorted(set(compact_indices))
     selection = [s.label for s in fam.select(comp)]
@@ -353,7 +356,7 @@ def verify_counterexample(
     spec: CounterexampleSpec,
     k_max: int,
     candidate_point_sets: Optional[Sequence[Sequence[Sequence]]] = None,
-    n_cap: int = 1000,
+    n_cap: int = N_CAP,
 ) -> PipelineReport:
     """Exhaustively verify the escaping family's properties at desk
     scale: the (d+1+2k, d+1+k)-property for k = 0..k_max, the

@@ -340,19 +340,16 @@ def contains_point(s: ConvexSet, x: Sequence[RatLike]) -> bool:
     return _holds(s, _int_row([*xp, -1]))
 
 
-def is_empty(s: ConvexSet) -> bool:
-    return isinstance(s.rep, HRep) and _solve(s.dim, [(range(s.dim), s.rep.rows)]) is None
-
-
-def some_point(s: ConvexSet) -> Point:
+def some_point(s: ConvexSet) -> Optional[Point]:
     """A point of the set: the first generator of a V-rep, an LP witness
-    for an H-rep. Raises EmptySetError when there is none."""
+    for an H-rep; None when the set is empty."""
     if isinstance(s.rep, VRep):
         return s.rep.points[0]
-    x = _solve(s.dim, [(range(s.dim), s.rep.rows)])
-    if x is None:
-        raise EmptySetError(f"set {s.label!r} is empty")
-    return x
+    return _solve(s.dim, [(range(s.dim), s.rep.rows)])
+
+
+def is_empty(s: ConvexSet) -> bool:
+    return some_point(s) is None
 
 
 def intersect_nonempty(fam: Family, indices: Iterable[int]) -> Optional[Point]:

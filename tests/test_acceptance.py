@@ -19,7 +19,7 @@ from pqpierce.constructions import (
     staircase_matrix,
 )
 from pqpierce.hypergraph import (
-    hypergraph,
+    Hypergraph,
     induced_edges,
     transversal_number,
     verify_eg_equivalence,
@@ -136,7 +136,7 @@ def test_criterion_05_exact_solvers_vs_brute_force():
         n = rng.randint(1, 12)
         pool = list(combinations(range(n), min(3, n)))
         m = rng.randint(0, min(12, len(pool)))
-        h = hypergraph(n, rng.sample(pool, m))
+        h = Hypergraph(n, rng.sample(pool, m))
         beta, cover = transversal_number(h)
         assert beta == brute_transversal(h)[0]
         assert all(set(cover) & set(e) for e in h.edges)
@@ -216,8 +216,8 @@ def test_criterion_09_transversal_law_regression():
         n = rng.randint(3, 10)
         pool = list(combinations(range(n), 3))
         m = rng.randint(0, min(12, len(pool)))
-        h = hypergraph(n, rng.sample(pool, m), arity=3)
-        witness = verify_eg_equivalence(h, k=1, eta_value=6)
+        h = Hypergraph(n, rng.sample(pool, m), arity=3)
+        witness = verify_eg_equivalence(h, k=1)
         consistent = witness is None
         # independent brute force of both sides of the equivalence
         left = brute_transversal(h)[0] <= 1

@@ -6,6 +6,7 @@ import json
 import time
 from contextlib import redirect_stdout
 from importlib import resources
+from inspect import signature
 
 import jsonschema
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from pqpierce import cli
 from pqpierce.cli import cmd_dispatch
+from pqpierce.constructions import MAX_DEN, N_CAP, escape_witness, sample_alphas
+from pqpierce.pipelines import verify_counterexample
 
 
 def run(argv, capsys):
@@ -708,6 +711,19 @@ def budget_commands() -> dict[str, list[str]]:
         for path, parser in leaf_commands().items()
         if any("--budget" in a.option_strings for a in parser._actions)
     }
+
+
+def test_cli_defaults_are_the_library_constants():
+    # one owner per default: each site holds the very object of the
+    # constants module, not an equal literal of its own
+    defaults = {" ".join(path): {a.dest: a.default for a in parser._actions}
+                for path, parser in leaf_commands().items()}
+    assert defaults["escape"]["n_cap"] is N_CAP
+    assert defaults["pipeline counterexample"]["n_cap"] is N_CAP
+    assert signature(escape_witness).parameters["n_cap"].default is N_CAP
+    assert signature(verify_counterexample).parameters["n_cap"].default is N_CAP
+    assert defaults["construct simplex"]["max_den"] is MAX_DEN
+    assert signature(sample_alphas).parameters["max_den"].default is MAX_DEN
 
 
 def test_budget_commands_cover_every_lp_command():

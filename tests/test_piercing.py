@@ -2,7 +2,6 @@
 import gc
 import operator
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -234,8 +233,7 @@ def test_pq_scan_validation():
 
 def test_pq_scan_stops_past_the_tuple_cap(monkeypatch):
     # the cap counts every q-subset of every p-tuple, checked before the scan
-    # pqpierce.hypergraph names the constructor, so the module is found by name
-    monkeypatch.setattr(sys.modules["pqpierce.hypergraph"], "TUPLE_CAP", comb(6, 3) * comb(3, 2))
+    monkeypatch.setattr("pqpierce.hypergraph.TUPLE_CAP", comb(6, 3) * comb(3, 2))
     assert pq_property_scan(6, 3, 2, lambda s: True) == (True, None, 20)
     for n, p, q in ((7, 3, 2), (6, 4, 2)):  # more tuples, more subsets each
         with pytest.raises(MalformedInputError, match="tuple cap"):

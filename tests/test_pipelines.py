@@ -8,6 +8,7 @@ import pytest
 
 import pqpierce.pipelines
 
+from pqpierce.bounds import CatalogEntry
 from pqpierce.constructions import (
     CounterexampleSpec,
     counterexample_family,
@@ -689,6 +690,24 @@ def test_main_gives_a_part_shorter_than_q_minus_1_no_tuples(monkeypatch):
         ("part 1 has a common point", True, {"part": ["r3"], "point": [10]}),
         ("part 1: truncated members satisfy the (2,1)-property", True, {"tuples": 0}),
     ]
+
+
+def test_main_claims_a_numeric_bound_when_both_xi_are_known(monkeypatch):
+    # today's catalog knows xi(q-1, d, d-1) only for d = 2 and xi(p, q, 2)
+    # only for (4, 3), which fails main's q >= p-q+d+1, so a patched
+    # lookup stands in for a catalog that knows both
+    known = {(3, 1, 0): 2, (5, 4, 1): 3}
+    asked = []
+
+    def lookup(name, args):
+        asked.append((name, tuple(args)))
+        return CatalogEntry(name, tuple(args), known[tuple(args)], "exact", "stand-in")
+
+    monkeypatch.setattr(pqpierce.pipelines, "catalog_lookup", lookup)
+    report = pierce_via_projection(TestProjectionPipeline().build(), [0, 1], p=5, q=4)
+    assert report.all_passed
+    assert report.bound_claim == BoundClaim("xi(3,1,0) * xi(5,4,1) + 2", 2 * 3 + 2)
+    assert sorted(asked) == [("xi", (3, 1, 0)), ("xi", (5, 4, 1))]
 
 
 def test_corollary52_gives_the_first_mismatch_of_each_size(monkeypatch):

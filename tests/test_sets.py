@@ -37,6 +37,7 @@ from pqpierce.sets import (
     recession_cone,
     set_from_json,
     set_to_json,
+    some_point,
     vrep_set,
 )
 
@@ -113,6 +114,13 @@ def test_is_empty():
     assert is_empty(hrep_set("E", [((1,), -1), ((-1,), 0)]))
     assert not is_empty(hrep_set("R", [((1,), 5)]))
     assert not is_empty(vrep_set("P", [(0, 0)]))
+
+
+def test_some_point_is_the_point_or_none():
+    assert some_point(hrep_set("E", [((1,), -1), ((-1,), 0)])) is None
+    seg = hrep_set("S", [((1,), 5), ((-1,), -2)])  # 2 <= x <= 5
+    assert contains_point(seg, some_point(seg))
+    assert some_point(vrep_set("P", [(1, 2), (3, 4)])) == (1, 2)
 
 
 def test_recession_cone_vrep():
