@@ -71,7 +71,6 @@ from .sets import (
     is_bounded,
     is_empty,
     project_drop_last,
-    recession_cone,
     set_from_json,
     set_to_json,
     vrep_set,

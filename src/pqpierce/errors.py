@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: malformed input is 2, budget
-exhaustion is 3. Property and hypothesis failures are not exceptions,
-they are ordinary report results (exit 1 at the CLI layer).
+The CLI maps these onto exit codes: MalformedInputError, EmptySetError
+and CatalogError are 2, BudgetExhaustedError and SearchLimitError are
+3, and any other exception is 4. Property and hypothesis failures are
+not exceptions, they are ordinary report results (exit 1 at the CLI
+layer).
 """
 
 

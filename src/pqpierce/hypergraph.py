@@ -101,9 +101,8 @@ def transversal_number(
         cover = _cover_dfs(h.edges, k, set(), scans)
         if cover is not None:
             return k, tuple(sorted(cover))
-    if limit is not None and limit < h.n:
-        raise SearchLimitError(f"transversal number exceeds limit {limit}")
-    raise MalformedInputError("unsatisfiable hypergraph")  # unreachable: edges are nonempty
+    # edges are nonempty, so all h.n vertices cover: here limit < h.n
+    raise SearchLimitError(f"transversal number exceeds limit {limit}")
 
 
 def induced_edges(h: Hypergraph, vertices: Iterable[int]) -> tuple[tuple[int, ...], ...]:

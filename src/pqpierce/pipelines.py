@@ -152,12 +152,14 @@ class _Run:
         """The first failed row's report: no points, no bound."""
         return self.report(None, None, f"hypothesis failed: {self.failed}")
 
-    def end(self, bound_claim: BoundClaim, within: str) -> PipelineReport:
+    def end(self, bound_claim: BoundClaim) -> PipelineReport:
         """Stop at a failed row, or report the points placed, each
-        re-checked in every member it serves."""
+        re-checked in every member it serves, within the claim's numeric
+        bound when it has one."""
         if self.failed:
             return self.stop()
         sol = _verified_solution(self.fam, self.points, self.assignment, False)
+        within = "" if bound_claim.numeric is None else f", within the bound {bound_claim.numeric}"
         return self.report(sol, bound_claim, f"pierced by {len(self.points)} points{within}")
 
 
@@ -214,7 +216,7 @@ def pierce_via_transversal(fam: Family, t: int, p: int) -> PipelineReport:
         run.pierce(rest, helly_point)  # a failed row ends the run at run.end
     for i in cover:
         run.pierce([i], points[i])
-    return run.end(BoundClaim(f"{t} + 1", t + 1), f", within the guaranteed bound {t + 1}")
+    return run.end(BoundClaim(f"{t} + 1", t + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +279,7 @@ def pierce_via_free_family(
     _pierce_selection(run, b, p - q + 1)
     entry = catalog_lookup("xi", (p, q, d))
     numeric = None if entry is None else entry.value + p - q + 1
-    return run.end(
-        BoundClaim(f"xi({p},{q},{d}) + {p - q + 1}", numeric),
-        "" if numeric is None else f", within the bound {numeric}",
-    )
+    return run.end(BoundClaim(f"xi({p},{q},{d}) + {p - q + 1}", numeric))
 
 
 def pierce_via_projection(
@@ -346,7 +345,7 @@ def pierce_via_projection(
     numeric = None
     if inner is not None and outer is not None:
         numeric = inner.value * outer.value + p - q + 1
-    return run.end(BoundClaim(f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric), "")
+    return run.end(BoundClaim(f"xi({q - 1},{d},{d - 1}) * xi({p},{q},{d}) + {p - q + 1}", numeric))
 
 
 # ---------------------------------------------------------------------------

@@ -373,21 +373,6 @@ def intersect_nonempty(fam: Family, indices: Iterable[int]) -> Optional[Point]:
     return witness
 
 
-def recession_cone(s: ConvexSet) -> ConvexSet:
-    """The set's recession cone.
-
-    H-rep: same nonzero normals with offsets zeroed (requires
-    nonemptiness, checked by LP). V-rep: the cone generated by the rays.
-    """
-    label = f"rc({s.label})"
-    if isinstance(s.rep, VRep):
-        origin = (Fraction(0),) * s.dim
-        return ConvexSet(label, s.dim, VRep((origin,), s.rep.rays))
-    if is_empty(s):
-        raise EmptySetError(f"recession cone of empty set {s.label!r}")
-    return ConvexSet(label, s.dim, HRep(tuple((normal, 0) for normal, _ in s.rep.rows if any(normal))))
-
-
 def direction_in_recession_cone(s: ConvexSet, v: Sequence[RatLike]) -> bool:
     """Does the set recede along v (exactly)? Substitution into its
     int rows with zero offsets."""

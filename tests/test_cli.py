@@ -795,6 +795,22 @@ _LINE = [
 ]
 _FAR = {"label": "d", "dim": 1, "vrep": {"points": [[5]]}}
 
+# one file per check of a set or hypergraph file; every command exits 2
+# with {"error": ...} on each
+_MALFORMED = [json.dumps(obj).encode() for obj in [
+    *({"dimension": 1, "sets": [s]} for s in [
+        {"label": "", "dim": 1, "vrep": {"points": [[0]]}},
+        {"label": 7, "dim": 1, "vrep": {"points": [[0]]}},
+        {"label": "a", "dim": 0, "vrep": {"points": [[]]}},
+        {"label": "a", "dim": 1, "vrep": {"points": [[0, 1]]}},  # generator arity
+        [1],  # a set that is not an object
+        {"label": "a", "vrep": {"points": [[0]]}},  # no dim
+        {"label": "a", "dim": 1, "vrep": {"rays": [[1]]}},  # no points
+        {"label": "a", "dim": 1, "hrep": [{"normal": [1]}]},  # no offset
+    ]),
+    {"n": 2, "edges": 5},
+]]
+
 
 @settings(max_examples=200, deadline=None)
 @given(
@@ -804,11 +820,20 @@ _FAR = {"label": "d", "dim": 1, "vrep": {"points": [[5]]}}
 )
 @example(content=json.dumps({"dimension": 1, "sets": _LINE}).encode(), pq=("2", "2"))  # exit 0
 @example(content=json.dumps({"dimension": 1, "sets": _LINE + [_FAR]}).encode(), pq=("2", "2"))  # exit 1
+@example(content=_MALFORMED[0], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[1], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[2], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[3], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[4], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[5], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[6], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[7], pq=("2", "2"))  # exit 2
+@example(content=_MALFORMED[8], pq=("2", "2"))  # exit 2
 def test_every_family_file_gets_exit_code_and_json(family_file, box_file, content, pq):
     family_file.write_bytes(content)
     # one selected member and p = q: s2 and main accept dims p - 1 and below
     p_p = ["--p", pq[0], "--q", pq[0]]
-    for command in (["check", "pq", "--p", pq[0], "--q", pq[1]], ["solve", "pierce"],
+    for command in (["check", "pq", "--p", pq[0], "--q", pq[1]], ["solve", "pierce"], ["solve", "transversal"],
                     ["analyze", "recession"], ["analyze", "project"], ["analyze", "gf"],
                     ["pipeline", "s1", "--t", "0", "--p", pq[0]],
                     ["pipeline", "s2", "--b-indices", "0", *p_p],
@@ -818,7 +843,9 @@ def test_every_family_file_gets_exit_code_and_json(family_file, box_file, conten
         with redirect_stdout(out):
             code = cmd_dispatch(command + ["--input", str(family_file)])
         assert code in (0, 1, 2, 3), (command, content)
-        json.loads(out.getvalue())
+        data = json.loads(out.getvalue())
+        if content in _MALFORMED:
+            assert (code, set(data)) == (2, {"error"}), (command, content)
 
 
 @settings(max_examples=200, deadline=None)

@@ -707,6 +707,7 @@ def test_main_claims_a_numeric_bound_when_both_xi_are_known(monkeypatch):
     report = pierce_via_projection(TestProjectionPipeline().build(), [0, 1], p=5, q=4)
     assert report.all_passed
     assert report.bound_claim == BoundClaim("xi(3,1,0) * xi(5,4,1) + 2", 2 * 3 + 2)
+    assert report.conclusion == f"pierced by {len(report.piercing.points)} points, within the bound 8"
     assert sorted(asked) == [("xi", (3, 1, 0)), ("xi", (5, 4, 1))]
 
 

@@ -34,7 +34,6 @@ from pqpierce.sets import (
     is_empty,
     lifted_projection_witness,
     project_drop_last,
-    recession_cone,
     set_from_json,
     set_to_json,
     some_point,
@@ -123,22 +122,18 @@ def test_some_point_is_the_point_or_none():
     assert some_point(vrep_set("P", [(1, 2), (3, 4)])) == (1, 2)
 
 
-def test_recession_cone_vrep():
+def test_direction_in_recession_cone_vrep():
     a2 = vrep_set("A_2", [(0, "1/2"), (2, 0)], rays=[(1, 0)])
-    rc = recession_cone(a2)
-    assert rc.label == "rc(A_2)"
-    assert contains_point(rc, (7, 0))
-    assert not contains_point(rc, (0, 1))
+    assert direction_in_recession_cone(a2, (7, 0))
+    assert not direction_in_recession_cone(a2, (0, 1))
 
 
-def test_recession_cone_hrep_and_empty_error():
+def test_direction_in_recession_cone_hrep_wedge():
+    # the empty H-rep's EmptySetError is asserted on common_recession_direction
     wedge = hrep_set("W", [((0, -1), 0), ((1, -1), 3)])
-    rc = recession_cone(wedge)
-    assert contains_point(rc, (1, 1))
-    assert contains_point(rc, (1, 2))
-    assert not contains_point(rc, (1, 0))
-    with pytest.raises(EmptySetError):
-        recession_cone(hrep_set("E", [((1,), -1), ((-1,), 0)]))
+    assert direction_in_recession_cone(wedge, (1, 1))
+    assert direction_in_recession_cone(wedge, (1, 2))
+    assert not direction_in_recession_cone(wedge, (1, 0))
 
 
 def test_direction_in_recession_cone():
@@ -298,6 +293,18 @@ def test_projection_of_an_hrep_keeps_only_facets():
 def test_project_rejects_dim_one():
     with pytest.raises(MalformedInputError):
         project_drop_last(hrep_set("I", [((1,), 1)]))
+
+
+def test_projection_of_one_halfspace_in_r199_passes_the_work_cap():
+    # the image's 2 * 198 lineality rays each update every lineality
+    # vector in _cone, which passes DD_WORK_CAP after a lineality row;
+    # R^198 still projects. A projection that kept the lineality as such
+    # would answer here, and this test would fail
+    s = hrep_set("H", [((1,) + (0,) * 198, 1)])  # x_1 <= 1
+    start = time.process_time()
+    with pytest.raises(MalformedInputError, match="396 rows in R\\^199 passes the work cap"):
+        project_drop_last(s)
+    assert time.process_time() - start < 5
 
 
 def test_convex_hull_union():
